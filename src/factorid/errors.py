@@ -62,7 +62,7 @@ class InfeasibleDimensionsError(FactorIdError):
 
 
 class DeletionBudgetExceededError(FactorIdError):
-    """Row-deletion enumeration refused above the configured budget."""
+    """C(m, s-1), the number of row deletions a verdict speaks for, exceeds the budget."""
 
 
 class NoDecompositionError(FactorIdError):

@@ -1,16 +1,18 @@
 """Counting-rule verdicts and the variance-identification decision.
 
 The rule checked throughout: every set of q columns of the pattern must touch
-at least 2q+s distinct nonzero rows (1 <= q <= r). It is verified three ways:
+at least 2q+s distinct nonzero rows (1 <= q <= r). It is verified four ways:
 
 * brute force over all column subsets (the oracle; exponential in r),
 * for s=1, a minimum weighted vertex cover computed as a network min-cut
   (polynomial; the rule holds iff the cover weighs at least r(2r+1)),
 * for s=0, a matching of size 2r in the column-duplicated bipartite graph,
   which doubles as a constructive witness: it splits 2r rows into two groups
-  whose square submatrices both carry a reordered nonzero diagonal.
-
-s >= 2 reduces to s=1 on every deletion of s-1 rows.
+  whose square submatrices both carry a reordered nonzero diagonal,
+* for s >= 2, one matching per column j, with j copied 2+s times and every
+  other column twice. By Hall's theorem every such matching saturates its
+  copies iff every q columns touch at least 2q+s rows. This replaces the
+  paper's equivalent reduction to s=1 on every deletion of s-1 rows.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -212,9 +214,20 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
 def counting_rule(
     p: SparsityPattern, s: int, max_deletions: int = 10**6
 ) -> CountingRuleVerdict:
-    """Dispatch on s: matching route (s=0), min-cut route (s=1), or the
-    row-deletion wrapper (s >= 2: the rule holds iff every deletion of s-1
-    rows leaves a pattern passing the s=1 rule).
+    """Dispatch on s: matching route (s=0), min-cut route (s=1), or one
+    b-matching per column (s >= 2).
+
+    For s >= 2, column j gets 2+s copies and every other column 2. Hall's
+    theorem on these replicas: the rule holds iff, for every j, a matching
+    saturates all 2r+s copies. That is r Hopcroft-Karp runs whatever m and s.
+    The pass note states the equivalent deletion form of the paper. On
+    failure, the columns reached from a free copy by alternating paths form
+    S with |N(S)| < 2|S|+s. `deleted_rows` are the s-1 lowest rows of N(S),
+    padded with the lowest rows outside N(S) when it is smaller; deleting
+    them leaves S violating the s=1 rule.
+
+    `max_deletions` only bounds C(m, s-1), the number of deletions the pass
+    note reports. It is kept for API compatibility.
 
     For s >= 2, m < 2r+s is rejected outright (the rule cannot hold there:
     the full column set alone needs 2r+s rows). For s <= 1 such patterns
@@ -237,37 +250,44 @@ def counting_rule(
         raise DeletionBudgetExceededError(
             f"{n_deletions} deletions of {s - 1} rows exceed the budget {max_deletions}"
         )
-    full_mask = (1 << m) - 1
-    col_masks = p.col_masks
-    for deleted in combinations(range(m), s - 1):
-        rem_mask = full_mask
-        for i in deleted:
-            rem_mask ^= 1 << i
-        emptied = next((j for j in range(r) if col_masks[j] & rem_mask == 0), None)
-        if emptied is not None:
-            return CountingRuleVerdict(
-                r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
-                witness_fail=FailWitness(
-                    columns=(emptied,),
-                    nonzero_rows=nonzero_row_count(p, (emptied,)),
-                    deleted_rows=deleted,
-                ),
-            )
-        gone = set(deleted)
-        remainder = SparsityPattern(
-            tuple(row for i, row in enumerate(p.entries) if i not in gone)
+    col_rows = [[i for i in range(m) if mask >> i & 1] for mask in p.col_masks]
+    n_left = 2 * r + s
+    for j in range(r):
+        # Left vertex u is a copy of column owner[u]: two of each, s more of j.
+        owner = [k for k in range(r) for _ in range(2)] + [j] * s
+        indptr, indices = [0], []
+        for c in owner:
+            indices += col_rows[c]
+            indptr.append(len(indices))
+        size, match_l, match_r = _kernels.hopcroft_karp(n_left, m, indptr, indices)
+        if size == n_left:
+            continue
+        # Koenig: the columns reached from a free copy along alternating paths
+        # form S and the rows reached form N(S); every row of N(S) is matched
+        # to a copy of a column in S while some copy in S stays free.
+        cols = {owner[u] for u in range(n_left) if match_l[u] == -1}
+        stack = list(cols)
+        rows: set[int] = set()
+        while stack:
+            for i in col_rows[stack.pop()]:
+                if i not in rows:
+                    rows.add(i)
+                    c = owner[match_r[i]]
+                    if c not in cols:
+                        cols.add(c)
+                        stack.append(c)
+        assert len(rows) < 2 * len(cols) + s
+        # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
+        # remainder fails the s=1 rule; pad from outside N(S) if it is short.
+        outside = [i for i in range(m) if i not in rows]
+        deleted = sorted((sorted(rows) + outside)[: s - 1])
+        return CountingRuleVerdict(
+            r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
+            witness_fail=FailWitness(
+                columns=tuple(sorted(cols)), nonzero_rows=len(rows),
+                deleted_rows=tuple(deleted),
+            ),
         )
-        inner = counting_rule_s1(remainder)
-        if not inner.holds:
-            cols = inner.witness_fail.columns
-            count = nonzero_row_count(p, cols)
-            assert count <= 2 * len(cols) + s - 1
-            return CountingRuleVerdict(
-                r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
-                witness_fail=FailWitness(
-                    columns=cols, nonzero_rows=count, deleted_rows=deleted
-                ),
-            )
     return CountingRuleVerdict(
         r=r, s=s, holds=True, method=METHOD_DELETION_WRAPPER,
         witness_pass=PassWitness(

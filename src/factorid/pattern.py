@@ -268,8 +268,13 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     if not rows or width == 0:
         raise EmptyInputError("'delta' contains no cells")
     pattern = SparsityPattern(tuple(rows))
-    if "m" in obj and obj["m"] != pattern.m:
-        raise DimensionError(f"declared m={obj['m']} does not match {pattern.m} rows")
-    if "r" in obj and obj["r"] != pattern.r:
-        raise DimensionError(f"declared r={obj['r']} does not match {pattern.r} columns")
+    for key, size, unit in (("m", pattern.m, "rows"), ("r", pattern.r, "columns")):
+        if key not in obj:
+            continue
+        declared = obj[key]
+        # bool is an int subclass and 3.0 == 3, so compare types before values
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ParseError(f"declared {key} must be an integer, got {declared!r}")
+        if declared != size:
+            raise DimensionError(f"declared {key}={declared} does not match {size} {unit}")
     return rec_id, pattern

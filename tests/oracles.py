@@ -2,10 +2,15 @@
 
 Independent of the package's algorithms on purpose: matchings come from
 backtracking, covers and rule checks from direct subset scans. Keep these
-naive; their only job is to be trivially auditable.
+naive; their only job is to be trivially auditable. The one exception,
+`counting_rule_by_deletion`, keeps the paper's reduction of s >= 2 to the s=1
+min-cut as a second reference for the s >= 2 route.
 """
 
 from itertools import combinations, permutations
+
+from factorid.identify import counting_rule_s1
+from factorid.pattern import SparsityPattern
 
 
 def pattern_edges(p):
@@ -80,6 +85,23 @@ def counting_rule_direct(p, s):
             rows = sum(1 for row in p.entries if any(row[j] for j in cols))
             if rows < 2 * q + s:
                 return False
+    return True
+
+
+def counting_rule_by_deletion(p, s):
+    """The paper's reduction of the rule at s >= 1 to s=1: it holds iff every
+    deletion of s-1 rows leaves a pattern passing the s=1 min-cut check.
+
+    A column emptied by a deletion touches no row, so the remainder fails.
+    """
+    if p.m < 2 * p.r + s:
+        return False
+    for deleted in combinations(range(p.m), s - 1):
+        rows = tuple(row for i, row in enumerate(p.entries) if i not in deleted)
+        if not all(any(row[j] for row in rows) for j in range(p.r)):
+            return False
+        if not counting_rule_s1(SparsityPattern(rows)).holds:
+            return False
     return True
 
 

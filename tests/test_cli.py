@@ -193,6 +193,23 @@ class TestFilter:
         s = json.load(open(summary))
         assert s["total"] == 3 and s["errors"] == 1
 
+    def test_float_and_bool_dims_are_error_records(self, runner, tmp_path):
+        lines = STREAM.splitlines()
+        lines.insert(1, '{"id": "float_m", "delta": [[1],[1],[1]], "m": 3.0}')
+        lines.insert(2, '{"id": "bool_r", "delta": [[1],[1],[1]], "r": true}')
+        inp = write(tmp_path, "in.jsonl", "\n".join(lines) + "\n")
+        out = str(tmp_path / "out.jsonl")
+        result = runner.invoke(
+            main, ["filter", "--input", inp, "--output", out, "--summary", "-"]
+        )
+        assert result.exit_code == 2
+        records = [json.loads(l) for l in open(out)]
+        assert len(records) == 5
+        for record in records[1:3]:
+            assert "must be an integer" in record["error"]
+            assert record["identified"] is None
+        assert json.loads(result.output)["errors"] == 2
+
     def test_unreadable_input(self, runner, tmp_path):
         result = runner.invoke(
             main, ["filter", "--input", str(tmp_path / "absent.jsonl"),

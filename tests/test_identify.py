@@ -200,6 +200,69 @@ class TestDispatcher:
             checked += 1
 
 
+def random_s2_case(rng):
+    """A trimmed pattern and an s in 2..4 with m >= 2r+s, often m = 2r+s."""
+    while True:
+        s = int(rng.integers(2, 5))
+        r = int(rng.integers(1, 4))
+        m = 2 * r + s + int(rng.integers(0, 3))
+        p, _ = trim(random_pattern(rng, m, r, float(rng.uniform(0.15, 0.7))))
+        if p.r and p.m >= 2 * p.r + s:
+            return p, s
+
+
+class TestReplicaMatching:
+    """The s >= 2 route: one matching per column on column replicas."""
+
+    def test_matches_both_oracles(self):
+        rng = np.random.default_rng(103)
+        at_bound = 0
+        for _ in range(300):
+            p, s = random_s2_case(rng)
+            at_bound += p.m == 2 * p.r + s
+            expected = counting_rule_bruteforce(p, s).holds
+            assert oracles.counting_rule_by_deletion(p, s) == expected
+            assert counting_rule(p, s).holds == expected
+        assert at_bound >= 50
+
+    def test_failing_witness_is_checkable(self):
+        rng = np.random.default_rng(107)
+        failing = 0
+        while failing < 200:
+            p, s = random_s2_case(rng)
+            verdict = counting_rule(p, s)
+            if verdict.holds:
+                continue
+            failing += 1
+            wf = verdict.witness_fail
+            q = len(wf.columns)
+            dense = np.array(p.entries, dtype=bool)
+            assert len(wf.deleted_rows) == s - 1
+            assert wf.nonzero_rows == int(dense[:, list(wf.columns)].any(axis=1).sum())
+            assert wf.nonzero_rows < 2 * q + s
+            kept = np.delete(dense, list(wf.deleted_rows), axis=0)
+            assert kept[:, list(wf.columns)].any(axis=1).sum() <= 2 * q
+            if kept.any(axis=0).all():
+                remainder = SparsityPattern.from_rows(kept.astype(int).tolist())
+                assert not counting_rule_s1(remainder).holds
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equivalence_property(self, data):
+        s = data.draw(st.integers(2, 4))
+        r = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(2 * r + s, 2 * r + s + 2))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=r, max_size=r), min_size=m, max_size=m
+        ))
+        p, _ = trim(SparsityPattern.from_rows(rows))
+        if p.r == 0 or p.m < 2 * p.r + s:
+            return
+        expected = counting_rule_bruteforce(p, s).holds
+        assert oracles.counting_rule_by_deletion(p, s) == expected
+        assert counting_rule(p, s).holds == expected
+
+
 class TestDeletionProperty:
     def test_passing_rule_implies_remainders_pass_s0(self):
         rng = np.random.default_rng(101)

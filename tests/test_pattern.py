@@ -73,6 +73,13 @@ class TestParseJsonl:
         with pytest.raises(DimensionError):
             parse_jsonl_record('{"id": 1, "delta": [[1],[0]], "m": 3}')
 
+    @pytest.mark.parametrize("key", ["m", "r"])
+    @pytest.mark.parametrize("value", ["true", "1.0", "2.0"])
+    def test_non_integer_dims_rejected(self, key, value):
+        # m=2.0, r=1.0 and r=true equal the real dimensions of this record
+        with pytest.raises(ParseError):
+            parse_jsonl_record(f'{{"id": 1, "delta": [[1],[0]], "{key}": {value}}}')
+
     def test_bad_json(self):
         with pytest.raises(ParseError):
             parse_jsonl_record("{nope")
