@@ -1,8 +1,8 @@
 """Bipartite graphs generated from sparsity patterns, matchings, and covers."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, Sequence
 
 from factorid import _kernels
 from factorid.errors import MatchingNotMaximumError, NotSquareError
@@ -16,24 +16,17 @@ class BipartiteGraph:
     """Undirected bipartite graph with column vertices and row vertices.
 
     Edges are (column index, row index) pairs. When generated from a pattern,
-    column j and row i are adjacent iff entry (i, j) is 1. Optional labels
-    carry original-pattern coordinates through trimming or row deletion.
+    column j and row i are adjacent iff entry (i, j) is 1.
     """
 
     n_col: int
     n_row: int
     edges: frozenset[tuple[int, int]]
-    col_labels: tuple[int, ...] | None = None
-    row_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         for c, r in self.edges:
             if not (0 <= c < self.n_col and 0 <= r < self.n_row):
                 raise ValueError(f"edge ({c}, {r}) out of range")
-        if self.col_labels is not None and len(self.col_labels) != self.n_col:
-            raise ValueError("col_labels length mismatch")
-        if self.row_labels is not None and len(self.row_labels) != self.n_row:
-            raise ValueError("row_labels length mismatch")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -88,31 +81,18 @@ class VertexCover:
         return all(c in self.cols or r in self.rows for c, r in g.edges)
 
 
-def generate_bipartite(
-    p: SparsityPattern,
-    col_labels: tuple[int, ...] | None = None,
-    row_labels: tuple[int, ...] | None = None,
-) -> BipartiteGraph:
+def generate_bipartite(p: SparsityPattern) -> BipartiteGraph:
     """Bipartite graph of a pattern: edge (j, i) iff entry (i, j) is 1."""
     edges = frozenset(
         (j, i) for i, row in enumerate(p.entries) for j, v in enumerate(row) if v
     )
-    return BipartiteGraph(
-        n_col=p.r, n_row=p.m, edges=edges, col_labels=col_labels, row_labels=row_labels
-    )
+    return BipartiteGraph(n_col=p.r, n_row=p.m, edges=edges)
 
 
 def duplicate_columns(g: BipartiteGraph) -> BipartiteGraph:
     """Double the column side; vertex j + n_col mirrors the edges of j."""
     mirrored = frozenset((c + g.n_col, r) for c, r in g.edges)
-    labels = g.col_labels * 2 if g.col_labels is not None else None
-    return BipartiteGraph(
-        n_col=2 * g.n_col,
-        n_row=g.n_row,
-        edges=g.edges | mirrored,
-        col_labels=labels,
-        row_labels=g.row_labels,
-    )
+    return BipartiteGraph(n_col=2 * g.n_col, n_row=g.n_row, edges=g.edges | mirrored)
 
 
 def maximum_matching(g: BipartiteGraph) -> Matching:
@@ -128,6 +108,36 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     return Matching(pairs)
 
 
+def alternating_reach(
+    adjacency: Sequence[Sequence[int]], match_l: list[int], match_r: list[int]
+) -> tuple[set[int], set[int]]:
+    """Left and right vertices that alternating paths from the free left
+    vertices reach (König's construction).
+
+    `adjacency[u]` lists the right neighbours of left vertex u; `match_l` and
+    `match_r` give each vertex's partner, -1 when free. Raises
+    MatchingNotMaximumError on an augmenting path (matching not maximum).
+    """
+    stack = [u for u, v in enumerate(match_l) if v == -1]
+    reached_l = set(stack)
+    reached_r: set[int] = set()
+    while stack:
+        u = stack.pop()
+        for v in adjacency[u]:
+            if match_l[u] == v or v in reached_r:
+                continue
+            reached_r.add(v)
+            back = match_r[v]
+            if back == -1:
+                raise MatchingNotMaximumError(
+                    f"augmenting path exists through row vertex {v}"
+                )
+            if back not in reached_l:
+                reached_l.add(back)
+                stack.append(back)
+    return reached_l, reached_r
+
+
 def minimum_vertex_cover(g: BipartiteGraph, mm: Matching) -> VertexCover:
     """Minimum vertex cover built from a maximum matching.
 
@@ -138,29 +148,14 @@ def minimum_vertex_cover(g: BipartiteGraph, mm: Matching) -> VertexCover:
     """
     if not mm.pairs <= g.edges:
         raise ValueError("matching contains edges not present in the graph")
-    match_c = {c: r for c, r in mm.pairs}
-    match_r = {r: c for c, r in mm.pairs}
-    adjacency = g.adjacency
-    visited_c = set()
-    visited_r = set()
-    stack = [c for c in range(g.n_col) if c not in match_c]
-    visited_c.update(stack)
-    while stack:
-        c = stack.pop()
-        for r in adjacency[c]:
-            if match_c.get(c) == r or r in visited_r:
-                continue
-            visited_r.add(r)
-            back = match_r.get(r)
-            if back is None:
-                raise MatchingNotMaximumError(
-                    f"augmenting path exists through row vertex {r}"
-                )
-            if back not in visited_c:
-                visited_c.add(back)
-                stack.append(back)
-    cols = frozenset(c for c in range(g.n_col) if c in match_c and c not in visited_c)
-    rows = frozenset(visited_r)
+    match_l = [-1] * g.n_col
+    match_r = [-1] * g.n_row
+    for c, r in mm.pairs:
+        match_l[c] = r
+        match_r[r] = c
+    reached_c, reached_r = alternating_reach(g.adjacency, match_l, match_r)
+    cols = frozenset(c for c in range(g.n_col) if c not in reached_c)
+    rows = frozenset(reached_r)
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
 
@@ -185,13 +180,3 @@ def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:
         return True, mm
     return False, None
 
-
-def remove_rows(g: BipartiteGraph, rows: frozenset[int]) -> BipartiteGraph:
-    """Subgraph with the given row vertices deleted (rows are renumbered)."""
-    keep = [r for r in range(g.n_row) if r not in rows]
-    renumber = {r: i for i, r in enumerate(keep)}
-    edges = frozenset((c, renumber[r]) for c, r in g.edges if r not in rows)
-    row_labels = None
-    if g.row_labels is not None:
-        row_labels = tuple(g.row_labels[r] for r in keep)
-    return replace(g, n_row=len(keep), edges=edges, row_labels=row_labels)

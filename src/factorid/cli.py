@@ -7,6 +7,7 @@ stdout, diagnostics to stderr; --json switches stdout to machine form.
 
 import csv
 import json
+import os
 import statistics
 import sys
 import time
@@ -22,6 +23,7 @@ from factorid.errors import (
     InfeasibleDimensionsError,
 )
 from factorid.identify import (
+    METHOD_DELETION_WRAPPER,
     CountingRuleVerdict,
     FailWitness,
     IdentificationVerdict,
@@ -63,8 +65,6 @@ def _load_pattern(input_path: str, fmt: str) -> SparsityPattern:
 
 
 def _check_verdict(p: SparsityPattern, s: int) -> IdentificationVerdict:
-    if s == 1:
-        return variance_identified(p)
     trimmed, report = trim(p)
     if trimmed.r == 0:
         return IdentificationVerdict(
@@ -75,7 +75,7 @@ def _check_verdict(p: SparsityPattern, s: int) -> IdentificationVerdict:
     except InfeasibleDimensionsError as e:
         # m < 2r+s: the full column set is itself a violating subset
         detail = CountingRuleVerdict(
-            r=trimmed.r, s=s, holds=False, method="deletion_wrapper",
+            r=trimmed.r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
             witness_fail=FailWitness(
                 columns=tuple(report.original_column(j) for j in range(trimmed.r)),
                 nonzero_rows=trimmed.m,
@@ -290,7 +290,7 @@ class FilterSummary:
         })
 
 
-def _filter_record(line: str) -> DrawRecord:
+def _filter_record(line: bytes) -> DrawRecord:
     record = DrawRecord()
     try:
         rec_id, pattern = parse_jsonl_record(line)
@@ -307,21 +307,28 @@ def _filter_record(line: str) -> DrawRecord:
     return record
 
 
+def _worker_count(parallel: int) -> int:
+    """--parallel clamped to [1, number of CPUs]."""
+    return max(1, min(parallel, os.cpu_count() or 1))
+
+
 @main.command("filter")
 @click.option("--input", "input_path", required=True, help="JSONL draw stream.")
 @click.option("--output", "output_path", required=True, help="JSONL verdict stream.")
 @click.option("--summary", "summary_path", default=None,
               help="Write a JSON summary to this path ('-' for stdout).")
 @click.option("--parallel", type=int, default=1, show_default=True,
-              help="Worker processes for the per-draw checks.")
+              help="Worker processes for the per-draw checks (at most one per CPU).")
 def cmd_filter(input_path, output_path, summary_path, parallel):
     """Filter a posterior-draw stream, keeping order; one verdict per line.
 
+    Lines end at each newline byte and must be UTF-8 JSON, as JSONL defines.
     Malformed lines produce error records and processing continues; the exit
     code is 2 if any line was malformed, else 0.
     """
+    workers = _worker_count(parallel)
     try:
-        fin = open(input_path, "r", encoding="utf-8")
+        fin = open(input_path, "rb")
     except OSError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
@@ -329,8 +336,8 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
     try:
         with fin, open(output_path, "w", encoding="utf-8") as fout:
             lines = (line for line in fin if line.strip())
-            if parallel > 1:
-                with ProcessPoolExecutor(max_workers=parallel) as executor:
+            if workers > 1:
+                with ProcessPoolExecutor(max_workers=workers) as executor:
                     for record in executor.map(_filter_record, lines, chunksize=64):
                         fout.write(record.to_json_line() + "\n")
                         summary.add(record)

@@ -6,13 +6,16 @@ at least 2q+s distinct nonzero rows (1 <= q <= r). It is verified four ways:
 * brute force over all column subsets (the oracle; exponential in r),
 * for s=1, a minimum weighted vertex cover computed as a network min-cut
   (polynomial; the rule holds iff the cover weighs at least r(2r+1)),
-* for s=0, a matching of size 2r in the column-duplicated bipartite graph,
-  which doubles as a constructive witness: it splits 2r rows into two groups
+* for s=0, a matching that saturates two copies of every column, which
+  doubles as a constructive witness: it splits 2r rows into two groups
   whose square submatrices both carry a reordered nonzero diagonal,
-* for s >= 2, one matching per column j, with j copied 2+s times and every
-  other column twice. By Hall's theorem every such matching saturates its
-  copies iff every q columns touch at least 2q+s rows. This replaces the
-  paper's equivalent reduction to s=1 on every deletion of s-1 rows.
+* for s >= 2, the same matching once per column j, with j copied 2+s times.
+  By Hall's theorem every such matching saturates its copies iff every q
+  columns touch at least 2q+s rows. This replaces the paper's equivalent
+  reduction to s=1 on every deletion of s-1 rows.
+
+s=0, s >= 2 and the two-row-group witness share this one replica matching;
+where it fails, König's alternating walk yields the violating columns.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -26,14 +29,7 @@ from math import comb
 import numpy as np
 
 from factorid import _kernels
-from factorid.bipartite import (
-    Matching,
-    duplicate_columns,
-    generate_bipartite,
-    is_rcm,
-    maximum_matching,
-    minimum_vertex_cover,
-)
+from factorid.bipartite import Matching, alternating_reach, is_rcm
 from factorid.errors import (
     DeletionBudgetExceededError,
     EmptyPatternError,
@@ -130,6 +126,37 @@ def _require_trimmed(p: SparsityPattern) -> None:
         raise UntrimmedPatternError("pattern has an all-zero row or column")
 
 
+def _column_rows(p: SparsityPattern, kept: list[int]) -> list[list[int]]:
+    """Per column, the ascending positions in `kept` of its nonzero rows."""
+    pos = {i: k for k, i in enumerate(kept)}
+    keep = sum(1 << i for i in kept)
+    # bin() lists bits high to low; reversed, character i is bit i
+    return [
+        [pos[i] for i, b in enumerate(bin(mask & keep)[:1:-1]) if b == "1"]
+        for mask in p.col_masks
+    ]
+
+
+def _replica_matching(
+    col_rows: list[list[int]], n_rows: int, owner: list[int]
+) -> tuple[list[int], tuple[set[int], set[int]] | None]:
+    """Maximum matching of column copies into rows, left vertex u being a
+    copy of column owner[u]. Returns (match_l, None) when every copy is
+    matched, else (match_l, (S, N(S))): the columns and rows König's walk
+    reaches from the free copies, where N(S) has fewer rows than S copies.
+    """
+    adjacency = [col_rows[c] for c in owner]
+    indptr, indices = [0], []
+    for rows in adjacency:
+        indices += rows
+        indptr.append(len(indices))
+    size, match_l, match_r = _kernels.hopcroft_karp(len(owner), n_rows, indptr, indices)
+    if size == len(owner):
+        return match_l, None
+    copies, rows = alternating_reach(adjacency, match_l, match_r)
+    return match_l, ({owner[u] for u in copies}, rows)
+
+
 def counting_rule_bruteforce(
     p: SparsityPattern, s: int, max_columns: int = 24
 ) -> CountingRuleVerdict:
@@ -183,31 +210,31 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
 
 
 def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
-    """s=0 check: the column-duplicated graph must have a matching of size 2r.
+    """s=0 check: the replica matching with two copies of every column
+    (copy j + r mirrors column j) must saturate all 2r copies.
 
-    On failure, the columns with an uncovered copy in the minimum vertex
-    cover form a violating subset (q columns touching at most 2q-1 rows).
+    The matching is the pass witness. On failure, the columns S reached by
+    König's walk from a free copy form a violating subset: q columns
+    touching at most 2q-1 rows.
     """
     _require_trimmed(p)
     r = p.r
-    doubled = duplicate_columns(generate_bipartite(p))
-    mm = maximum_matching(doubled)
-    if mm.size == 2 * r:
+    match_l, violated = _replica_matching(
+        _column_rows(p, list(range(p.m))), p.m, [*range(r)] * 2
+    )
+    if violated is None:
         return CountingRuleVerdict(
             r=r, s=0, holds=True, method=METHOD_DUPMATCHING,
             witness_pass=PassWitness(
-                matching=mm, note="matching saturates all columns and duplicates"
+                matching=Matching(frozenset(enumerate(match_l))),
+                note="matching saturates all columns and duplicates",
             ),
         )
-    cover = minimum_vertex_cover(doubled, mm)
-    excluded = tuple(
-        j for j in range(r) if j not in cover.cols or j + r not in cover.cols
-    )
-    count = nonzero_row_count(p, excluded)
-    assert count <= 2 * len(excluded) - 1
+    cols, rows = violated
+    assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
         r=r, s=0, holds=False, method=METHOD_DUPMATCHING,
-        witness_fail=FailWitness(columns=excluded, nonzero_rows=count),
+        witness_fail=FailWitness(columns=tuple(sorted(cols)), nonzero_rows=len(rows)),
     )
 
 
@@ -250,32 +277,13 @@ def counting_rule(
         raise DeletionBudgetExceededError(
             f"{n_deletions} deletions of {s - 1} rows exceed the budget {max_deletions}"
         )
-    col_rows = [[i for i in range(m) if mask >> i & 1] for mask in p.col_masks]
-    n_left = 2 * r + s
+    col_rows = _column_rows(p, list(range(m)))
     for j in range(r):
-        # Left vertex u is a copy of column owner[u]: two of each, s more of j.
-        owner = [k for k in range(r) for _ in range(2)] + [j] * s
-        indptr, indices = [0], []
-        for c in owner:
-            indices += col_rows[c]
-            indptr.append(len(indices))
-        size, match_l, match_r = _kernels.hopcroft_karp(n_left, m, indptr, indices)
-        if size == n_left:
+        owner = [k // 2 for k in range(2 * r)] + [j] * s
+        _, violated = _replica_matching(col_rows, m, owner)
+        if violated is None:
             continue
-        # Koenig: the columns reached from a free copy along alternating paths
-        # form S and the rows reached form N(S); every row of N(S) is matched
-        # to a copy of a column in S while some copy in S stays free.
-        cols = {owner[u] for u in range(n_left) if match_l[u] == -1}
-        stack = list(cols)
-        rows: set[int] = set()
-        while stack:
-            for i in col_rows[stack.pop()]:
-                if i not in rows:
-                    rows.add(i)
-                    c = owner[match_r[i]]
-                    if c not in cols:
-                        cols.add(c)
-                        stack.append(c)
+        cols, rows = violated
         assert len(rows) < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
         # remainder fails the s=1 rule; pad from outside N(S) if it is short.
@@ -302,9 +310,10 @@ def rcm_decomposition(
     """Split the remaining rows into two groups of r whose square submatrices
     each have a reordered nonzero diagonal, or None when impossible.
 
-    Group A collects the rows matched to the original columns (ordered by
-    column), group B those matched to the duplicates. All indices refer to
-    the input pattern's coordinates.
+    The groups come from the s=0 replica matching on the kept rows: group A
+    collects the rows matched to the first copies of the columns (ordered by
+    column), group B those matched to the second copies. All indices refer
+    to the input pattern's coordinates.
     """
     deleted = frozenset(deleted_rows)
     for i in deleted:
@@ -314,24 +323,23 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    remainder = SparsityPattern(tuple(p.entries[i] for i in kept))
-    doubled = duplicate_columns(generate_bipartite(remainder))
-    mm = maximum_matching(doubled)
-    if mm.size < 2 * r:
+    match_l, violated = _replica_matching(
+        _column_rows(p, kept), len(kept), [*range(r)] * 2
+    )
+    if violated is not None:
         return None
-    col_to_row = mm.column_to_row()
-    rows_a = tuple(kept[col_to_row[j]] for j in range(r))
-    rows_b = tuple(kept[col_to_row[j + r]] for j in range(r))
+    matched = [kept[i] for i in match_l]
+    rows_a = tuple(matched[:r])
+    rows_b = tuple(matched[r:])
     for rows in (rows_a, rows_b):
         square = SparsityPattern(tuple(p.entries[i] for i in rows))
         ok, _ = is_rcm(square)
         assert ok, "matched row group lost its diagonal"
-    remapped = Matching(frozenset((c, kept[i]) for c, i in mm.pairs))
     return RcmDecomposition(
         deleted_rows=tuple(sorted(deleted)),
         rows_a=rows_a,
         rows_b=rows_b,
-        matching=remapped,
+        matching=Matching(frozenset(enumerate(matched))),
     )
 
 

@@ -77,12 +77,6 @@ class SparsityPattern:
     def ones(self) -> int:
         return sum(sum(row) for row in self.entries)
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    def render_dense(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
-
 
 @dataclass(frozen=True)
 class TrimReport:
@@ -194,7 +188,7 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     if format == "dense_text":
         return _parse_dense(data)
     if format == "jsonl_record":
-        lines = [ln for ln in data.splitlines() if ln.strip()]
+        lines = [ln for ln in data.split(b"\n") if ln.strip()]
         if not lines:
             raise EmptyInputError("no JSONL record found")
         if len(lines) > 1:
@@ -237,11 +231,15 @@ def _parse_dense(data: bytes) -> SparsityPattern:
 
 
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
-    """Parse one JSONL draw record; returns (id, pattern)."""
+    """Parse one JSONL draw record (UTF-8 if bytes); returns (id, pattern)."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", column=e.colno) from e
+    except (ValueError, RecursionError) as e:
+        # bytes that are not UTF-8, nesting beyond the recursion limit, or an
+        # integer beyond the int-to-str digit limit
+        raise ParseError(f"invalid JSONL line: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError("JSONL record must be an object")
     if "id" not in obj:

@@ -14,7 +14,6 @@ from factorid.bipartite import (
     is_rcm,
     maximum_matching,
     minimum_vertex_cover,
-    remove_rows,
 )
 from factorid.errors import MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
@@ -52,7 +51,10 @@ class TestGenerate:
 
 class TestDuplicateColumns:
     def test_deletion_demo_remainder(self, deletion_demo_8x3):
-        g = remove_rows(generate_bipartite(deletion_demo_8x3), frozenset({0, 5}))
+        remainder = SparsityPattern(
+            tuple(row for i, row in enumerate(deletion_demo_8x3.entries) if i not in (0, 5))
+        )
+        g = generate_bipartite(remainder)
         doubled = duplicate_columns(g)
         assert doubled.n_col == 6
         for c in range(3):

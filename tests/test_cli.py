@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import MINCUT_DEMO_TEXT, COUNTEREXAMPLE_6X3
+from factorid import cli
 from factorid.cli import main
 
 COUNTEREXAMPLE_TEXT = "\n".join(" ".join(str(v) for v in row) for row in COUNTEREXAMPLE_6X3) + "\n"
@@ -81,6 +86,13 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--input", path, "--format", "jsonl", "--json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["holds"] is True
+
+    def test_jsonl_lines_end_only_at_newline(self, runner, tmp_path):
+        # a carriage return is JSON whitespace, not a line end, as in filter
+        path = tmp_path / "draw.jsonl"
+        path.write_bytes(b'{"id": 1,\r"delta": [[1],[1],[1]]}\r\n')
+        result = runner.invoke(main, ["check", "--input", str(path), "--format", "jsonl"])
+        assert result.exit_code == 0
 
     def test_s2_deletion_demo(self, runner, tmp_path):
         path = write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT)
@@ -290,3 +302,78 @@ class TestBench:
         assert result.exit_code == 0
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert all(r["verdict_agreement"] == "true" for r in rows)
+
+
+def test_worker_count_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [cli._worker_count(n) for n in (-5, 0, 1, 3, 4, 10**9)] == [1, 1, 1, 3, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(8) == 1
+
+
+# Each of these used to escape the CLI as a traceback.
+HOSTILE_LINES = [
+    b"\xff\xfe{\"id\": 1}",  # invalid UTF-8
+    b"[" * 5000,  # nesting beyond the recursion limit
+    b'{"id": 1, "delta": [[1]], "m": ' + b"1" * 5000 + b"}",  # int digit limit
+]
+HOSTILE_IDS = ["invalid_utf8", "deep_nesting", "huge_int"]
+
+
+def no_traceback(result):
+    return result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_filter_turns_line_into_error_record(self, runner, tmp_path, line):
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(STREAM.encode() + line + b"\n" + STREAM.encode())
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["filter", "--input", str(inp), "--output", str(out)])
+        assert no_traceback(result)
+        assert result.exit_code == 2
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert len(records) == 7
+        assert records[3]["error"].startswith("invalid")
+        assert [r["identified"] for r in records[4:]] == [True, False, True]
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES, ids=HOSTILE_IDS)
+    def test_check_jsonl_exits_2(self, runner, tmp_path, line):
+        path = tmp_path / "draw.jsonl"
+        path.write_bytes(line + b"\n")
+        result = runner.invoke(main, ["check", "--input", str(path), "--format", "jsonl"])
+        assert no_traceback(result)
+        assert result.exit_code == 2
+        assert "error: invalid" in result.output
+
+
+byte_lines = st.lists(
+    st.one_of(
+        st.binary(max_size=40),
+        st.sampled_from(HOSTILE_LINES + [l.encode() for l in STREAM.splitlines()]),
+    ).map(lambda b: b.replace(b"\n", b"")),
+    max_size=6,
+)
+
+
+@given(byte_lines)
+@example([b"\x80", b"", b" \r", b"\xef\xbb\xbf{}"])
+@settings(max_examples=80, deadline=None)
+def test_arbitrary_bytes_never_crash(lines):
+    data = b"\n".join(lines) + b"\n"
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = os.path.join(tmp, "in.jsonl")
+        out = os.path.join(tmp, "out.jsonl")
+        with open(inp, "wb") as f:
+            f.write(data)
+        result = runner.invoke(main, ["filter", "--input", inp, "--output", out])
+        assert no_traceback(result)
+        assert result.exit_code in (0, 1, 2)
+        with open(out, "rb") as f:
+            records = f.read().splitlines()
+        assert len(records) == sum(1 for line in lines if line.strip())
+        result = runner.invoke(main, ["check", "--input", inp, "--format", "jsonl"])
+        assert no_traceback(result)
+        assert result.exit_code in (0, 1, 2)

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pattern
-from factorid.bipartite import is_rcm
+from factorid.bipartite import (
+    duplicate_columns,
+    generate_bipartite,
+    is_rcm,
+    maximum_matching,
+    minimum_vertex_cover,
+)
 from factorid.errors import (
     DeletionBudgetExceededError,
     EmptyPatternError,
@@ -261,6 +267,48 @@ class TestReplicaMatching:
         expected = counting_rule_bruteforce(p, s).holds
         assert oracles.counting_rule_by_deletion(p, s) == expected
         assert counting_rule(p, s).holds == expected
+
+
+class TestGraphReference:
+    """s=0 and rcm_decomposition share the replica matching; the public graph
+    functions on the column-duplicated graph are the reference."""
+
+    def test_replica_matching_equals_duplicated_graph(self):
+        rng = np.random.default_rng(109)
+        seen = {"pass": 0, "fail": 0, "split": 0, "none": 0}
+        for _ in range(400):
+            p = trimmed_random(rng, 12, 5)
+            if p.r == 0:
+                continue
+            r = p.r
+            doubled = duplicate_columns(generate_bipartite(p))
+            mm = maximum_matching(doubled)
+            verdict = counting_rule_s0(p)
+            if verdict.holds:
+                seen["pass"] += 1
+                assert verdict.witness_pass.matching == mm
+            else:
+                seen["fail"] += 1
+                cover = minimum_vertex_cover(doubled, mm)
+                assert verdict.witness_fail.columns == tuple(
+                    j for j in range(r) if j not in cover.cols or j + r not in cover.cols
+                )
+            n_deleted = int(rng.integers(0, min(3, p.m) + 1))
+            deleted = frozenset(rng.choice(p.m, size=n_deleted, replace=False).tolist())
+            kept = [i for i in range(p.m) if i not in deleted]
+            remainder = SparsityPattern(tuple(p.entries[i] for i in kept))
+            ref = maximum_matching(duplicate_columns(generate_bipartite(remainder)))
+            dec = rcm_decomposition(p, deleted)
+            if len(kept) < 2 * r or ref.size < 2 * r:
+                seen["none"] += 1
+                assert dec is None
+                continue
+            seen["split"] += 1
+            col_to_row = ref.column_to_row()
+            assert dec.rows_a == tuple(kept[col_to_row[j]] for j in range(r))
+            assert dec.rows_b == tuple(kept[col_to_row[j + r]] for j in range(r))
+            assert dec.matching.pairs == {(c, kept[i]) for c, i in ref.pairs}
+        assert min(seen.values()) >= 40, seen
 
 
 class TestDeletionProperty:
