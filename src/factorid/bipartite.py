@@ -83,9 +83,7 @@ class VertexCover:
 
 def generate_bipartite(p: SparsityPattern) -> BipartiteGraph:
     """Bipartite graph of a pattern: edge (j, i) iff entry (i, j) is 1."""
-    edges = frozenset(
-        (j, i) for i, row in enumerate(p.entries) for j, v in enumerate(row) if v
-    )
+    edges = frozenset((j, i) for j, rows in enumerate(p.col_rows) for i in rows)
     return BipartiteGraph(n_col=p.r, n_row=p.m, edges=edges)
 
 

@@ -230,7 +230,6 @@ class DrawRecord:
     """Verdict for one posterior draw; `error` is set for malformed lines."""
 
     id: object = None
-    delta: SparsityPattern | None = None
     effective_r: int | None = None
     identified: bool | None = None
     mwvc_weight: int | None = None
@@ -295,7 +294,6 @@ def _filter_record(line: bytes) -> DrawRecord:
     try:
         rec_id, pattern = parse_jsonl_record(line)
         record.id = rec_id
-        record.delta = pattern
         verdict = variance_identified(pattern)
         record.effective_r = verdict.effective_r
         record.identified = verdict.identified

@@ -14,6 +14,8 @@ class ParseError(FactorIdError):
             where = f" at line {line}"
             if column is not None:
                 where += f", column {column}"
+        elif column is not None:
+            where = f" at column {column}"
         super().__init__(message + where)
         self.line = line
         self.column = column

@@ -3,15 +3,19 @@
 The network encodes the minimum weighted vertex cover of the pattern's
 bipartite graph with column weight 2r+1 and row weight r: cutting a
 source->column arc puts that column in the cover, cutting a row->sink arc
-puts that row in the cover, and the middle arcs are uncuttable.
+puts that row in the cover, and the middle arcs are uncuttable. The network
+is held as flat tails/heads/caps tuples, built from the pattern's column rows
+and handed to the kernel as they are; `Arc` tuples are built only for cut
+arcs or on request.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from factorid import _kernels
 from factorid.bipartite import VertexCover
-from factorid.errors import EmptyPatternError, SentinelCutError, UntrimmedPatternError
+from factorid.errors import SentinelCutError
 from factorid.pattern import SparsityPattern
 
 
@@ -26,16 +30,24 @@ class FlowNetwork:
     """Directed network with source 0, column nodes, row nodes, sink last.
 
     Node layout: source = 0, column j -> node 1+j, row i -> node 1+n_col+i,
-    sink = n_col + n_row + 1. Arcs are ordered deterministically: source arcs
-    by ascending column, middle arcs by (column, row), sink arcs by ascending
+    sink = n_col + n_row + 1. Arc k runs from tails[k] to heads[k] with
+    capacity caps[k]. Arcs are ordered deterministically: source arcs by
+    ascending column, middle arcs by (column, row), sink arcs by ascending
     row. `sentinel` is the finite stand-in for infinite capacity; it exceeds
     the weight of the all-columns cut, so no minimum cut can use it.
     """
 
     n_col: int
     n_row: int
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    caps: tuple[int, ...]
     sentinel: int
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as `Arc` tuples, in network order."""
+        return tuple(map(Arc, self.tails, self.heads, self.caps))
 
     @property
     def n_nodes(self) -> int:
@@ -80,27 +92,20 @@ def build_identification_network(p: SparsityPattern) -> FlowNetwork:
     Capacities: 2r+1 on source->column arcs, r on row->sink arcs, and the
     sentinel r(2r+1)+1 on one column->row arc per 1-entry.
     """
+    p.require_trimmed()
     r, m = p.r, p.m
-    if r == 0:
-        raise EmptyPatternError("pattern has no columns")
-    col_masks = p.col_masks
-    row_masks = p.row_masks
-    if any(mask == 0 for mask in col_masks) or any(mask == 0 for mask in row_masks):
-        raise UntrimmedPatternError("pattern has an all-zero row or column")
     col_w = 2 * r + 1
     sentinel = r * col_w + 1
-    arcs: list[Arc] = []
     sink = r + m + 1
-    for j in range(r):
-        arcs.append(Arc(0, 1 + j, col_w))
-    for j in range(r):
-        mask = col_masks[j]
-        for i in range(m):
-            if mask >> i & 1:
-                arcs.append(Arc(1 + j, 1 + r + i, sentinel))
-    for i in range(m):
-        arcs.append(Arc(1 + r + i, sink, r))
-    return FlowNetwork(n_col=r, n_row=m, arcs=tuple(arcs), sentinel=sentinel)
+    tails = [0] * r
+    heads = list(range(1, r + 1))
+    for j, rows in enumerate(p.col_rows):
+        tails += [1 + j] * len(rows)
+        heads += [1 + r + i for i in rows]
+    caps = [col_w] * r + [sentinel] * (len(tails) - r) + [r] * m
+    tails += range(1 + r, sink)
+    heads += [sink] * m
+    return FlowNetwork(r, m, tuple(tails), tuple(heads), tuple(caps), sentinel)
 
 
 def max_flow_min_cut(n: FlowNetwork) -> CutResult:
@@ -110,13 +115,12 @@ def max_flow_min_cut(n: FlowNetwork) -> CutResult:
     final residual network, which is the same for every maximum flow, so the
     witness is reproducible across kernel backends.
     """
-    tails = [a.tail for a in n.arcs]
-    heads = [a.head for a in n.arcs]
-    caps = [a.capacity for a in n.arcs]
     value, side, _ = _kernels.dinic_min_cut(
-        n.n_nodes, n.source, n.sink, tails, heads, caps
+        n.n_nodes, n.source, n.sink, n.tails, n.heads, n.caps
     )
-    cut_arcs = tuple(a for a in n.arcs if side[a.tail] and not side[a.head])
+    cut_arcs = tuple(
+        Arc(t, h, c) for t, h, c in zip(n.tails, n.heads, n.caps) if side[t] and not side[h]
+    )
     assert value == sum(a.capacity for a in cut_arcs)
     return CutResult(
         value=value,

@@ -32,14 +32,12 @@ from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm
 from factorid.errors import (
     DeletionBudgetExceededError,
-    EmptyPatternError,
     InfeasibleDimensionsError,
     NoDecompositionError,
     TooManyColumnsError,
-    UntrimmedPatternError,
 )
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
-from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, trim
+from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, restrict_rows, trim
 
 METHOD_BRUTEFORCE = "bruteforce"
 METHOD_MINCUT = "mincut"
@@ -119,38 +117,20 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _require_trimmed(p: SparsityPattern) -> None:
-    if p.r == 0:
-        raise EmptyPatternError("pattern has no columns")
-    if any(m == 0 for m in p.col_masks) or any(m == 0 for m in p.row_masks):
-        raise UntrimmedPatternError("pattern has an all-zero row or column")
-
-
-def _column_rows(p: SparsityPattern, kept: list[int]) -> list[list[int]]:
-    """Per column, the ascending positions in `kept` of its nonzero rows."""
-    pos = {i: k for k, i in enumerate(kept)}
-    keep = sum(1 << i for i in kept)
-    # bin() lists bits high to low; reversed, character i is bit i
-    return [
-        [pos[i] for i, b in enumerate(bin(mask & keep)[:1:-1]) if b == "1"]
-        for mask in p.col_masks
-    ]
-
-
 def _replica_matching(
-    col_rows: list[list[int]], n_rows: int, owner: list[int]
+    p: SparsityPattern, owner: list[int]
 ) -> tuple[list[int], tuple[set[int], set[int]] | None]:
-    """Maximum matching of column copies into rows, left vertex u being a
-    copy of column owner[u]. Returns (match_l, None) when every copy is
-    matched, else (match_l, (S, N(S))): the columns and rows König's walk
+    """Maximum matching of column copies into the rows of p, left vertex u
+    being a copy of column owner[u]. Returns (match_l, None) when every copy
+    is matched, else (match_l, (S, N(S))): the columns and rows König's walk
     reaches from the free copies, where N(S) has fewer rows than S copies.
     """
-    adjacency = [col_rows[c] for c in owner]
+    adjacency = [p.col_rows[c] for c in owner]
     indptr, indices = [0], []
     for rows in adjacency:
         indices += rows
         indptr.append(len(indices))
-    size, match_l, match_r = _kernels.hopcroft_karp(len(owner), n_rows, indptr, indices)
+    size, match_l, match_r = _kernels.hopcroft_karp(len(owner), p.m, indptr, indices)
     if size == len(owner):
         return match_l, None
     copies, rows = alternating_reach(adjacency, match_l, match_r)
@@ -217,11 +197,9 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     König's walk from a free copy form a violating subset: q columns
     touching at most 2q-1 rows.
     """
-    _require_trimmed(p)
+    p.require_trimmed()
     r = p.r
-    match_l, violated = _replica_matching(
-        _column_rows(p, list(range(p.m))), p.m, [*range(r)] * 2
-    )
+    match_l, violated = _replica_matching(p, [*range(r)] * 2)
     if violated is None:
         return CountingRuleVerdict(
             r=r, s=0, holds=True, method=METHOD_DUPMATCHING,
@@ -266,7 +244,7 @@ def counting_rule(
         return counting_rule_s0(p)
     if s == 1:
         return counting_rule_s1(p)
-    _require_trimmed(p)
+    p.require_trimmed()
     m, r = p.m, p.r
     if m < 2 * r + s:
         raise InfeasibleDimensionsError(
@@ -277,10 +255,9 @@ def counting_rule(
         raise DeletionBudgetExceededError(
             f"{n_deletions} deletions of {s - 1} rows exceed the budget {max_deletions}"
         )
-    col_rows = _column_rows(p, list(range(m)))
     for j in range(r):
         owner = [k // 2 for k in range(2 * r)] + [j] * s
-        _, violated = _replica_matching(col_rows, m, owner)
+        _, violated = _replica_matching(p, owner)
         if violated is None:
             continue
         cols, rows = violated
@@ -323,17 +300,14 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    match_l, violated = _replica_matching(
-        _column_rows(p, kept), len(kept), [*range(r)] * 2
-    )
+    match_l, violated = _replica_matching(restrict_rows(p, kept), [*range(r)] * 2)
     if violated is not None:
         return None
     matched = [kept[i] for i in match_l]
     rows_a = tuple(matched[:r])
     rows_b = tuple(matched[r:])
     for rows in (rows_a, rows_b):
-        square = SparsityPattern(tuple(p.entries[i] for i in rows))
-        ok, _ = is_rcm(square)
+        ok, _ = is_rcm(restrict_rows(p, rows))
         assert ok, "matched row group lost its diagonal"
     return RcmDecomposition(
         deleted_rows=tuple(sorted(deleted)),

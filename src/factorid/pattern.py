@@ -1,81 +1,123 @@
 """Binary sparsity patterns: parsing, validation, and zero-row/column removal.
 
 A pattern records which entries of an m x r loading matrix are structurally
-nonzero. Rows index observed variables, columns index factors.
+nonzero. Rows index observed variables, columns index factors. A pattern
+is stored as one bitmask per column, which the parsers build directly and
+trimming, the flow network and the matchings read; every other view of it is
+derived from the masks on first use.
 """
 
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Literal
+from functools import cached_property, reduce
+from itertools import chain, compress, count
+from operator import or_
+from typing import Iterable, Literal, Sequence
 
-from factorid.errors import DimensionError, EmptyInputError, ParseError
+from factorid.errors import (
+    DimensionError,
+    EmptyInputError,
+    EmptyPatternError,
+    ParseError,
+    UntrimmedPatternError,
+)
 
 PatternFormat = Literal["dense_text", "jsonl_record"]
 
 _TOKEN = re.compile(rb"\S+")
+# cell bytes 0/1 to ASCII digits, so that int(..., 2) reads a column at once,
+# and back, so that compress() picks the positions of the ones
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
+    """Column masks of a row-major string of ASCII '0'/'1' cells."""
+    # column j is every width-th cell from j; reversed, row 0 is the low bit
+    return tuple(int(digits[j::width][::-1], 2) for j in range(width))
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a mask."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_CELLS)))
+
+
+@dataclass(frozen=True, init=False)
 class SparsityPattern:
-    """Immutable m x r matrix of 0/1 indicators.
+    """Immutable m x r matrix of 0/1 indicators: bit i of col_masks[j] is
+    set iff entry (i, j) is 1, and r = len(col_masks).
 
-    `entries` is a tuple of row tuples. m = 0 and r = 0 are representable so
-    that trimming an all-zero pattern has a well-defined degenerate result;
-    parsed user input always has m >= 1 and r >= 1.
+    `SparsityPattern(entries)` takes a tuple of row tuples. The views
+    `entries`, `row_masks` and `col_rows` are derived from the masks. m = 0
+    and r = 0 are representable so that trimming an all-zero pattern has a
+    well-defined degenerate result; parsed user input always has m >= 1 and
+    r >= 1.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    m: int
+    col_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        width = None
-        for row in self.entries:
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        width = len(entries[0]) if entries else 0
+        cells = bytearray()
+        for row in entries:
+            if len(row) != width:
                 raise DimensionError("rows have differing lengths")
             for v in row:
                 if not (v == 0 or v == 1):
                     raise ValueError(f"pattern entries must be 0 or 1, got {v!r}")
+            cells += bytes(map(bool, row))
+        masks = _column_masks(cells.translate(_DIGITS), width)
+        self.__dict__.update(m=len(entries), col_masks=masks)  # past the frozen __setattr__
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SparsityPattern":
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
     def r(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.col_masks)
 
     @cached_property
-    def col_masks(self) -> tuple[int, ...]:
-        """Per column, an integer with bit i set iff entries[i][j] == 1."""
-        masks = [0] * self.r
-        for i, row in enumerate(self.entries):
-            bit = 1 << i
-            for j, v in enumerate(row):
-                if v:
-                    masks[j] |= bit
-        return tuple(masks)
+    def col_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, its nonzero rows in ascending order."""
+        return tuple(map(_set_bits, self.col_masks))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Row tuples: entries[i][j] is 1 iff bit i of col_masks[j] is set."""
+        return tuple(tuple(mask >> i & 1 for mask in self.col_masks) for i in range(self.m))
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
         """Per row, an integer with bit j set iff entries[i][j] == 1."""
-        out = []
-        for row in self.entries:
-            mask = 0
-            for j, v in enumerate(row):
-                if v:
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
+        return tuple(sum(v << j for j, v in enumerate(row)) for row in self.entries)
 
     def ones(self) -> int:
-        return sum(sum(row) for row in self.entries)
+        return sum(mask.bit_count() for mask in self.col_masks)
+
+    def require_trimmed(self) -> None:
+        """Raise unless the pattern has a column and no all-zero row or column."""
+        if not self.col_masks:
+            raise EmptyPatternError("pattern has no columns")
+        if not all(self.col_masks) or reduce(or_, self.col_masks) != (1 << self.m) - 1:
+            raise UntrimmedPatternError("pattern has an all-zero row or column")
+
+
+def _from_masks(m: int, col_masks: tuple[int, ...]) -> SparsityPattern:
+    """Pattern over masks that are already valid for m rows; no checks."""
+    p = object.__new__(SparsityPattern)
+    p.__dict__.update(m=m, col_masks=col_masks)
+    return p
+
+
+def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
+    """The pattern made of the given rows of p, in the given order: row k of
+    the result is row rows[k] of p. All r columns are kept."""
+    return _from_masks(len(rows), tuple(
+        sum((mask >> i & 1) << k for k, i in enumerate(rows)) for mask in p.col_masks
+    ))
 
 
 @dataclass(frozen=True)
@@ -116,8 +158,8 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     Removing a zero column never creates a new zero row (and vice versa), so
     one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
     """
-    zero_cols = tuple(j for j, mask in enumerate(p.col_masks) if mask == 0)
-    zero_rows = tuple(i for i, mask in enumerate(p.row_masks) if mask == 0)
+    zero_cols = tuple(j for j, mask in enumerate(p.col_masks) if not mask)
+    zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0))
     report = TrimReport(
         removed_zero_columns=zero_cols,
         removed_zero_rows=zero_rows,
@@ -128,35 +170,19 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     )
     if not zero_cols and not zero_rows:
         return p, report
-    keep_cols = report.kept_columns
-    rows = tuple(
-        tuple(p.entries[i][j] for j in keep_cols) for i in report.kept_rows
-    )
-    return SparsityPattern(rows), report
+    trimmed = _from_masks(p.m, tuple(mask for mask in p.col_masks if mask))
+    if zero_rows:
+        trimmed = restrict_rows(trimmed, report.kept_rows)
+    return trimmed, report
 
 
 def untrim(trimmed: SparsityPattern, report: TrimReport) -> SparsityPattern:
     """Reinsert the removed zero rows/columns, reconstructing the original."""
-    zero_cols = set(report.removed_zero_columns)
-    zero_rows = set(report.removed_zero_rows)
-    rows = []
-    ti = 0
-    for i in range(report.original_m):
-        if i in zero_rows:
-            rows.append((0,) * report.original_r)
-            continue
-        src = trimmed.entries[ti]
-        ti += 1
-        row = []
-        tj = 0
-        for j in range(report.original_r):
-            if j in zero_cols:
-                row.append(0)
-            else:
-                row.append(src[tj])
-                tj += 1
-        rows.append(tuple(row))
-    return SparsityPattern(tuple(rows))
+    kept_rows = report.kept_rows
+    masks = [0] * report.original_r
+    for j, rows in zip(report.kept_columns, trimmed.col_rows):
+        masks[j] = sum(1 << kept_rows[i] for i in rows)
+    return _from_masks(report.original_m, tuple(masks))
 
 
 def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
@@ -199,35 +225,31 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
 
 
 def _parse_dense(data: bytes) -> SparsityPattern:
-    rows: list[tuple[int, ...]] = []
+    rows: list[bytes] = []
     width = None
     for lineno, raw in enumerate(data.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(b"#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith(b"#"):
             continue
-        row = []
-        for tok in _TOKEN.finditer(raw):
-            t = tok.group()
-            if t == b"0":
-                row.append(0)
-            elif t == b"1":
-                row.append(1)
-            else:
-                raise ParseError(
-                    f"unexpected token {t.decode('utf-8', 'replace')!r}",
-                    line=lineno,
-                    column=tok.start() + 1,
-                )
+        row = b"".join(tokens)
+        if len(row) != len(tokens) or row.translate(None, b"01"):
+            # some token is not a lone 0 or 1: report the first one
+            tok = next(t for t in _TOKEN.finditer(raw) if t.group() not in (b"0", b"1"))
+            raise ParseError(
+                f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
+                line=lineno,
+                column=tok.start() + 1,
+            )
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise DimensionError(
                 f"row has {len(row)} entries, expected {width}", line=lineno
             )
-        rows.append(tuple(row))
+        rows.append(row)
     if not rows:
         raise EmptyInputError("input contains no pattern rows")
-    return SparsityPattern(tuple(rows))
+    return _from_masks(len(rows), _column_masks(b"".join(rows), width))
 
 
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
@@ -235,7 +257,8 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", column=e.colno) from e
+        # a record is one line; colno would restart after its trailing newline
+        raise ParseError(f"invalid JSON: {e.msg}", column=e.pos + 1) from e
     except (ValueError, RecursionError) as e:
         # bytes that are not UTF-8, nesting beyond the recursion limit, or an
         # integer beyond the int-to-str digit limit
@@ -250,7 +273,6 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     delta = obj.get("delta")
     if not isinstance(delta, list):
         raise ParseError("'delta' must be an array of arrays of 0/1")
-    rows = []
     width = None
     for i, row in enumerate(delta):
         if not isinstance(row, list):
@@ -262,10 +284,10 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
         for v in row:
             if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
                 raise ParseError(f"'delta' entries must be 0 or 1, got {v!r}")
-        rows.append(tuple(row))
-    if not rows or width == 0:
+    if not delta or width == 0:
         raise EmptyInputError("'delta' contains no cells")
-    pattern = SparsityPattern(tuple(rows))
+    cells = bytes(chain.from_iterable(delta)).translate(_DIGITS)
+    pattern = _from_masks(len(delta), _column_masks(cells, width))
     for key, size, unit in (("m", pattern.m, "rows"), ("r", pattern.r, "columns")):
         if key not in obj:
             continue

@@ -205,6 +205,16 @@ class TestFilter:
         s = json.load(open(summary))
         assert s["total"] == 3 and s["errors"] == 1
 
+    def test_bad_json_error_record_names_column(self, runner, tmp_path):
+        lines = STREAM.splitlines()
+        lines.insert(1, "{broken")
+        inp = write(tmp_path, "in.jsonl", "\n".join(lines) + "\n")
+        out = str(tmp_path / "out.jsonl")
+        result = runner.invoke(main, ["filter", "--input", inp, "--output", out])
+        assert result.exit_code == 2
+        error = [json.loads(l) for l in open(out)][1]["error"]
+        assert error == "invalid JSON: Expecting property name enclosed in double quotes at column 2"
+
     def test_float_and_bool_dims_are_error_records(self, runner, tmp_path):
         lines = STREAM.splitlines()
         lines.insert(1, '{"id": "float_m", "delta": [[1],[1],[1]], "m": 3.0}')

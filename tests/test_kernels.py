@@ -1,5 +1,6 @@
 """Backend parity: the compiled kernels must be bit-identical to pure Python."""
 
+import hashlib
 import importlib.util
 import os
 import shlex
@@ -127,3 +128,16 @@ def test_env_override_pure():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "pure"
+
+
+def test_committed_c_matches_pyx():
+    """`_ckernels.c` is generated from `_ckernels.pyx`; the SHA-256 of the
+    `.pyx` it was generated from is committed beside it."""
+    here = Path(_kernels.__file__).parent
+    recorded = (here / "_ckernels.pyx.sha256").read_text().split()[0]
+    actual = hashlib.sha256((here / "_ckernels.pyx").read_bytes()).hexdigest()
+    assert actual == recorded, (
+        "_ckernels.pyx changed since _ckernels.c was generated; regenerate both with "
+        "`cd src/factorid/_kernels && cython -3 _ckernels.pyx "
+        "&& sha256sum _ckernels.pyx > _ckernels.pyx.sha256`"
+    )

@@ -1,4 +1,6 @@
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from factorid.pattern import (
     nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
+    restrict_rows,
     trim,
     untrim,
 )
@@ -52,6 +55,10 @@ class TestParseDense:
         assert exc.value.line == 2
         assert exc.value.column == 3
 
+    def test_bad_token_message_names_line_and_column(self):
+        with pytest.raises(ParseError, match=r"'2' at line 2, column 3$"):
+            parse_pattern(b"1 0\n0 2\n")
+
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_pattern(b"")
@@ -83,6 +90,17 @@ class TestParseJsonl:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             parse_jsonl_record("{nope")
+
+    @pytest.mark.parametrize("line, column", [
+        (b"{broken", 2),
+        (b"{broken\n", 2),
+        (b'{"id": 1, "delta": [[1],[0]\n', 29),  # one past the last character
+    ])
+    def test_bad_json_reports_column(self, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_jsonl_record(line)
+        assert (exc.value.line, exc.value.column) == (None, column)
+        assert str(exc.value).endswith(f" at column {column}")
 
     def test_missing_id(self):
         with pytest.raises(ParseError):
@@ -122,6 +140,28 @@ class TestPattern:
             1 << i for i, row in enumerate(MINCUT_DEMO_8X3) if row[2]
         )
         assert mincut_demo_8x3.row_masks[4] == 0b111
+
+    @given(patterns(), st.data())
+    @settings(max_examples=150)
+    def test_mask_views_agree_with_entries(self, p, data):
+        entries = p.entries
+        assert SparsityPattern(entries) == p and SparsityPattern(entries).entries == entries
+        assert p.col_rows == tuple(
+            tuple(i for i, row in enumerate(entries) if row[j]) for j in range(p.r)
+        )
+        assert p.row_masks == tuple(
+            sum(1 << j for j, v in enumerate(row) if v) for row in entries
+        )
+        assert p.ones() == sum(map(sum, entries))
+        # trim and restrict_rows against the same operations on row tuples
+        keep_rows = [i for i, row in enumerate(entries) if any(row)]
+        keep_cols = [j for j in range(p.r) if any(row[j] for row in entries)]
+        assert trim(p)[0] == SparsityPattern(
+            tuple(tuple(entries[i][j] for j in keep_cols) for i in keep_rows)
+        )
+        rows = data.draw(st.lists(st.integers(0, p.m - 1), min_size=1, max_size=p.m + 2))
+        assert restrict_rows(p, rows) == SparsityPattern(tuple(entries[i] for i in rows))
+        assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestTrim:
