@@ -3,12 +3,16 @@
 factorid._kernels._ckernels is a compiled twin of this module. Both backends
 must produce bit-identical outputs, so iteration order and tie-breaking are
 part of the contract here: vertices are processed in ascending index order and
-arcs in insertion order. Keep the two files in lock step.
+arcs in insertion order. Keep the two files in lock step on outputs; the
+algorithms may differ: the pure `counting_sweep` prunes with prefix unions
+while the compiled one visits every subset, and the parity tests hold each to
+the other.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 _INF = 1 << 60
+_LEAF_DEPTH = 3
 
 
 def hopcroft_karp(n_left, n_right, indptr, indices):
@@ -175,14 +179,62 @@ def counting_sweep(r, s, col_masks):
     col_masks[j] has bit i set iff row i is nonzero in column j. Subsets are
     scanned by ascending size, lexicographically within a size, and the first
     violating subset is returned: (holds, subset or None, its row count).
+
+    Each size q is a depth-first walk over the q-combinations that carries the
+    prefix union down an O(r) stack. Unions only grow as columns are added, so
+    a prefix that already touches 2q+s rows has no violating extension: it is
+    skipped with its whole subtree, which leaves the first violator unchanged.
+    A node that still adds `left` <= _LEAF_DEPTH columns, and whose count plus
+    `widest` rows for each of the first left-1 of them stays below 2q+s, has
+    nothing to prune below it: it is finished in one tight pass, one OR and one
+    bit_count per precomputed union of `left` columns. 2^r - 1 subsets is the
+    worst case, reached when nothing prunes.
     """
-    for q in range(1, r + 1):
-        need = 2 * q + s
-        for combo in combinations(range(r), q):
-            u = 0
-            for j in combo:
-                u |= col_masks[j]
+    masks = list(col_masks)
+    sizes = list(map(int.bit_count, masks))
+    for j, c in enumerate(sizes):
+        if c < 2 + s:
+            return False, (j,), c
+    widest = max(sizes, default=0)
+    tables = {}
+
+    def unions(left, start):
+        # The unions of the left-column subsets of columns start.., in
+        # lexicographic order: those holding `start` first, then the rest.
+        key = (left, start)
+        if key not in tables:
+            if left == 1:
+                tables[key] = masks[start:]
+            elif start > r - left:
+                tables[key] = []
+            else:
+                with_start = [masks[start] | u for u in unions(left - 1, start + 1)]
+                tables[key] = with_start + unions(left, start + 1)
+        return tables[key]
+
+    def walk(base, count, start, left, need):
+        # The first violator among base's extensions by `left` columns from
+        # start on, as (columns, row count), or None.
+        if left <= _LEAF_DEPTH and count + (left - 1) * widest < need:
+            counts = list(map(int.bit_count, map(base.__or__, unions(left, start))))
+            if counts and min(counts) < need:
+                i = next(i for i, c in enumerate(counts) if c < need)
+                return next(islice(combinations(range(start, r), left), i, None)), counts[i]
+            return None
+        for j in range(start, r - left + 1):
+            u = base | masks[j]
             c = u.bit_count()
             if c < need:
-                return False, combo, c
+                found = walk(u, c, j + 1, left - 1, need)
+                if found:
+                    return (j, *found[0]), found[1]
+        return None
+
+    for q in range(2, r + 1):
+        need = 2 * q + s
+        for j in range(r - q + 1):
+            if sizes[j] < need:
+                found = walk(masks[j], sizes[j], j + 1, q - 1, need)
+                if found:
+                    return False, (j, *found[0]), found[1]
     return True, None, -1

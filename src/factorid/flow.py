@@ -113,13 +113,20 @@ def max_flow_min_cut(n: FlowNetwork) -> CutResult:
 
     The reported source side is the set reachable from the source in the
     final residual network, which is the same for every maximum flow, so the
-    witness is reproducible across kernel backends.
+    witness is reproducible across kernel backends. Only the source and sink
+    arcs are scanned for cut arcs: a middle arc carries the sentinel, which
+    exceeds every finite minimum cut, and the sum check below proves that no
+    middle arc was cut.
     """
     value, side, _ = _kernels.dinic_min_cut(
         n.n_nodes, n.source, n.sink, n.tails, n.heads, n.caps
     )
+    ends = (slice(n.n_col), slice(len(n.tails) - n.n_row, None))
     cut_arcs = tuple(
-        Arc(t, h, c) for t, h, c in zip(n.tails, n.heads, n.caps) if side[t] and not side[h]
+        Arc(t, h, c)
+        for part in ends
+        for t, h, c in zip(n.tails[part], n.heads[part], n.caps[part])
+        if side[t] and not side[h]
     )
     assert value == sum(a.capacity for a in cut_arcs)
     return CutResult(

@@ -143,7 +143,10 @@ def counting_rule_bruteforce(
     """Check the rule by enumerating all nonempty column subsets.
 
     The first violating subset (smallest size, lexicographic within a size)
-    is reported. Refuses r > max_columns: the sweep visits 2^r - 1 subsets.
+    is reported. Refuses r > max_columns: 2^r - 1 subsets is the worst case.
+    The compiled sweep always visits them all; the pure one skips every
+    subset that extends columns already touching 2q+s rows, and usually
+    visits far fewer.
     """
     if s < 0:
         raise ValueError("s must be non-negative")

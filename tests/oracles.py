@@ -88,6 +88,21 @@ def counting_rule_direct(p, s):
     return True
 
 
+def first_violating_subset(col_masks, s):
+    """The counting sweep's contract by plain scan: subsets by ascending size,
+    lexicographic within a size; returns (holds, first violator, its row count)."""
+    r = len(col_masks)
+    for q in range(1, r + 1):
+        for cols in combinations(range(r), q):
+            union = 0
+            for j in cols:
+                union |= col_masks[j]
+            count = union.bit_count()
+            if count < 2 * q + s:
+                return False, cols, count
+    return True, None, -1
+
+
 def counting_rule_by_deletion(p, s):
     """The paper's reduction of the rule at s >= 1 to s=1: it holds iff every
     deletion of s-1 rows leaves a pattern passing the s=1 min-cut check.

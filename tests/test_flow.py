@@ -83,6 +83,9 @@ class TestMaxFlowMinCut:
             p = trimmed_random_pattern(rng, 8, 5)
             n = build_identification_network(p)
             cut = max_flow_min_cut(n)
+            assert cut.cut_arcs == tuple(
+                a for a in n.arcs if a.tail in cut.source_side and a.head not in cut.source_side
+            )
             assert cut.value == sum(a.capacity for a in cut.cut_arcs)
             assert all(a.capacity < n.sentinel for a in cut.cut_arcs)
             assert cut.value <= p.r * (2 * p.r + 1)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from factorid import _kernels
 
 
@@ -90,17 +91,55 @@ def test_dinic_parity(compiled):
         assert list(a[2]) == list(b[2])
 
 
+def sweep_cases(rng, n, max_rows=None):
+    """(r, s, col_masks) for the counting sweep with r <= 12, three families
+    in turn: random masks on m <= max_rows rows (default 3r+3); tight
+    patterns, half of them every column on its own two rows plus the same s
+    extra rows, where nothing prunes (sometimes the last column takes one row
+    from each of the two before it and one of its own, so the last 3-subset is
+    the first to fail), and half of them m = 2r+s with columns of 2+s or 3+s
+    random rows, where violators sit deep and narrow; and all-ones columns,
+    where pruning fires at depth 1."""
+    for case in range(n):
+        r = int(rng.integers(0, 13))
+        s = int(rng.integers(0, 5))
+        m = int(rng.integers(1, (max_rows or 3 * r + 3) + 1))
+        family = case % 3
+        if family == 0:
+            density = rng.random()
+            masks = [
+                sum(1 << i for i, on in enumerate(rng.random(m) < density) if on)
+                for _ in range(r)
+            ]
+        elif family == 1 and rng.random() < 0.5:
+            masks = [0b11 << 2 * j for j in range(r)]
+            if r >= 3 and rng.random() < 0.5:
+                masks[-1] = 0b10101 << 2 * (r - 3)
+            extra = ((1 << s) - 1) << (2 * r)
+            masks = [mask | extra for mask in masks]
+        elif family == 1:
+            m = 2 * r + s
+            masks = []
+            for _ in range(r):
+                rows = rng.choice(m, min(m, 2 + s + int(rng.integers(0, 2))), replace=False)
+                masks.append(sum(1 << int(i) for i in rows))
+        else:
+            masks = [(1 << m) - 1] * r
+        yield r, s, masks
+
+
+def test_counting_sweep_first_violator():
+    """The pruned pure sweep returns exactly the naive scan's first violator."""
+    pure = _kernels.backend_module("pure")
+    rng = np.random.default_rng(83)
+    for r, s, masks in sweep_cases(rng, 600):
+        assert pure.counting_sweep(r, s, masks) == oracles.first_violating_subset(masks, s)
+
+
 def test_counting_sweep_parity(compiled):
     pure = _kernels.backend_module("pure")
     rng = np.random.default_rng(79)
-    for _ in range(400):
-        r = int(rng.integers(0, 7))
-        m = int(rng.integers(1, 130))
-        masks = [
-            int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
-            for _ in range(r)
-        ]
-        s = int(rng.integers(0, 4))
+    for r, s, masks in sweep_cases(rng, 600, max_rows=129):
         assert pure.counting_sweep(r, s, masks) == compiled.counting_sweep(r, s, masks)
 
 
