@@ -2,37 +2,20 @@
 
 Decides whether a binary sparsity pattern guarantees, generically, a unique
 split of a covariance matrix into common and idiosyncratic variance. The
-decision runs in polynomial time via bipartite matching and a min-cut
-reduction, with brute-force oracles and constructive witnesses alongside.
+decision runs in polynomial time via bipartite matching, with the paper's
+min-cut network, brute-force oracles and constructive witnesses alongside.
 """
 
-from factorid._kernels import active_backend, available_backends
+from factorid._kernels import active_backend
 from factorid.bipartite import (
     BipartiteGraph,
     Matching,
     VertexCover,
-    duplicate_columns,
     generate_bipartite,
-    has_saturating_matching,
-    is_rcm,
     maximum_matching,
     minimum_vertex_cover,
 )
-from factorid.errors import (
-    DeletionBudgetExceededError,
-    DimensionError,
-    EmptyInputError,
-    EmptyPatternError,
-    FactorIdError,
-    InfeasibleDimensionsError,
-    MatchingNotMaximumError,
-    NoDecompositionError,
-    NotSquareError,
-    ParseError,
-    SentinelCutError,
-    TooManyColumnsError,
-    UntrimmedPatternError,
-)
+from factorid.errors import FactorIdError
 from factorid.flow import (
     Arc,
     CutResult,
@@ -56,17 +39,8 @@ from factorid.identify import (
     generic_rank_check,
     rcm_decomposition,
     variance_identified,
-    verdict_in_original_coords,
 )
-from factorid.pattern import (
-    SparsityPattern,
-    TrimReport,
-    nonzero_row_count,
-    parse_jsonl_record,
-    parse_pattern,
-    trim,
-    untrim,
-)
+from factorid.pattern import SparsityPattern, TrimReport, parse_pattern, trim
 
 __version__ = "0.1.0"
 
@@ -75,52 +49,32 @@ __all__ = [
     "BipartiteGraph",
     "CountingRuleVerdict",
     "CutResult",
-    "DeletionBudgetExceededError",
-    "DimensionError",
-    "EmptyInputError",
-    "EmptyPatternError",
     "FactorIdError",
     "FailWitness",
     "FlowNetwork",
     "GenericCheckReport",
     "IdentificationVerdict",
-    "InfeasibleDimensionsError",
     "Matching",
-    "MatchingNotMaximumError",
-    "NoDecompositionError",
-    "NotSquareError",
-    "ParseError",
     "PassWitness",
     "RankFailure",
     "RcmDecomposition",
-    "SentinelCutError",
     "SparsityPattern",
-    "TooManyColumnsError",
     "TrimReport",
-    "UntrimmedPatternError",
     "VertexCover",
     "active_backend",
-    "available_backends",
     "build_identification_network",
     "counting_rule",
     "counting_rule_bruteforce",
     "counting_rule_s0",
     "counting_rule_s1",
-    "duplicate_columns",
     "generate_bipartite",
     "generic_rank_check",
-    "has_saturating_matching",
-    "is_rcm",
     "max_flow_min_cut",
     "maximum_matching",
     "minimum_vertex_cover",
     "mwvc_from_cut",
-    "nonzero_row_count",
-    "parse_jsonl_record",
     "parse_pattern",
     "rcm_decomposition",
     "trim",
-    "untrim",
     "variance_identified",
-    "verdict_in_original_coords",
 ]

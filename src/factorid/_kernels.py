@@ -1,18 +1,21 @@
-"""Pure-Python implementations of the hot kernels.
+"""The hot kernels, in pure Python: bipartite matching, min-cut, subset sweep.
 
-factorid._kernels._ckernels is a compiled twin of this module. Both backends
-must produce bit-identical outputs, so iteration order and tie-breaking are
-part of the contract here: vertices are processed in ascending index order and
-arcs in insertion order. Keep the two files in lock step on outputs; the
-algorithms may differ: the pure `counting_sweep` prunes with prefix unions
-while the compiled one visits every subset, and the parity tests hold each to
-the other.
+Outputs are deterministic, so iteration order and tie-breaking are part of
+the contract: vertices are processed in ascending index order and arcs in
+insertion order. Hopcroft-Karp serves every counting-rule route; Dinic's
+min-cut serves the paper's identification network, which the s=1 route is
+tested against; the sweep serves the brute-force oracle.
 """
 
 from itertools import combinations, islice
 
 _INF = 1 << 60
 _LEAF_DEPTH = 3
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation in use; only 'pure' exists."""
+    return "pure"
 
 
 def hopcroft_karp(n_left, n_right, indptr, indices):

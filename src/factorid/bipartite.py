@@ -2,13 +2,11 @@
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 from factorid import _kernels
 from factorid.errors import MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
-
-Side = Literal["columns", "rows"]
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,6 @@ def generate_bipartite(p: SparsityPattern) -> BipartiteGraph:
     return BipartiteGraph(n_col=p.r, n_row=p.m, edges=edges)
 
 
-def duplicate_columns(g: BipartiteGraph) -> BipartiteGraph:
-    """Double the column side; vertex j + n_col mirrors the edges of j."""
-    mirrored = frozenset((c + g.n_col, r) for c, r in g.edges)
-    return BipartiteGraph(n_col=2 * g.n_col, n_row=g.n_row, edges=g.edges | mirrored)
-
-
 def maximum_matching(g: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching (Hopcroft-Karp).
 
@@ -113,8 +105,10 @@ def alternating_reach(
     vertices reach (König's construction).
 
     `adjacency[u]` lists the right neighbours of left vertex u; `match_l` and
-    `match_r` give each vertex's partner, -1 when free. Raises
-    MatchingNotMaximumError on an augmenting path (matching not maximum).
+    `match_r` give each vertex's partner, -1 when free. Either side may play
+    the left one: pass the other side's adjacency and swap the two matching
+    arrays to walk from its free vertices. Raises MatchingNotMaximumError on
+    an augmenting path (matching not maximum).
     """
     stack = [u for u, v in enumerate(match_l) if v == -1]
     reached_l = set(stack)
@@ -128,7 +122,7 @@ def alternating_reach(
             back = match_r[v]
             if back == -1:
                 raise MatchingNotMaximumError(
-                    f"augmenting path exists through row vertex {v}"
+                    f"augmenting path exists through right vertex {v}"
                 )
             if back not in reached_l:
                 reached_l.add(back)
@@ -155,14 +149,6 @@ def minimum_vertex_cover(g: BipartiteGraph, mm: Matching) -> VertexCover:
     cols = frozenset(c for c in range(g.n_col) if c not in reached_c)
     rows = frozenset(reached_r)
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
-
-
-def has_saturating_matching(g: BipartiteGraph, side: Side) -> bool:
-    """Whether some matching covers every vertex of the chosen side."""
-    if side not in ("columns", "rows"):
-        raise ValueError(f"side must be 'columns' or 'rows', got {side!r}")
-    target = g.n_col if side == "columns" else g.n_row
-    return maximum_matching(g).size == target
 
 
 def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:

@@ -11,13 +11,13 @@ import os
 import statistics
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import click
-import numpy as np
 
-from factorid import _kernels
 from factorid.errors import (
     FactorIdError,
     InfeasibleDimensionsError,
@@ -305,6 +305,31 @@ def _filter_record(line: bytes) -> DrawRecord:
     return record
 
 
+_CHUNK = 64  # lines per task sent to a filter worker
+
+
+def _filter_chunk(lines: list[bytes]) -> list[DrawRecord]:
+    return [_filter_record(line) for line in lines]
+
+
+def _filter_records(lines, workers: int):
+    """Records for the lines, in input order. With several workers, lines go
+    out in chunks of _CHUNK, and at most two chunks per worker are read ahead
+    of the record being yielded, so memory stays bounded on any stream."""
+    if workers == 1:
+        yield from map(_filter_record, lines)
+        return
+    lines = iter(lines)
+    pending = deque()
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        while batch := list(islice(lines, _CHUNK)):
+            pending.append(executor.submit(_filter_chunk, batch))
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
 def _worker_count(parallel: int) -> int:
     """--parallel clamped to [1, number of CPUs]."""
     return max(1, min(parallel, os.cpu_count() or 1))
@@ -334,16 +359,9 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
     try:
         with fin, open(output_path, "w", encoding="utf-8") as fout:
             lines = (line for line in fin if line.strip())
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as executor:
-                    for record in executor.map(_filter_record, lines, chunksize=64):
-                        fout.write(record.to_json_line() + "\n")
-                        summary.add(record)
-            else:
-                for line in lines:
-                    record = _filter_record(line)
-                    fout.write(record.to_json_line() + "\n")
-                    summary.add(record)
+            for record in _filter_records(lines, workers):
+                fout.write(record.to_json_line() + "\n")
+                summary.add(record)
     except OSError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
@@ -381,23 +399,18 @@ def _bench_check_bruteforce(p: SparsityPattern, cap: int) -> bool:
               help="Random patterns per grid cell.")
 @click.option("--brute-cap", type=int, default=24, show_default=True,
               help="Skip brute force above this column count.")
-@click.option("--compare-backends", is_flag=True,
-              help="Time every available kernel backend, not just the active one.")
 @click.option("--output", "output_path", default="-", show_default=True,
               help="CSV destination ('-' for stdout).")
-def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap,
-              compare_backends, output_path):
-    """Time the min-cut check against the brute-force oracle on random grids."""
+def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap, output_path):
+    """Time the polynomial s=1 check against the brute-force oracle on random grids."""
     try:
         m_list = [int(x) for x in m_spec.split(",") if x.strip()]
         r_list = [int(x) for x in r_spec.split(",") if x.strip()]
     except ValueError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    backends = (
-        list(_kernels.available_backends()) if compare_backends
-        else [_kernels.active_backend()]
-    )
+    import numpy as np  # only bench needs numpy; check and filter start faster without it
+
     rows = []
     for m in m_list:
         for r in r_list:
@@ -407,40 +420,26 @@ def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap,
                 mat = (rng.random((m, r)) < density).astype(int)
                 trimmed, _ = trim(SparsityPattern.from_rows(mat.tolist()))
                 patterns.append(trimmed)
-            verdicts: dict[tuple[str, str], list[bool]] = {}
-            timings: dict[tuple[str, str], int] = {}
-            for backend in backends:
-                with _kernels.forced_backend(backend):
-                    outcome = []
-                    elapsed = []
-                    for p in patterns:
-                        t0 = time.perf_counter_ns()
-                        outcome.append(_bench_check_mincut(p))
-                        elapsed.append(time.perf_counter_ns() - t0)
-                    verdicts[("mincut", backend)] = outcome
-                    timings[("mincut", backend)] = int(statistics.median(elapsed))
-                    if r <= brute_cap:
-                        outcome = []
-                        elapsed = []
-                        for p in patterns:
-                            t0 = time.perf_counter_ns()
-                            outcome.append(_bench_check_bruteforce(p, brute_cap))
-                            elapsed.append(time.perf_counter_ns() - t0)
-                        verdicts[("bruteforce", backend)] = outcome
-                        timings[("bruteforce", backend)] = int(statistics.median(elapsed))
-            reference = verdicts[("mincut", backends[0])]
-            agree = all(v == reference for v in verdicts.values())
+            verdicts = {}
+            timings = {}
+            checks = [("mincut", _bench_check_mincut)]
+            if r <= brute_cap:
+                checks.append(("bruteforce", lambda p: _bench_check_bruteforce(p, brute_cap)))
+            for method, check in checks:
+                outcome = []
+                elapsed = []
+                for p in patterns:
+                    t0 = time.perf_counter_ns()
+                    outcome.append(check(p))
+                    elapsed.append(time.perf_counter_ns() - t0)
+                verdicts[method] = outcome
+                timings[method] = int(statistics.median(elapsed))
+            agree = all(v == verdicts["mincut"] for v in verdicts.values())
             for method in ("mincut", "bruteforce"):
-                for backend in backends:
-                    name = f"{method}@{backend}" if compare_backends else method
-                    if (method, backend) not in timings:
-                        rows.append([m, r, density, name, "", "skipped"])
-                    else:
-                        rows.append([
-                            m, r, density, name,
-                            timings[(method, backend)],
-                            str(agree).lower(),
-                        ])
+                if method not in timings:
+                    rows.append([m, r, density, method, "", "skipped"])
+                else:
+                    rows.append([m, r, density, method, timings[method], str(agree).lower()])
     try:
         out = sys.stdout if output_path == "-" else open(output_path, "w", newline="")
         try:

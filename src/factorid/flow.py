@@ -7,6 +7,10 @@ puts that row in the cover, and the middle arcs are uncuttable. The network
 is held as flat tails/heads/caps tuples, built from the pattern's column rows
 and handed to the kernel as they are; `Arc` tuples are built only for cut
 arcs or on request.
+
+This is the paper's s=1 construction. `identify.counting_rule_s1` reads the
+same cover weight and witness off a replica matching instead, and the tests
+hold it to the min-cut computed here.
 """
 
 from dataclasses import dataclass
@@ -113,7 +117,7 @@ def max_flow_min_cut(n: FlowNetwork) -> CutResult:
 
     The reported source side is the set reachable from the source in the
     final residual network, which is the same for every maximum flow, so the
-    witness is reproducible across kernel backends. Only the source and sink
+    witness does not depend on the flow Dinic finds. Only the source and sink
     arcs are scanned for cut arcs: a middle arc carries the sentinel, which
     exceeds every finite minimum cut, and the sum check below proves that no
     middle arc was cut.

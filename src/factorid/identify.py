@@ -1,21 +1,28 @@
 """Counting-rule verdicts and the variance-identification decision.
 
 The rule checked throughout: every set of q columns of the pattern must touch
-at least 2q+s distinct nonzero rows (1 <= q <= r). It is verified four ways:
+at least 2q+s distinct nonzero rows (1 <= q <= r). Every polynomial route
+matches column copies into rows with Hopcroft-Karp (the replica matching);
+brute force over all column subsets is the oracle (exponential in r):
 
-* brute force over all column subsets (the oracle; exponential in r),
-* for s=1, a minimum weighted vertex cover computed as a network min-cut
-  (polynomial; the rule holds iff the cover weighs at least r(2r+1)),
-* for s=0, a matching that saturates two copies of every column, which
-  doubles as a constructive witness: it splits 2r rows into two groups
-  whose square submatrices both carry a reordered nonzero diagonal,
-* for s >= 2, the same matching once per column j, with j copied 2+s times.
-  By Hall's theorem every such matching saturates its copies iff every q
-  columns touch at least 2q+s rows. This replaces the paper's equivalent
-  reduction to s=1 on every deletion of s-1 rows.
+* s=0: two copies of every column must all be matched. The matching doubles
+  as a constructive witness: it splits 2r rows into two groups whose square
+  submatrices both carry a reordered nonzero diagonal.
+* s=1: the same matching decides the paper's minimum weighted vertex cover
+  (column weight 2r+1, row weight r). With d = 2r - |matching| (the largest
+  2|S| - |N(S)| over column sets S, by Ore's deficiency form of Hall's
+  theorem) and S* the columns with no copy that an alternating path from a
+  free row reaches (the largest set of that deficiency, by Dulmage and
+  Mendelsohn), the cover weighs r(2r+1) - rd - |S*|. The rule holds iff S*
+  is empty, and S* is then the violating subset. flow.py keeps the paper's
+  min-cut of the same cover as the reference the tests compare against.
+* s >= 2: the matching once per column j, with j copied 2+s times. By Hall's
+  theorem every such matching saturates its copies iff every q columns touch
+  at least 2q+s rows. This replaces the paper's equivalent reduction to s=1
+  on every deletion of s-1 rows.
 
-s=0, s >= 2 and the two-row-group witness share this one replica matching;
-where it fails, König's alternating walk yields the violating columns.
+Where s=0 or s >= 2 fails, König's alternating walk from a free copy yields
+the violating columns.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -26,8 +33,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm
 from factorid.errors import (
@@ -36,7 +41,6 @@ from factorid.errors import (
     NoDecompositionError,
     TooManyColumnsError,
 )
-from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, restrict_rows, trim
 
 METHOD_BRUTEFORCE = "bruteforce"
@@ -119,22 +123,23 @@ class IdentificationVerdict:
 
 def _replica_matching(
     p: SparsityPattern, owner: list[int]
-) -> tuple[list[int], tuple[set[int], set[int]] | None]:
+) -> tuple[int, list[int], list[int]]:
     """Maximum matching of column copies into the rows of p, left vertex u
-    being a copy of column owner[u]. Returns (match_l, None) when every copy
-    is matched, else (match_l, (S, N(S))): the columns and rows König's walk
-    reaches from the free copies, where N(S) has fewer rows than S copies.
-    """
-    adjacency = [p.col_rows[c] for c in owner]
+    being a copy of column owner[u]: (size, match_l, match_r), -1 for free."""
     indptr, indices = [0], []
-    for rows in adjacency:
-        indices += rows
+    for c in owner:
+        indices += p.col_rows[c]
         indptr.append(len(indices))
-    size, match_l, match_r = _kernels.hopcroft_karp(len(owner), p.m, indptr, indices)
-    if size == len(owner):
-        return match_l, None
-    copies, rows = alternating_reach(adjacency, match_l, match_r)
-    return match_l, ({owner[u] for u in copies}, rows)
+    return _kernels.hopcroft_karp(len(owner), p.m, indptr, indices)
+
+
+def _violated_columns(
+    p: SparsityPattern, owner: list[int], match_l: list[int], match_r: list[int]
+) -> tuple[set[int], set[int]]:
+    """(S, N(S)): the columns and rows König's walk reaches from the free
+    copies of a maximum replica matching; N(S) has fewer rows than S copies."""
+    copies, rows = alternating_reach([p.col_rows[c] for c in owner], match_l, match_r)
+    return {owner[u] for u in copies}, rows
 
 
 def counting_rule_bruteforce(
@@ -144,9 +149,8 @@ def counting_rule_bruteforce(
 
     The first violating subset (smallest size, lexicographic within a size)
     is reported. Refuses r > max_columns: 2^r - 1 subsets is the worst case.
-    The compiled sweep always visits them all; the pure one skips every
-    subset that extends columns already touching 2q+s rows, and usually
-    visits far fewer.
+    The sweep skips every subset that extends columns already touching 2q+s
+    rows, and usually visits far fewer.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -165,30 +169,38 @@ def counting_rule_bruteforce(
 
 
 def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
-    """Polynomial s=1 check via the identification network's minimum cut.
+    """Polynomial s=1 check, read off the s=0 replica matching.
 
-    The rule holds iff the minimum weighted vertex cover weighs at least
-    r(2r+1). On failure the columns excluded from the cover form a violating
-    subset: q of them touching at most 2q rows.
+    `mincut_value` is the weight of the minimum weighted vertex cover, the
+    paper's min-cut: r(2r+1) - rd - |S*|, with d the 2r copies left free and
+    S* the columns with no copy reachable by an alternating path from a free
+    row. The rule holds iff S* is empty (a column set of deficiency d > 0
+    lies in S*), that is iff the cover weighs r(2r+1). Otherwise S* is the
+    violating subset, q columns touching at most 2q rows, and the columns the
+    min-cut leaves out of the cover.
     """
-    network = build_identification_network(p)
-    cut = max_flow_min_cut(network)
+    p.require_trimmed()
     r = p.r
-    threshold = r * (2 * r + 1)
-    if cut.value >= threshold:
+    size, match_l, match_r = _replica_matching(p, [*range(r)] * 2)
+    row_copies: list[list[int]] = [[] for _ in range(p.m)]
+    for j, rows in enumerate(p.col_rows):
+        for i in rows:
+            row_copies[i] += (j, j + r)
+    _, reached = alternating_reach(row_copies, match_r, match_l)
+    excluded = tuple(j for j in range(r) if j not in reached and j + r not in reached)
+    value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
+    if not excluded:
         return CountingRuleVerdict(
             r=r, s=1, holds=True, method=METHOD_MINCUT,
-            witness_pass=PassWitness(mincut_value=cut.value),
-            mincut_value=cut.value,
+            witness_pass=PassWitness(mincut_value=value),
+            mincut_value=value,
         )
-    cover = mwvc_from_cut(network, cut)
-    excluded = tuple(sorted(set(range(r)) - cover.cols))
     count = nonzero_row_count(p, excluded)
     assert count <= 2 * len(excluded)
     return CountingRuleVerdict(
         r=r, s=1, holds=False, method=METHOD_MINCUT,
         witness_fail=FailWitness(columns=excluded, nonzero_rows=count),
-        mincut_value=cut.value,
+        mincut_value=value,
     )
 
 
@@ -202,8 +214,9 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    match_l, violated = _replica_matching(p, [*range(r)] * 2)
-    if violated is None:
+    owner = [*range(r)] * 2
+    size, match_l, match_r = _replica_matching(p, owner)
+    if size == 2 * r:
         return CountingRuleVerdict(
             r=r, s=0, holds=True, method=METHOD_DUPMATCHING,
             witness_pass=PassWitness(
@@ -211,7 +224,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
                 note="matching saturates all columns and duplicates",
             ),
         )
-    cols, rows = violated
+    cols, rows = _violated_columns(p, owner, match_l, match_r)
     assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
         r=r, s=0, holds=False, method=METHOD_DUPMATCHING,
@@ -222,7 +235,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
 def counting_rule(
     p: SparsityPattern, s: int, max_deletions: int = 10**6
 ) -> CountingRuleVerdict:
-    """Dispatch on s: matching route (s=0), min-cut route (s=1), or one
+    """Dispatch on s: the replica matching for s=0 and s=1, or one
     b-matching per column (s >= 2).
 
     For s >= 2, column j gets 2+s copies and every other column 2. Hall's
@@ -260,10 +273,10 @@ def counting_rule(
         )
     for j in range(r):
         owner = [k // 2 for k in range(2 * r)] + [j] * s
-        _, violated = _replica_matching(p, owner)
-        if violated is None:
+        size, match_l, match_r = _replica_matching(p, owner)
+        if size == len(owner):
             continue
-        cols, rows = violated
+        cols, rows = _violated_columns(p, owner, match_l, match_r)
         assert len(rows) < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
         # remainder fails the s=1 rule; pad from outside N(S) if it is short.
@@ -303,8 +316,8 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    match_l, violated = _replica_matching(restrict_rows(p, kept), [*range(r)] * 2)
-    if violated is not None:
+    size, match_l, _ = _replica_matching(restrict_rows(p, kept), [*range(r)] * 2)
+    if size < 2 * r:
         return None
     matched = [kept[i] for i in match_l]
     rows_a = tuple(matched[:r])
@@ -355,6 +368,8 @@ def generic_rank_check(
     deletion; it raises NoDecompositionError unless diagnose=True, in which
     case it is recorded and the deletion skipped.
     """
+    import numpy as np  # only this check needs numpy; `import factorid` stays light
+
     m, r = p.m, p.r
     if s < 0 or s > m:
         raise ValueError(f"cannot delete {s} of {m} rows")

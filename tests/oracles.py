@@ -2,15 +2,51 @@
 
 Independent of the package's algorithms on purpose: matchings come from
 backtracking, covers and rule checks from direct subset scans. Keep these
-naive; their only job is to be trivially auditable. The one exception,
-`counting_rule_by_deletion`, keeps the paper's reduction of s >= 2 to the s=1
-min-cut as a second reference for the s >= 2 route.
+naive; their only job is to be trivially auditable. The exceptions keep the
+paper's constructions as references for the routes that replaced them:
+`mincut_s1` is the identification network's min-cut for the s=1 route, and
+`counting_rule_by_deletion` reduces s >= 2 to that min-cut. The graph helpers
+`duplicate_columns` and `has_saturating_matching` are the textbook forms of
+the replica matching.
 """
 
 from itertools import combinations, permutations
 
-from factorid.identify import counting_rule_s1
+from factorid.bipartite import BipartiteGraph, maximum_matching
+from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.pattern import SparsityPattern
+
+
+def duplicate_columns(g):
+    """Double the column side; vertex j + n_col mirrors the edges of j."""
+    mirrored = frozenset((c + g.n_col, r) for c, r in g.edges)
+    return BipartiteGraph(n_col=2 * g.n_col, n_row=g.n_row, edges=g.edges | mirrored)
+
+
+def has_saturating_matching(g, side):
+    """Whether some matching covers every vertex of the chosen side."""
+    if side not in ("columns", "rows"):
+        raise ValueError(f"side must be 'columns' or 'rows', got {side!r}")
+    target = g.n_col if side == "columns" else g.n_row
+    return maximum_matching(g).size == target
+
+
+def mincut_s1(p):
+    """The paper's s=1 construction on a trimmed pattern: the minimum cut of
+    the identification network, and the columns its cover leaves out."""
+    network = build_identification_network(p)
+    cut = max_flow_min_cut(network)
+    cover = mwvc_from_cut(network, cut)
+    return cut.value, tuple(j for j in range(p.r) if j not in cover.cols)
+
+
+def assert_s1_matches_mincut(p, verdict):
+    """An s=1 verdict carries the min-cut value, and fails with exactly the
+    columns the min-cut leaves out of the cover."""
+    value, excluded = mincut_s1(p)
+    assert verdict.mincut_value == value
+    assert verdict.holds == (value >= p.r * (2 * p.r + 1))
+    assert (verdict.witness_fail.columns if verdict.witness_fail else ()) == excluded
 
 
 def pattern_edges(p):
@@ -105,7 +141,7 @@ def first_violating_subset(col_masks, s):
 
 def counting_rule_by_deletion(p, s):
     """The paper's reduction of the rule at s >= 1 to s=1: it holds iff every
-    deletion of s-1 rows leaves a pattern passing the s=1 min-cut check.
+    deletion of s-1 rows leaves a pattern whose min-cut reaches r(2r+1).
 
     A column emptied by a deletion touches no row, so the remainder fails.
     """
@@ -115,7 +151,7 @@ def counting_rule_by_deletion(p, s):
         rows = tuple(row for i, row in enumerate(p.entries) if i not in deleted)
         if not all(any(row[j] for row in rows) for j in range(p.r)):
             return False
-        if not counting_rule_s1(SparsityPattern(rows)).holds:
+        if mincut_s1(SparsityPattern(rows))[0] < p.r * (2 * p.r + 1):
             return False
     return True
 

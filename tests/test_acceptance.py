@@ -159,7 +159,9 @@ def test_criterion_06_oracle_equivalence_exhaustive():
         if trimmed.r == 0:
             continue
         checked += 1
-        assert counting_rule_s1(trimmed).holds == counting_rule_bruteforce(trimmed, 1).holds
+        verdict = counting_rule_s1(trimmed)
+        assert verdict.holds == counting_rule_bruteforce(trimmed, 1).holds
+        oracles.assert_s1_matches_mincut(trimmed, verdict)
         assert counting_rule_s0(trimmed).holds == counting_rule_bruteforce(trimmed, 0).holds
     elapsed = time.perf_counter() - t0
     assert checked == (1 << 18) - 1
@@ -180,7 +182,9 @@ def test_criterion_07_oracle_equivalence_randomized():
         if trimmed.r == 0:
             continue
         compared += 1
-        assert counting_rule_s1(trimmed).holds == counting_rule_bruteforce(trimmed, 1).holds
+        verdict = counting_rule_s1(trimmed)
+        assert verdict.holds == counting_rule_bruteforce(trimmed, 1).holds
+        oracles.assert_s1_matches_mincut(trimmed, verdict)
         assert counting_rule_s0(trimmed).holds == counting_rule_bruteforce(trimmed, 0).holds
     assert compared > 5000
 

