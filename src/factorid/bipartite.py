@@ -1,4 +1,9 @@
-"""Bipartite graphs generated from sparsity patterns, matchings, and covers."""
+"""Bipartite graphs generated from sparsity patterns, matchings, and covers.
+
+`match_adjacency` is the one way into the Hopcroft-Karp kernel: the graph
+functions here, `is_rcm`, and identify.py's replica check and s=1 route all
+pass it an adjacency list, one list of right neighbours per left vertex.
+"""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,14 +38,6 @@ class BipartiteGraph:
         for c, r in self.edges:
             adj[c].append(r)
         return tuple(tuple(sorted(rows)) for rows in adj)
-
-    def _csr(self) -> tuple[list[int], list[int]]:
-        indptr = [0]
-        indices: list[int] = []
-        for rows in self.adjacency:
-            indices.extend(rows)
-            indptr.append(len(indices))
-        return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -85,17 +82,27 @@ def generate_bipartite(p: SparsityPattern) -> BipartiteGraph:
     return BipartiteGraph(n_col=p.r, n_row=p.m, edges=edges)
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching (Hopcroft-Karp).
+def match_adjacency(
+    adjacency: Sequence[Sequence[int]], n_right: int
+) -> tuple[int, list[int], list[int]]:
+    """Maximum matching (Hopcroft-Karp) of the left vertices u into the right
+    vertices adjacency[u]: (size, match_left, match_right), -1 for free.
 
-    Deterministic: vertices are scanned in ascending order, so repeated calls
-    on equal graphs return the same matching even when several maximum
-    matchings exist.
+    Deterministic: vertices are scanned in ascending order and neighbours in
+    the given order, so equal inputs give the same matching even when
+    several maximum matchings exist.
     """
-    indptr, indices = g._csr()
-    _, match_l, _ = _kernels.hopcroft_karp(g.n_col, g.n_row, indptr, indices)
-    pairs = frozenset((c, r) for c, r in enumerate(match_l) if r != -1)
-    return Matching(pairs)
+    indptr, indices = [0], []
+    for rows in adjacency:
+        indices += rows
+        indptr.append(len(indices))
+    return _kernels.hopcroft_karp(len(adjacency), n_right, indptr, indices)
+
+
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """Maximum-cardinality matching of the graph's columns into its rows."""
+    _, match_l, _ = match_adjacency(g.adjacency, g.n_row)
+    return Matching(frozenset((c, r) for c, r in enumerate(match_l) if r != -1))
 
 
 def alternating_reach(
@@ -159,8 +166,8 @@ def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:
     """
     if p.m != p.r:
         raise NotSquareError(f"pattern is {p.m}x{p.r}, need square")
-    mm = maximum_matching(generate_bipartite(p))
-    if mm.size == p.r:
-        return True, mm
+    size, match_l, _ = match_adjacency(p.col_rows, p.m)
+    if size == p.r:
+        return True, Matching(frozenset(enumerate(match_l)))
     return False, None
 

@@ -27,12 +27,9 @@ from factorid.identify import (
     CountingRuleVerdict,
     FailWitness,
     IdentificationVerdict,
-    counting_rule,
     counting_rule_bruteforce,
-    counting_rule_s1,
     rcm_decomposition,
     variance_identified,
-    verdict_in_original_coords,
 )
 from factorid.pattern import (
     SparsityPattern,
@@ -62,33 +59,6 @@ def _load_pattern(input_path: str, fmt: str) -> SparsityPattern:
         data = f.read()
     format_name = "dense_text" if fmt == "dense" else "jsonl_record"
     return parse_pattern(data, format_name)
-
-
-def _check_verdict(p: SparsityPattern, s: int) -> IdentificationVerdict:
-    trimmed, report = trim(p)
-    if trimmed.r == 0:
-        return IdentificationVerdict(
-            identified=True, effective_r=0, trim=report, detail=None, degenerate=True
-        )
-    try:
-        detail = verdict_in_original_coords(counting_rule(trimmed, s), report)
-    except InfeasibleDimensionsError as e:
-        # m < 2r+s: the full column set is itself a violating subset
-        detail = CountingRuleVerdict(
-            r=trimmed.r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
-            witness_fail=FailWitness(
-                columns=tuple(report.original_column(j) for j in range(trimmed.r)),
-                nonzero_rows=trimmed.m,
-            ),
-        )
-        click.echo(f"note: {e}", err=True)
-    return IdentificationVerdict(
-        identified=detail.holds,
-        effective_r=report.effective_r,
-        trim=report,
-        detail=detail,
-        degenerate=False,
-    )
 
 
 def _verdict_json(p: SparsityPattern, v: IdentificationVerdict, s: int) -> dict:
@@ -134,7 +104,22 @@ def cmd_check(input_path, s, fmt, as_json):
         pattern = _load_pattern(input_path, fmt)
         if s < 0:
             raise FactorIdError("s must be non-negative")
-        verdict = _check_verdict(pattern, s)
+        try:
+            verdict = variance_identified(pattern, s)
+        except InfeasibleDimensionsError as e:
+            # m < 2r+s: the full column set is itself a violating subset
+            _, report = trim(pattern)
+            detail = CountingRuleVerdict(
+                r=report.effective_r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
+                witness_fail=FailWitness(
+                    columns=report.kept_columns, nonzero_rows=report.effective_m
+                ),
+            )
+            verdict = IdentificationVerdict(
+                identified=False, effective_r=report.effective_r, trim=report,
+                detail=detail, degenerate=False,
+            )
+            click.echo(f"note: {e}", err=True)
     except (FactorIdError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
@@ -378,16 +363,6 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
     sys.exit(2 if summary.errors else 0)
 
 
-def _bench_check_mincut(p: SparsityPattern) -> bool:
-    if p.r == 0:
-        return True
-    return counting_rule_s1(p).holds
-
-
-def _bench_check_bruteforce(p: SparsityPattern, cap: int) -> bool:
-    return counting_rule_bruteforce(p, 1, max_columns=cap).holds
-
-
 @main.command("bench")
 @click.option("--m", "m_spec", default="50,100", show_default=True,
               help="Comma-separated row counts.")
@@ -406,6 +381,10 @@ def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap, output_path)
     try:
         m_list = [int(x) for x in m_spec.split(",") if x.strip()]
         r_list = [int(x) for x in r_spec.split(",") if x.strip()]
+        if min(m_list + r_list + [seed]) < 0:
+            raise ValueError("--m, --r and --seed must be non-negative")
+        if n_patterns < 1:
+            raise ValueError("--patterns must be at least 1")
     except ValueError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
@@ -422,9 +401,12 @@ def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap, output_path)
                 patterns.append(trimmed)
             verdicts = {}
             timings = {}
-            checks = [("mincut", _bench_check_mincut)]
+            checks = [("mincut", lambda p: variance_identified(p).identified)]
             if r <= brute_cap:
-                checks.append(("bruteforce", lambda p: _bench_check_bruteforce(p, brute_cap)))
+                checks.append((
+                    "bruteforce",
+                    lambda p: counting_rule_bruteforce(p, 1, max_columns=brute_cap).holds,
+                ))
             for method, check in checks:
                 outcome = []
                 elapsed = []

@@ -63,9 +63,5 @@ class InfeasibleDimensionsError(FactorIdError):
     """The rule cannot hold because the pattern has fewer than 2r+s rows."""
 
 
-class DeletionBudgetExceededError(FactorIdError):
-    """C(m, s-1), the number of row deletions a verdict speaks for, exceeds the budget."""
-
-
 class NoDecompositionError(FactorIdError):
     """No pair of disjoint row groups with reordered nonzero diagonals exists."""

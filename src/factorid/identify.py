@@ -21,8 +21,14 @@ brute force over all column subsets is the oracle (exponential in r):
   at least 2q+s rows. This replaces the paper's equivalent reduction to s=1
   on every deletion of s-1 rows.
 
-Where s=0 or s >= 2 fails, König's alternating walk from a free copy yields
-the violating columns.
+s=0, s >= 2 and `rcm_decomposition` share one replica check: it returns the
+matching when every copy is matched, else König's (S, N(S)), the columns and
+rows that alternating paths from the free copies reach. S is the smallest
+column set that maximizes its number of copies minus |N(S)| (Dulmage and
+Mendelsohn), so the witness depends neither on the order of the copies nor
+on which maximum matching the kernel finds. `variance_identified` trims,
+runs the rule at any s and maps the verdict back to the caller's
+coordinates; every CLI command that decides the rule goes through it.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -34,9 +40,8 @@ from itertools import combinations
 from math import comb
 
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach, is_rcm
+from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
 from factorid.errors import (
-    DeletionBudgetExceededError,
     InfeasibleDimensionsError,
     NoDecompositionError,
     TooManyColumnsError,
@@ -121,25 +126,22 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _replica_matching(
+def _replica_check(
     p: SparsityPattern, owner: list[int]
-) -> tuple[int, list[int], list[int]]:
-    """Maximum matching of column copies into the rows of p, left vertex u
-    being a copy of column owner[u]: (size, match_l, match_r), -1 for free."""
-    indptr, indices = [0], []
-    for c in owner:
-        indices += p.col_rows[c]
-        indptr.append(len(indices))
-    return _kernels.hopcroft_karp(len(owner), p.m, indptr, indices)
+) -> tuple[list[int] | None, tuple[set[int], set[int]] | None]:
+    """Match copy u of column owner[u] into the rows of p.
 
-
-def _violated_columns(
-    p: SparsityPattern, owner: list[int], match_l: list[int], match_r: list[int]
-) -> tuple[set[int], set[int]]:
-    """(S, N(S)): the columns and rows König's walk reaches from the free
-    copies of a maximum replica matching; N(S) has fewer rows than S copies."""
-    copies, rows = alternating_reach([p.col_rows[c] for c in owner], match_l, match_r)
-    return {owner[u] for u in copies}, rows
+    Returns (match_l, None) when every copy is matched, match_l[u] being the
+    row of copy u. Otherwise returns (None, (S, N(S))): the columns and rows
+    König's walk reaches from the free copies, N(S) having fewer rows than S
+    has copies.
+    """
+    adjacency = [p.col_rows[c] for c in owner]
+    size, match_l, match_r = match_adjacency(adjacency, p.m)
+    if size == len(owner):
+        return match_l, None
+    copies, rows = alternating_reach(adjacency, match_l, match_r)
+    return None, ({owner[u] for u in copies}, rows)
 
 
 def counting_rule_bruteforce(
@@ -181,7 +183,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    size, match_l, match_r = _replica_matching(p, [*range(r)] * 2)
+    size, match_l, match_r = match_adjacency(p.col_rows * 2, p.m)
     row_copies: list[list[int]] = [[] for _ in range(p.m)]
     for j, rows in enumerate(p.col_rows):
         for i in rows:
@@ -214,9 +216,8 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    owner = [*range(r)] * 2
-    size, match_l, match_r = _replica_matching(p, owner)
-    if size == 2 * r:
+    match_l, violated = _replica_check(p, [*range(r)] * 2)
+    if violated is None:
         return CountingRuleVerdict(
             r=r, s=0, holds=True, method=METHOD_DUPMATCHING,
             witness_pass=PassWitness(
@@ -224,7 +225,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
                 note="matching saturates all columns and duplicates",
             ),
         )
-    cols, rows = _violated_columns(p, owner, match_l, match_r)
+    cols, rows = violated
     assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
         r=r, s=0, holds=False, method=METHOD_DUPMATCHING,
@@ -232,23 +233,18 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     )
 
 
-def counting_rule(
-    p: SparsityPattern, s: int, max_deletions: int = 10**6
-) -> CountingRuleVerdict:
+def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     """Dispatch on s: the replica matching for s=0 and s=1, or one
     b-matching per column (s >= 2).
 
     For s >= 2, column j gets 2+s copies and every other column 2. Hall's
     theorem on these replicas: the rule holds iff, for every j, a matching
     saturates all 2r+s copies. That is r Hopcroft-Karp runs whatever m and s.
-    The pass note states the equivalent deletion form of the paper. On
-    failure, the columns reached from a free copy by alternating paths form
-    S with |N(S)| < 2|S|+s. `deleted_rows` are the s-1 lowest rows of N(S),
+    The pass note states the equivalent deletion form of the paper, C(m, s-1)
+    deletions of s-1 rows. On the first j that fails, the replica check's S
+    has |N(S)| < 2|S|+s. `deleted_rows` are the s-1 lowest rows of N(S),
     padded with the lowest rows outside N(S) when it is smaller; deleting
     them leaves S violating the s=1 rule.
-
-    `max_deletions` only bounds C(m, s-1), the number of deletions the pass
-    note reports. It is kept for API compatibility.
 
     For s >= 2, m < 2r+s is rejected outright (the rule cannot hold there:
     the full column set alone needs 2r+s rows). For s <= 1 such patterns
@@ -266,17 +262,11 @@ def counting_rule(
         raise InfeasibleDimensionsError(
             f"m={m} < 2r+s={2 * r + s}: the rule cannot hold at these dimensions"
         )
-    n_deletions = comb(m, s - 1)
-    if n_deletions > max_deletions:
-        raise DeletionBudgetExceededError(
-            f"{n_deletions} deletions of {s - 1} rows exceed the budget {max_deletions}"
-        )
     for j in range(r):
-        owner = [k // 2 for k in range(2 * r)] + [j] * s
-        size, match_l, match_r = _replica_matching(p, owner)
-        if size == len(owner):
+        _, violated = _replica_check(p, [*range(r)] * 2 + [j] * s)
+        if violated is None:
             continue
-        cols, rows = _violated_columns(p, owner, match_l, match_r)
+        cols, rows = violated
         assert len(rows) < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
         # remainder fails the s=1 rule; pad from outside N(S) if it is short.
@@ -292,7 +282,7 @@ def counting_rule(
     return CountingRuleVerdict(
         r=r, s=s, holds=True, method=METHOD_DELETION_WRAPPER,
         witness_pass=PassWitness(
-            note=f"all {n_deletions} deletions of {s - 1} rows pass the s=1 rule"
+            note=f"all {comb(m, s - 1)} deletions of {s - 1} rows pass the s=1 rule"
         ),
     )
 
@@ -316,8 +306,8 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    size, match_l, _ = _replica_matching(restrict_rows(p, kept), [*range(r)] * 2)
-    if size < 2 * r:
+    match_l, _ = _replica_check(restrict_rows(p, kept), [*range(r)] * 2)
+    if match_l is None:
         return None
     matched = [kept[i] for i in match_l]
     rows_a = tuple(matched[:r])
@@ -465,14 +455,18 @@ def verdict_in_original_coords(
     return replace(verdict, witness_fail=wf, witness_pass=wp)
 
 
-def variance_identified(p_raw: SparsityPattern) -> IdentificationVerdict:
+def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVerdict:
     """Decide whether the pattern guarantees generic variance identification.
 
     Trims zero rows/columns first. A factor-free pattern after trimming is
     trivially identified (the covariance is purely idiosyncratic). Otherwise
-    the s=1 rule on the trimmed pattern decides; witnesses are reported in
-    the caller's original coordinates.
+    `counting_rule` at strength s on the trimmed pattern decides (s=1, the
+    default, is the paper's sufficient condition); witnesses are reported in
+    the caller's original coordinates. Raises what `counting_rule` raises,
+    InfeasibleDimensionsError included.
     """
+    if s < 0:
+        raise ValueError("s must be non-negative")
     trimmed, report = trim(p_raw)
     if trimmed.r == 0:
         return IdentificationVerdict(
@@ -482,7 +476,7 @@ def variance_identified(p_raw: SparsityPattern) -> IdentificationVerdict:
             detail=None,
             degenerate=True,
         )
-    verdict = verdict_in_original_coords(counting_rule_s1(trimmed), report)
+    verdict = verdict_in_original_coords(counting_rule(trimmed, s), report)
     return IdentificationVerdict(
         identified=verdict.holds,
         effective_r=report.effective_r,

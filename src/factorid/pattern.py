@@ -49,10 +49,9 @@ class SparsityPattern:
     set iff entry (i, j) is 1, and r = len(col_masks).
 
     `SparsityPattern(entries)` takes a tuple of row tuples. The views
-    `entries`, `row_masks` and `col_rows` are derived from the masks. m = 0
-    and r = 0 are representable so that trimming an all-zero pattern has a
-    well-defined degenerate result; parsed user input always has m >= 1 and
-    r >= 1.
+    `entries` and `col_rows` are derived from the masks. m = 0 and r = 0 are
+    representable so that trimming an all-zero pattern has a well-defined
+    degenerate result; parsed user input always has m >= 1 and r >= 1.
     """
 
     m: int
@@ -88,11 +87,6 @@ class SparsityPattern:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """Row tuples: entries[i][j] is 1 iff bit i of col_masks[j] is set."""
         return tuple(tuple(mask >> i & 1 for mask in self.col_masks) for i in range(self.m))
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Per row, an integer with bit j set iff entries[i][j] == 1."""
-        return tuple(sum(v << j for j, v in enumerate(row)) for row in self.entries)
 
     def ones(self) -> int:
         return sum(mask.bit_count() for mask in self.col_masks)
@@ -174,15 +168,6 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     if zero_rows:
         trimmed = restrict_rows(trimmed, report.kept_rows)
     return trimmed, report
-
-
-def untrim(trimmed: SparsityPattern, report: TrimReport) -> SparsityPattern:
-    """Reinsert the removed zero rows/columns, reconstructing the original."""
-    kept_rows = report.kept_rows
-    masks = [0] * report.original_r
-    for j, rows in zip(report.kept_columns, trimmed.col_rows):
-        masks[j] = sum(1 << kept_rows[i] for i in rows)
-    return _from_masks(report.original_m, tuple(masks))
 
 
 def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:

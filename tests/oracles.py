@@ -139,6 +139,24 @@ def first_violating_subset(col_masks, s):
     return True, None, -1
 
 
+def least_maximizer(col_masks, weights):
+    """The largest value of sum(weights[j] for j in S) - |N(S)| over nonempty
+    column sets S, and the intersection of the sets reaching it, by a scan
+    of every subset."""
+    best, meet = None, None
+    for q in range(1, len(col_masks) + 1):
+        for cols in combinations(range(len(col_masks)), q):
+            union = 0
+            for j in cols:
+                union |= col_masks[j]
+            value = sum(weights[j] for j in cols) - union.bit_count()
+            if best is None or value > best:
+                best, meet = value, set(cols)
+            elif value == best:
+                meet &= set(cols)
+    return best, tuple(sorted(meet))
+
+
 def counting_rule_by_deletion(p, s):
     """The paper's reduction of the rule at s >= 1 to s=1: it holds iff every
     deletion of s-1 rows leaves a pattern whose min-cut reaches r(2r+1).

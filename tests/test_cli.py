@@ -109,6 +109,23 @@ class TestCheck:
         assert result.exit_code == 1
         assert "FAILS" in result.output
 
+    def test_infeasible_dimensions_output(self, runner, tmp_path):
+        # m=5 < 2r+s=7 after trimming the zero column: the full column set,
+        # in original coordinates, is the witness
+        path = write(tmp_path, "short.txt", "1 0 1\n0 0 1\n1 0 1\n1 0 0\n0 0 1\n")
+        result = runner.invoke(main, ["check", "--input", path, "--s", "3", "--json"])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "note: m=5 < 2r+s=7: the rule cannot hold at these dimensions\n"
+        )
+        payload = json.loads(result.stdout)
+        assert payload["holds"] is False
+        assert payload["mwvc_weight"] is None
+        assert payload["witness"] == {
+            "columns": [0, 2], "column_labels": ["u1", "u3"],
+            "nonzero_rows": 5, "deleted_rows": None,
+        }
+
     def test_s0(self, runner, tmp_path):
         path = write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT)
         result = runner.invoke(main, ["check", "--input", path, "--s", "0", "--json"])
@@ -311,6 +328,15 @@ class TestBench:
              "--output", str(tmp_path / "no" / "dir" / "x.csv")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--patterns", "0"], ["--m", "-1"], ["--r", "-2"], ["--seed", "-1"],
+    ])
+    def test_bad_grid_exits_2(self, runner, args):
+        result = runner.invoke(main, ["bench", "--m", "10", "--r", "2", *args])
+        assert no_traceback(result)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
 
     def test_density_zero_degenerates(self, runner):
         result = runner.invoke(

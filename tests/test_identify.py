@@ -12,7 +12,6 @@ from factorid.bipartite import (
     minimum_vertex_cover,
 )
 from factorid.errors import (
-    DeletionBudgetExceededError,
     EmptyPatternError,
     InfeasibleDimensionsError,
     NoDecompositionError,
@@ -156,6 +155,8 @@ class TestDispatcher:
     def test_negative_s(self, mincut_demo_8x3):
         with pytest.raises(ValueError):
             counting_rule(mincut_demo_8x3, -1)
+        with pytest.raises(ValueError):  # also where trimming leaves no column
+            variance_identified(SparsityPattern.from_rows([[0, 0]]), -1)
 
     def test_infeasible_dimensions_raise_for_s2(self, mincut_demo_8x3):
         # 8 = m < 2r+s = 9
@@ -180,10 +181,11 @@ class TestDispatcher:
         assert verdict.witness_fail.deleted_rows == (0,)
         assert verdict.witness_fail.nonzero_rows == 3
 
-    def test_budget(self):
-        p = SparsityPattern.from_rows([[1, 1]] * 12)
-        with pytest.raises(DeletionBudgetExceededError):
-            counting_rule(p, 3, max_deletions=10)
+    def test_more_than_a_million_deletions(self):
+        # C(1415, 2) = 1,000,405 deletions of two rows; still r matchings
+        verdict = counting_rule(SparsityPattern.from_rows([[1, 1]] * 1415), 3)
+        assert verdict.holds
+        assert verdict.witness_pass.note == "all 1000405 deletions of 2 rows pass the s=1 rule"
 
     def test_emptied_column_detected(self):
         # deleting the two rows of column 2 empties it
@@ -272,6 +274,37 @@ class TestReplicaMatching:
         expected = counting_rule_bruteforce(p, s).holds
         assert oracles.counting_rule_by_deletion(p, s) == expected
         assert counting_rule(p, s).holds == expected
+
+
+class TestCanonicalWitness:
+    """A failing s=0 or s >= 2 verdict names the intersection of all column
+    sets S that maximize sum(w_j for j in S) - |N(S)|, with w_j = 2 plus s
+    on the first column j whose maximum is positive (none for s=0): the
+    witness depends neither on the order of the copies nor on the matching."""
+
+    def test_fail_witness_is_least_maximizer(self):
+        rng = np.random.default_rng(3)
+        failing = {0: 0, 2: 0, 3: 0}
+        for _ in range(4000):
+            p = trimmed_random(rng, 18, 6)
+            if p.r == 0:
+                continue
+            for s in failing:
+                if s and p.m < 2 * p.r + s:
+                    continue
+                expected = None
+                for j in range(p.r if s else 1):
+                    weights = [2 + s * (k == j) for k in range(p.r)]
+                    best, meet = oracles.least_maximizer(p.col_masks, weights)
+                    if best > 0:
+                        expected = meet
+                        break
+                verdict = counting_rule(p, s)
+                assert verdict.holds == (expected is None)
+                if expected is not None:
+                    failing[s] += 1
+                    assert verdict.witness_fail.columns == expected
+        assert min(failing.values()) >= 200, failing
 
 
 class TestGraphReference:

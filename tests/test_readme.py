@@ -1,0 +1,41 @@
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import factorid
+from factorid.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+API_SECTION = README.split("## Python API", 1)[1].split("\n## ", 1)[0]
+API_PROSE = re.sub(r"```.*?```", "", API_SECTION, flags=re.S)  # code blocks out
+
+
+def test_every_exported_function_is_named_in_readme():
+    functions = [
+        name for name in factorid.__all__ if inspect.isfunction(getattr(factorid, name))
+    ]
+    assert functions
+    assert [name for name in functions if not re.search(rf"\b{name}\b", README)] == []
+
+
+def test_every_name_in_the_api_section_exists():
+    # `p.attr` names a SparsityPattern attribute, `factorid.x` a module, and
+    # any other `name` or `name(...)` an export, an error class or a command
+    names = re.findall(r"`([A-Za-z_][\w.]*)", API_PROSE)
+    assert names
+    p = factorid.SparsityPattern.from_rows([[1]])
+    missing = []
+    for name in names:
+        if name.startswith("p."):
+            found = hasattr(p, name[2:])
+        elif name.startswith("factorid."):
+            found = importlib.util.find_spec(name) is not None
+        else:
+            found = (
+                name in factorid.__all__ or hasattr(factorid.errors, name)
+                or name in main.commands
+            )
+        if not found:
+            missing.append(name)
+    assert missing == []
