@@ -8,10 +8,8 @@ min-cut network, brute-force oracles and constructive witnesses alongside.
 
 from factorid._kernels import active_backend
 from factorid.bipartite import (
-    BipartiteGraph,
     Matching,
     VertexCover,
-    generate_bipartite,
     maximum_matching,
     minimum_vertex_cover,
 )
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "BipartiteGraph",
     "CountingRuleVerdict",
     "CutResult",
     "FactorIdError",
@@ -67,7 +64,6 @@ __all__ = [
     "counting_rule_bruteforce",
     "counting_rule_s0",
     "counting_rule_s1",
-    "generate_bipartite",
     "generic_rank_check",
     "max_flow_min_cut",
     "maximum_matching",

@@ -1,43 +1,19 @@
-"""Bipartite graphs generated from sparsity patterns, matchings, and covers.
+"""Matchings and vertex covers of a sparsity pattern's bipartite graph.
 
-`match_adjacency` is the one way into the Hopcroft-Karp kernel: the graph
-functions here, `is_rcm`, and identify.py's replica check and s=1 route all
-pass it an adjacency list, one list of right neighbours per left vertex.
+A pattern is the biadjacency matrix of its graph: column vertex j and row
+vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
+functions here take the `SparsityPattern` itself. `match_adjacency` is the
+one way into the Hopcroft-Karp kernel: the graph functions, `is_rcm`, and
+identify.py's replica check and s=1 route all pass it an adjacency list, one
+list of right neighbours per left vertex.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from factorid import _kernels
 from factorid.errors import MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Undirected bipartite graph with column vertices and row vertices.
-
-    Edges are (column index, row index) pairs. When generated from a pattern,
-    column j and row i are adjacent iff entry (i, j) is 1.
-    """
-
-    n_col: int
-    n_row: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for c, r in self.edges:
-            if not (0 <= c < self.n_col and 0 <= r < self.n_row):
-                raise ValueError(f"edge ({c}, {r}) out of range")
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted row neighbors per column vertex."""
-        adj: list[list[int]] = [[] for _ in range(self.n_col)]
-        for c, r in self.edges:
-            adj[c].append(r)
-        return tuple(tuple(sorted(rows)) for rows in adj)
 
 
 @dataclass(frozen=True)
@@ -72,14 +48,11 @@ class VertexCover:
     def size(self) -> int:
         return len(self.cols) + len(self.rows)
 
-    def covers(self, g: BipartiteGraph) -> bool:
-        return all(c in self.cols or r in self.rows for c, r in g.edges)
-
-
-def generate_bipartite(p: SparsityPattern) -> BipartiteGraph:
-    """Bipartite graph of a pattern: edge (j, i) iff entry (i, j) is 1."""
-    edges = frozenset((j, i) for j, rows in enumerate(p.col_rows) for i in rows)
-    return BipartiteGraph(n_col=p.r, n_row=p.m, edges=edges)
+    def covers(self, p: SparsityPattern) -> bool:
+        """Whether every 1-entry (i, j) of p has column j or row i in the cover."""
+        return all(
+            j in self.cols or i in self.rows for j, rows in enumerate(p.col_rows) for i in rows
+        )
 
 
 def match_adjacency(
@@ -99,9 +72,9 @@ def match_adjacency(
     return _kernels.hopcroft_karp(len(adjacency), n_right, indptr, indices)
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching of the graph's columns into its rows."""
-    _, match_l, _ = match_adjacency(g.adjacency, g.n_row)
+def maximum_matching(p: SparsityPattern) -> Matching:
+    """Maximum-cardinality matching of the pattern's columns into its rows."""
+    _, match_l, _ = match_adjacency(p.col_rows, p.m)
     return Matching(frozenset((c, r) for c, r in enumerate(match_l) if r != -1))
 
 
@@ -137,23 +110,25 @@ def alternating_reach(
     return reached_l, reached_r
 
 
-def minimum_vertex_cover(g: BipartiteGraph, mm: Matching) -> VertexCover:
-    """Minimum vertex cover built from a maximum matching.
+def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
+    """Minimum vertex cover of the pattern's graph, built from a maximum
+    matching of it.
 
     Follows alternating paths from the unmatched column vertices: reached
     rows enter the cover, reached columns leave it. Cover size then equals
-    the matching size. Raises MatchingNotMaximumError if the walk finds an
-    augmenting path (i.e. `mm` was not maximum).
+    the matching size. Raises ValueError if a pair of `mm` is not a 1-entry
+    of p, and MatchingNotMaximumError if the walk finds an augmenting path
+    (i.e. `mm` was not maximum).
     """
-    if not mm.pairs <= g.edges:
-        raise ValueError("matching contains edges not present in the graph")
-    match_l = [-1] * g.n_col
-    match_r = [-1] * g.n_row
+    match_l = [-1] * p.r
+    match_r = [-1] * p.m
     for c, r in mm.pairs:
+        if not (0 <= c < p.r and 0 <= r < p.m and p.col_masks[c] >> r & 1):
+            raise ValueError(f"matching pair ({c}, {r}) is not an edge of the pattern")
         match_l[c] = r
         match_r[r] = c
-    reached_c, reached_r = alternating_reach(g.adjacency, match_l, match_r)
-    cols = frozenset(c for c in range(g.n_col) if c not in reached_c)
+    reached_c, reached_r = alternating_reach(p.col_rows, match_l, match_r)
+    cols = frozenset(c for c in range(p.r) if c not in reached_c)
     rows = frozenset(reached_r)
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
@@ -166,8 +141,8 @@ def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:
     """
     if p.m != p.r:
         raise NotSquareError(f"pattern is {p.m}x{p.r}, need square")
-    size, match_l, _ = match_adjacency(p.col_rows, p.m)
-    if size == p.r:
-        return True, Matching(frozenset(enumerate(match_l)))
+    mm = maximum_matching(p)
+    if mm.size == p.r:
+        return True, mm
     return False, None
 

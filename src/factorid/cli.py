@@ -142,18 +142,15 @@ def cmd_check(input_path, s, fmt, as_json):
                     f" >= {threshold}"
                 )
             else:
-                click.echo(f"HOLDS (s={s}): {detail.witness_pass.note if detail.witness_pass else ''}")
+                click.echo(f"HOLDS (s={s}): {detail.witness_pass.note}")
         else:
             wf = verdict.detail.witness_fail
-            if wf is not None:
-                cols = ",".join(_col_label(j) for j in wf.columns)
-                need = 2 * len(wf.columns) + s
-                msg = f"FAILS (s={s}): columns {cols} touch {wf.nonzero_rows} rows, need {need}"
-                if wf.deleted_rows:
-                    msg += f" after deleting {','.join(_row_label(i) for i in wf.deleted_rows)}"
-                click.echo(msg)
-            else:
-                click.echo(f"FAILS (s={s}): dimension bound m < 2r+s")
+            cols = ",".join(_col_label(j) for j in wf.columns)
+            need = 2 * len(wf.columns) + s
+            msg = f"FAILS (s={s}): columns {cols} touch {wf.nonzero_rows} rows, need {need}"
+            if wf.deleted_rows:
+                msg += f" after deleting {','.join(_row_label(i) for i in wf.deleted_rows)}"
+            click.echo(msg)
             click.echo(
                 "note: this is a sufficient condition; failing it does not prove"
                 " non-identifiability",

@@ -65,21 +65,6 @@ class FlowNetwork:
     def sink(self) -> int:
         return self.n_col + self.n_row + 1
 
-    def col_node(self, j: int) -> int:
-        return 1 + j
-
-    def row_node(self, i: int) -> int:
-        return 1 + self.n_col + i
-
-    def node_name(self, node: int) -> str:
-        if node == self.source:
-            return "s"
-        if node == self.sink:
-            return "t"
-        if node <= self.n_col:
-            return f"u{node}"
-        return f"v{node - self.n_col}"
-
 
 @dataclass(frozen=True)
 class CutResult:

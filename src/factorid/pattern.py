@@ -88,9 +88,6 @@ class SparsityPattern:
         """Row tuples: entries[i][j] is 1 iff bit i of col_masks[j] is set."""
         return tuple(tuple(mask >> i & 1 for mask in self.col_masks) for i in range(self.m))
 
-    def ones(self) -> int:
-        return sum(mask.bit_count() for mask in self.col_masks)
-
     def require_trimmed(self) -> None:
         """Raise unless the pattern has a column and no all-zero row or column."""
         if not self.col_masks:

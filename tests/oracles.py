@@ -7,28 +7,36 @@ paper's constructions as references for the routes that replaced them:
 `mincut_s1` is the identification network's min-cut for the s=1 route, and
 `counting_rule_by_deletion` reduces s >= 2 to that min-cut. The graph helpers
 `duplicate_columns` and `has_saturating_matching` are the textbook forms of
-the replica matching.
+the replica matching. A graph is given as the pattern that is its
+biadjacency matrix: `pattern_from_edges` builds it from (column, row) edges
+and `pattern_edges` lists them back.
 """
 
 from itertools import combinations, permutations
 
-from factorid.bipartite import BipartiteGraph, maximum_matching
+from factorid.bipartite import maximum_matching
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.pattern import SparsityPattern
 
 
-def duplicate_columns(g):
-    """Double the column side; vertex j + n_col mirrors the edges of j."""
-    mirrored = frozenset((c + g.n_col, r) for c, r in g.edges)
-    return BipartiteGraph(n_col=2 * g.n_col, n_row=g.n_row, edges=g.edges | mirrored)
+def pattern_from_edges(n_col, n_row, edges):
+    """The n_row x n_col pattern with a 1 at (i, j) for each edge (j, i)."""
+    return SparsityPattern(
+        tuple(tuple(int((j, i) in edges) for j in range(n_col)) for i in range(n_row))
+    )
 
 
-def has_saturating_matching(g, side):
+def duplicate_columns(p):
+    """Double the columns; column j + r mirrors column j."""
+    return SparsityPattern(tuple(row + row for row in p.entries))
+
+
+def has_saturating_matching(p, side):
     """Whether some matching covers every vertex of the chosen side."""
     if side not in ("columns", "rows"):
         raise ValueError(f"side must be 'columns' or 'rows', got {side!r}")
-    target = g.n_col if side == "columns" else g.n_row
-    return maximum_matching(g).size == target
+    target = p.r if side == "columns" else p.m
+    return maximum_matching(p).size == target
 
 
 def mincut_s1(p):

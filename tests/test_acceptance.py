@@ -14,14 +14,7 @@ import pytest
 
 import oracles
 from conftest import random_pattern
-from factorid.bipartite import (
-    BipartiteGraph,
-    Matching,
-    generate_bipartite,
-    is_rcm,
-    maximum_matching,
-    minimum_vertex_cover,
-)
+from factorid.bipartite import Matching, is_rcm, maximum_matching, minimum_vertex_cover
 from factorid.cli import main as cli_main
 from factorid.errors import InfeasibleDimensionsError
 from factorid.flow import build_identification_network, max_flow_min_cut
@@ -42,8 +35,8 @@ def _report(n, message):
 
 
 def test_criterion_01_matching_and_cover_regression(unique_matching_4x4):
-    g = generate_bipartite(unique_matching_4x4)
-    g_minus = BipartiteGraph(g.n_col, g.n_row, g.edges - {(1, 1)})
+    g = unique_matching_4x4
+    g_minus = oracles.pattern_from_edges(4, 4, set(oracles.pattern_edges(g)) - {(1, 1)})
 
     def run():
         mm = maximum_matching(g)
@@ -76,7 +69,7 @@ def test_criterion_02_rcm_witness(reordered_diagonal_4x4):
         assert reordered_diagonal_4x4.entries[r][c] == 1
     documented = frozenset({(2, 0), (1, 1), (3, 2), (0, 3)})
     Matching(documented)  # pairwise-disjoint endpoints
-    assert documented <= generate_bipartite(reordered_diagonal_4x4).edges
+    assert documented <= set(oracles.pattern_edges(reordered_diagonal_4x4))
     _report(2, "square pattern has a column-saturating matching; documented witness valid")
 
 
@@ -217,11 +210,8 @@ def test_criterion_08_koenig_duality():
         for _ in range(int(rng.integers(0, 2 * (n_col + n_row) + 1))):
             if n_col:
                 edges.add((int(rng.integers(0, n_col)), int(rng.integers(0, n_row))))
-        g = BipartiteGraph(n_col=n_col, n_row=n_row, edges=frozenset(edges))
-        col_masks = [0] * n_col
-        for c, r in edges:
-            col_masks[c] |= 1 << r
-        expected = oracles.min_weighted_cover(col_masks, 1, 1)
+        g = oracles.pattern_from_edges(n_col, n_row, edges)
+        expected = oracles.min_weighted_cover(g.col_masks, 1, 1)
         mm = maximum_matching(g)
         cover = minimum_vertex_cover(g, mm)
         assert mm.size == expected == cover.size

@@ -164,10 +164,3 @@ class TestFlowFeasibility:
                 net[v] == 0 for v in range(n.n_nodes) if v not in (n.source, n.sink)
             )
             assert side[n.source] and not side[n.sink]
-
-    def test_node_naming(self, mincut_demo_8x3):
-        n = build_identification_network(mincut_demo_8x3)
-        assert n.node_name(n.source) == "s"
-        assert n.node_name(n.sink) == "t"
-        assert n.node_name(n.col_node(0)) == "u1"
-        assert n.node_name(n.row_node(7)) == "v8"

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pattern
-from factorid.bipartite import (
-    generate_bipartite,
-    is_rcm,
-    maximum_matching,
-    minimum_vertex_cover,
-)
+from factorid.bipartite import is_rcm, maximum_matching, minimum_vertex_cover
 from factorid.errors import (
     EmptyPatternError,
     InfeasibleDimensionsError,
@@ -319,7 +314,7 @@ class TestGraphReference:
             if p.r == 0:
                 continue
             r = p.r
-            doubled = oracles.duplicate_columns(generate_bipartite(p))
+            doubled = oracles.duplicate_columns(p)
             mm = maximum_matching(doubled)
             verdict = counting_rule_s0(p)
             if verdict.holds:
@@ -335,7 +330,7 @@ class TestGraphReference:
             deleted = frozenset(rng.choice(p.m, size=n_deleted, replace=False).tolist())
             kept = [i for i in range(p.m) if i not in deleted]
             remainder = SparsityPattern(tuple(p.entries[i] for i in kept))
-            ref = maximum_matching(oracles.duplicate_columns(generate_bipartite(remainder)))
+            ref = maximum_matching(oracles.duplicate_columns(remainder))
             dec = rcm_decomposition(p, deleted)
             if len(kept) < 2 * r or ref.size < 2 * r:
                 seen["none"] += 1
