@@ -4,13 +4,12 @@ Outputs are deterministic, so iteration order and tie-breaking are part of
 the contract: vertices are processed in ascending index order and arcs in
 insertion order. Hopcroft-Karp serves every counting-rule route; Dinic's
 min-cut serves the paper's identification network, which the s=1 route is
-tested against; the sweep serves the brute-force oracle.
+tested against; the sweep, a plain recursive walk over column subsets that
+skips the extensions of any prefix already touching enough rows, serves the
+brute-force oracle.
 """
 
-from itertools import combinations, islice
-
 _INF = 1 << 60
-_LEAF_DEPTH = 3
 
 
 def active_backend() -> str:
@@ -184,60 +183,28 @@ def counting_sweep(r, s, col_masks):
     violating subset is returned: (holds, subset or None, its row count).
 
     Each size q is a depth-first walk over the q-combinations that carries the
-    prefix union down an O(r) stack. Unions only grow as columns are added, so
+    prefix union down the recursion. Unions only grow as columns are added, so
     a prefix that already touches 2q+s rows has no violating extension: it is
     skipped with its whole subtree, which leaves the first violator unchanged.
-    A node that still adds `left` <= _LEAF_DEPTH columns, and whose count plus
-    `widest` rows for each of the first left-1 of them stays below 2q+s, has
-    nothing to prune below it: it is finished in one tight pass, one OR and one
-    bit_count per precomputed union of `left` columns. 2^r - 1 subsets is the
-    worst case, reached when nothing prunes.
+    2^r - 1 subsets is the worst case, reached when nothing prunes.
     """
-    masks = list(col_masks)
-    sizes = list(map(int.bit_count, masks))
-    for j, c in enumerate(sizes):
-        if c < 2 + s:
-            return False, (j,), c
-    widest = max(sizes, default=0)
-    tables = {}
 
-    def unions(left, start):
-        # The unions of the left-column subsets of columns start.., in
-        # lexicographic order: those holding `start` first, then the rest.
-        key = (left, start)
-        if key not in tables:
-            if left == 1:
-                tables[key] = masks[start:]
-            elif start > r - left:
-                tables[key] = []
-            else:
-                with_start = [masks[start] | u for u in unions(left - 1, start + 1)]
-                tables[key] = with_start + unions(left, start + 1)
-        return tables[key]
-
-    def walk(base, count, start, left, need):
+    def walk(base, start, left, need):
         # The first violator among base's extensions by `left` columns from
         # start on, as (columns, row count), or None.
-        if left <= _LEAF_DEPTH and count + (left - 1) * widest < need:
-            counts = list(map(int.bit_count, map(base.__or__, unions(left, start))))
-            if counts and min(counts) < need:
-                i = next(i for i, c in enumerate(counts) if c < need)
-                return next(islice(combinations(range(start, r), left), i, None)), counts[i]
-            return None
         for j in range(start, r - left + 1):
-            u = base | masks[j]
+            u = base | col_masks[j]
             c = u.bit_count()
             if c < need:
-                found = walk(u, c, j + 1, left - 1, need)
+                if left == 1:
+                    return (j,), c
+                found = walk(u, j + 1, left - 1, need)
                 if found:
                     return (j, *found[0]), found[1]
         return None
 
-    for q in range(2, r + 1):
-        need = 2 * q + s
-        for j in range(r - q + 1):
-            if sizes[j] < need:
-                found = walk(masks[j], sizes[j], j + 1, q - 1, need)
-                if found:
-                    return False, (j, *found[0]), found[1]
+    for q in range(1, r + 1):
+        found = walk(0, 0, q, 2 * q + s)
+        if found:
+            return False, *found
     return True, None, -1

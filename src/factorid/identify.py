@@ -325,8 +325,6 @@ def rcm_decomposition(
 
 def _sample_deletions(rng, m: int, s: int, cap: int) -> list[tuple[int, ...]]:
     total = comb(m, s)
-    if total <= cap:
-        return list(combinations(range(m), s))
     if total <= 4 * cap:
         everything = list(combinations(range(m), s))
         picked = rng.choice(total, size=cap, replace=False)
@@ -369,25 +367,6 @@ def generic_rank_check(
     fixed_deletions = list(combinations(range(m), s)) if enumerable else None
     decompositions: dict[tuple[int, ...], RcmDecomposition | None] = {}
     failures: list[RankFailure] = []
-    tested: set[tuple[int, ...]] = set()
-
-    def decomposition_for(deletion: tuple[int, ...]) -> RcmDecomposition | None:
-        if deletion not in decompositions:
-            dec = rcm_decomposition(p, deletion)
-            if dec is None:
-                if not diagnose:
-                    raise NoDecompositionError(
-                        f"no row-group decomposition after deleting rows {deletion}"
-                    )
-                failures.append(
-                    RankFailure(
-                        trial=None, deleted_rows=deletion,
-                        group="decomposition", numerical_rank=None,
-                    )
-                )
-            decompositions[deletion] = dec
-        return decompositions[deletion]
-
     for trial in range(trials):
         rng = np.random.default_rng(rng_streams[trial])
         deletions = (
@@ -398,13 +377,26 @@ def generic_rank_check(
         beta = np.zeros((m, r))
         beta[nz] = rng.standard_normal(len(nz[0]))
         for deletion in deletions:
-            tested.add(deletion)
-            dec = decomposition_for(deletion)
+            if deletion not in decompositions:
+                decompositions[deletion] = rcm_decomposition(p, deletion)
+                if decompositions[deletion] is None:
+                    if not diagnose:
+                        raise NoDecompositionError(
+                            f"no row-group decomposition after deleting rows {deletion}"
+                        )
+                    failures.append(
+                        RankFailure(
+                            trial=None, deleted_rows=deletion,
+                            group="decomposition", numerical_rank=None,
+                        )
+                    )
+            dec = decompositions[deletion]
             if dec is None:
                 continue
             for group, rows in (("A", dec.rows_a), ("B", dec.rows_b)):
                 sv = np.linalg.svd(beta[list(rows), :], compute_uv=False)
-                rank = int(np.count_nonzero(sv > tolerance * sv[0])) if sv[0] > 0 else 0
+                # the empty 0x0 group of r = 0 has no singular values and rank 0 = r
+                rank = int(np.count_nonzero(sv > tolerance * sv.max(initial=0.0)))
                 if rank < r:
                     failures.append(
                         RankFailure(
@@ -416,7 +408,7 @@ def generic_rank_check(
         trials=trials,
         seed=seed,
         tolerance=tolerance,
-        deletions_tested=len(tested),
+        deletions_tested=len(decompositions),
         failures=tuple(failures),
     )
 

@@ -137,6 +137,21 @@ class TestCheck:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["degenerate"] is True and payload["holds"] is True
+        result = runner.invoke(main, ["check", "--input", path])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "pattern 2x2 (effective 0x0 after trimming)\n"
+            "HOLDS: no factors remain after trimming; variance is trivially identified\n"
+        )
+
+    def test_s2_holds_output(self, runner, tmp_path):
+        path = write(tmp_path, "ones.txt", "1 1 1\n" * 8)
+        result = runner.invoke(main, ["check", "--input", path, "--s", "2"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "pattern 8x3 (effective 8x3 after trimming)\n"
+            "HOLDS (s=2): all 8 deletions of 1 rows pass the s=1 rule\n"
+        )
 
 
 class TestWitness:

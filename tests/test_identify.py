@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -438,6 +440,26 @@ class TestGenericRankCheck:
         assert report.failures[0].group == "decomposition"
         assert report.failures[0].deleted_rows == ()
 
+    def test_no_factors(self):
+        # r = 0: each row group is empty, of full rank 0
+        for p in (
+            SparsityPattern.from_rows([[], []]),
+            trim(SparsityPattern.from_rows([[0, 0], [0, 0]]))[0],
+        ):
+            report = generic_rank_check(p, s=0, trials=2, seed=1)
+            assert report.ok
+            assert report.deletions_tested == 1
+
+    @pytest.mark.parametrize("cap", [200, 50])
+    def test_sampled_deletions(self, cap):
+        # comb(30, 2) = 435 deletions: cap 200 picks from the list of all of
+        # them (435 <= 4 * cap), cap 50 draws them one by one (435 > 4 * cap)
+        p = SparsityPattern.from_rows([[1, 1]] * 30)
+        report = generic_rank_check(p, s=2, trials=3, seed=5, deletion_cap=cap)
+        assert report == generic_rank_check(p, s=2, trials=3, seed=5, deletion_cap=cap)
+        assert cap <= report.deletions_tested <= min(comb(30, 2), 3 * cap)
+        assert report.ok
+
     def test_deterministic(self, mincut_demo_8x3):
         a = generic_rank_check(mincut_demo_8x3, s=1, trials=5, seed=42)
         b = generic_rank_check(mincut_demo_8x3, s=1, trials=5, seed=42)
@@ -489,6 +511,19 @@ class TestVarianceIdentified:
         verdict = variance_identified(SparsityPattern.from_rows(rows))
         assert not verdict.identified
         assert verdict.detail.witness_fail.columns == (1, 2, 3)
+
+    def test_s0_matching_in_original_coordinates(self, deletion_demo_8x3):
+        # pad with a zero column and a zero row: copy c of the matching is
+        # column c mod r of the padded input, and every kept column is
+        # matched twice
+        rows = [[row[0], 0, *row[1:]] for row in deletion_demo_8x3.entries]
+        rows.insert(3, [0, 0, 0, 0])
+        p = SparsityPattern.from_rows(rows)
+        verdict = variance_identified(p, 0)
+        assert verdict.identified
+        pairs = verdict.detail.witness_pass.matching.pairs
+        assert all(p.entries[i][c % 4] == 1 for c, i in pairs)
+        assert sorted(c for c, _ in pairs) == [0, 2, 3, 4, 6, 7]
 
     def test_demo_pattern_identified(self, mincut_demo_8x3):
         verdict = variance_identified(mincut_demo_8x3)
