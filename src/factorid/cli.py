@@ -18,19 +18,8 @@ from itertools import islice
 
 import click
 
-from factorid.errors import (
-    FactorIdError,
-    InfeasibleDimensionsError,
-)
-from factorid.identify import (
-    METHOD_DELETION_WRAPPER,
-    CountingRuleVerdict,
-    FailWitness,
-    IdentificationVerdict,
-    counting_rule_bruteforce,
-    rcm_decomposition,
-    variance_identified,
-)
+from factorid.errors import FactorIdError
+from factorid.identify import counting_rule_bruteforce, rcm_decomposition, variance_identified
 from factorid.pattern import (
     SparsityPattern,
     parse_jsonl_record,
@@ -61,7 +50,7 @@ def _load_pattern(input_path: str, fmt: str) -> SparsityPattern:
     return parse_pattern(data, format_name)
 
 
-def _verdict_json(p: SparsityPattern, v: IdentificationVerdict, s: int) -> dict:
+def _verdict_json(p: SparsityPattern, v, s: int) -> dict:
     witness = None
     note = None
     detail = v.detail
@@ -102,25 +91,8 @@ def cmd_check(input_path, s, fmt, as_json):
     """Check the counting rule for a single pattern."""
     try:
         pattern = _load_pattern(input_path, fmt)
-        if s < 0:
-            raise FactorIdError("s must be non-negative")
-        try:
-            verdict = variance_identified(pattern, s)
-        except InfeasibleDimensionsError as e:
-            # m < 2r+s: the full column set is itself a violating subset
-            _, report = trim(pattern)
-            detail = CountingRuleVerdict(
-                r=report.effective_r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
-                witness_fail=FailWitness(
-                    columns=report.kept_columns, nonzero_rows=report.effective_m
-                ),
-            )
-            verdict = IdentificationVerdict(
-                identified=False, effective_r=report.effective_r, trim=report,
-                detail=detail, degenerate=False,
-            )
-            click.echo(f"note: {e}", err=True)
-    except (FactorIdError, OSError) as e:
+        verdict = variance_identified(pattern, s)
+    except (FactorIdError, OSError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if as_json:

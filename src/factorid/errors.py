@@ -59,9 +59,5 @@ class TooManyColumnsError(FactorIdError):
     """Brute-force subset enumeration refused above the column cap."""
 
 
-class InfeasibleDimensionsError(FactorIdError):
-    """The rule cannot hold because the pattern has fewer than 2r+s rows."""
-
-
 class NoDecompositionError(FactorIdError):
     """No pair of disjoint row groups with reordered nonzero diagonals exists."""

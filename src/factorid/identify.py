@@ -41,11 +41,7 @@ from math import comb
 
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
-from factorid.errors import (
-    InfeasibleDimensionsError,
-    NoDecompositionError,
-    TooManyColumnsError,
-)
+from factorid.errors import NoDecompositionError, TooManyColumnsError
 from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, restrict_rows, trim
 
 METHOD_BRUTEFORCE = "bruteforce"
@@ -65,7 +61,6 @@ class FailWitness:
 
 @dataclass(frozen=True)
 class PassWitness:
-    mincut_value: int | None = None
     matching: Matching | None = None
     note: str | None = None
 
@@ -179,7 +174,8 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     row. The rule holds iff S* is empty (a column set of deficiency d > 0
     lies in S*), that is iff the cover weighs r(2r+1). Otherwise S* is the
     violating subset, q columns touching at most 2q rows, and the columns the
-    min-cut leaves out of the cover.
+    min-cut leaves out of the cover. A passing verdict has no `witness_pass`:
+    its certificate is `mincut_value`.
     """
     p.require_trimmed()
     r = p.r
@@ -193,9 +189,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
     if not excluded:
         return CountingRuleVerdict(
-            r=r, s=1, holds=True, method=METHOD_MINCUT,
-            witness_pass=PassWitness(mincut_value=value),
-            mincut_value=value,
+            r=r, s=1, holds=True, method=METHOD_MINCUT, mincut_value=value
         )
     count = nonzero_row_count(p, excluded)
     assert count <= 2 * len(excluded)
@@ -246,9 +240,9 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     padded with the lowest rows outside N(S) when it is smaller; deleting
     them leaves S violating the s=1 rule.
 
-    For s >= 2, m < 2r+s is rejected outright (the rule cannot hold there:
-    the full column set alone needs 2r+s rows). For s <= 1 such patterns
-    simply fail with a witness, which is what callers downstream expect.
+    For s >= 2 and m < 2r+s the full column set is the witness, r columns on
+    all m rows, without deleted rows: the rule's q = r case is the dimension
+    bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -259,8 +253,9 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     p.require_trimmed()
     m, r = p.m, p.r
     if m < 2 * r + s:
-        raise InfeasibleDimensionsError(
-            f"m={m} < 2r+s={2 * r + s}: the rule cannot hold at these dimensions"
+        return CountingRuleVerdict(
+            r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
+            witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
     for j in range(r):
         _, violated = _replica_check(p, [*range(r)] * 2 + [j] * s)
@@ -454,8 +449,8 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     trivially identified (the covariance is purely idiosyncratic). Otherwise
     `counting_rule` at strength s on the trimmed pattern decides (s=1, the
     default, is the paper's sufficient condition); witnesses are reported in
-    the caller's original coordinates. Raises what `counting_rule` raises,
-    InfeasibleDimensionsError included.
+    the caller's original coordinates, for every s >= 0 (ValueError
+    otherwise, raised before trimming).
     """
     if s < 0:
         raise ValueError("s must be non-negative")

@@ -16,7 +16,6 @@ import oracles
 from conftest import random_pattern
 from factorid.bipartite import Matching, is_rcm, maximum_matching, minimum_vertex_cover
 from factorid.cli import main as cli_main
-from factorid.errors import InfeasibleDimensionsError
 from factorid.flow import build_identification_network, max_flow_min_cut
 from factorid.identify import (
     counting_rule,
@@ -189,13 +188,7 @@ def test_criterion_07_oracle_equivalence_randomized():
         if trimmed.r == 0:
             continue
         for s in (2, 3):
-            expected = counting_rule_bruteforce(trimmed, s).holds
-            if trimmed.m < 2 * trimmed.r + s:
-                assert not expected
-                with pytest.raises(InfeasibleDimensionsError):
-                    counting_rule(trimmed, s)
-            else:
-                assert counting_rule(trimmed, s).holds == expected
+            assert counting_rule(trimmed, s).holds == counting_rule_bruteforce(trimmed, s).holds
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     _report(7, f"10k random patterns (s=0,1) and 1k (s=2,3) all agree in {elapsed:.0f}s")

@@ -115,9 +115,7 @@ class TestCheck:
         path = write(tmp_path, "short.txt", "1 0 1\n0 0 1\n1 0 1\n1 0 0\n0 0 1\n")
         result = runner.invoke(main, ["check", "--input", path, "--s", "3", "--json"])
         assert result.exit_code == 1
-        assert result.stderr == (
-            "note: m=5 < 2r+s=7: the rule cannot hold at these dimensions\n"
-        )
+        assert result.stderr == ""
         payload = json.loads(result.stdout)
         assert payload["holds"] is False
         assert payload["mwvc_weight"] is None
@@ -125,6 +123,16 @@ class TestCheck:
             "columns": [0, 2], "column_labels": ["u1", "u3"],
             "nonzero_rows": 5, "deleted_rows": None,
         }
+
+    def test_negative_s(self, runner, tmp_path):
+        # refused before trimming, also where no column survives it
+        for text in (MINCUT_DEMO_TEXT, "0 0\n0 0\n"):
+            path = write(tmp_path, "pattern.txt", text)
+            for extra in ([], ["--json"]):
+                result = runner.invoke(main, ["check", "--input", path, "--s", "-1", *extra])
+                assert result.exit_code == 2
+                assert result.stdout == ""
+                assert result.stderr == "error: s must be non-negative\n"
 
     def test_s0(self, runner, tmp_path):
         path = write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT)

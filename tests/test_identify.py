@@ -10,12 +10,12 @@ from conftest import random_pattern
 from factorid.bipartite import is_rcm, maximum_matching, minimum_vertex_cover
 from factorid.errors import (
     EmptyPatternError,
-    InfeasibleDimensionsError,
     NoDecompositionError,
     TooManyColumnsError,
     UntrimmedPatternError,
 )
 from factorid.identify import (
+    FailWitness,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
@@ -37,6 +37,18 @@ def trimmed_random(rng, max_m, max_r, density=None):
     p, _ = trim(random_pattern(rng, int(rng.integers(1, max_m + 1)),
                                int(rng.integers(1, max_r + 1)), d))
     return p
+
+
+def pad_with_zeros(rng, p):
+    """p with up to three zero rows and two zero columns inserted at random."""
+    m, r = p.m + int(rng.integers(0, 4)), p.r + int(rng.integers(0, 3))
+    rows = sorted(rng.choice(m, p.m, replace=False).tolist())
+    cols = sorted(rng.choice(r, p.r, replace=False).tolist())
+    padded = [[0] * r for _ in range(m)]
+    for i, row in zip(rows, p.entries):
+        for j, v in zip(cols, row):
+            padded[i][j] = v
+    return SparsityPattern.from_rows(padded)
 
 
 class TestBruteforce:
@@ -79,7 +91,6 @@ class TestS1:
         verdict = counting_rule_s1(mincut_demo_8x3)
         assert verdict.holds
         assert verdict.mincut_value == 21
-        assert verdict.witness_pass.mincut_value == 21
         oracles.assert_s1_matches_mincut(mincut_demo_8x3, verdict)
 
     def test_counterexample_fails_with_full_witness(self, counterexample_6x3):
@@ -155,10 +166,13 @@ class TestDispatcher:
         with pytest.raises(ValueError):  # also where trimming leaves no column
             variance_identified(SparsityPattern.from_rows([[0, 0]]), -1)
 
-    def test_infeasible_dimensions_raise_for_s2(self, mincut_demo_8x3):
-        # 8 = m < 2r+s = 9
-        with pytest.raises(InfeasibleDimensionsError):
-            counting_rule(mincut_demo_8x3, 3)
+    def test_infeasible_dimensions_fail_for_s2(self, mincut_demo_8x3):
+        # 8 = m < 2r+s = 9: the full column set is the witness
+        verdict = counting_rule(mincut_demo_8x3, 3)
+        assert not verdict.holds
+        assert verdict.method == "deletion_wrapper"
+        assert verdict.witness_fail == FailWitness(columns=(0, 1, 2), nonzero_rows=8)
+        assert verdict.witness_pass is None and verdict.mincut_value is None
 
     def test_stacked_identities_s1_fails_without_raising(self):
         p = SparsityPattern.from_rows(STACKED_IDENTITIES)
@@ -200,13 +214,7 @@ class TestDispatcher:
             if p.r == 0:
                 continue
             for s in (2, 3):
-                expected = counting_rule_bruteforce(p, s).holds
-                if p.m < 2 * p.r + s:
-                    assert not expected
-                    with pytest.raises(InfeasibleDimensionsError):
-                        counting_rule(p, s)
-                else:
-                    assert counting_rule(p, s).holds == expected
+                assert counting_rule(p, s).holds == counting_rule_bruteforce(p, s).holds
             checked += 1
 
 
@@ -524,6 +532,41 @@ class TestVarianceIdentified:
         pairs = verdict.detail.witness_pass.matching.pairs
         assert all(p.entries[i][c % 4] == 1 for c, i in pairs)
         assert sorted(c for c, _ in pairs) == [0, 2, 3, 4, 6, 7]
+
+    def test_witnesses_recount_in_original_coordinates(self):
+        # trimmed patterns padded with zero rows and columns, m < 2r+s at
+        # s >= 2 included: every witness recounts on the padded input
+        rng = np.random.default_rng(113)
+        short = deleting = 0
+        for _ in range(300):
+            r = int(rng.integers(1, 4))
+            m = int(rng.integers(r, 2 * r + 9))
+            p, _ = trim(random_pattern(rng, m, r, float(rng.uniform(0.2, 0.7))))
+            if p.r == 0:
+                continue
+            padded = pad_with_zeros(rng, p)
+            for s in range(4):
+                verdict = variance_identified(padded, s)
+                assert verdict.identified == counting_rule_bruteforce(p, s).holds
+                if verdict.identified:
+                    continue
+                wf = verdict.detail.witness_fail
+                q = len(wf.columns)
+                assert q and all(padded.col_masks[j] for j in wf.columns)
+                assert nonzero_row_count(padded, wf.columns) == wf.nonzero_rows < 2 * q + s
+                if wf.deleted_rows is None:
+                    short += s >= 2 and p.m < 2 * p.r + s
+                    continue
+                deleting += 1
+                assert s >= 2 and len(set(wf.deleted_rows)) == s - 1
+                assert all(any(padded.entries[i]) for i in wf.deleted_rows)
+                union = 0
+                for j in wf.columns:
+                    union |= padded.col_masks[j]
+                for i in wf.deleted_rows:
+                    union &= ~(1 << i)
+                assert union.bit_count() <= 2 * q
+        assert short >= 100 and deleting >= 40
 
     def test_demo_pattern_identified(self, mincut_demo_8x3):
         verdict = variance_identified(mincut_demo_8x3)
