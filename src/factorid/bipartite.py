@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from factorid import _kernels
-from factorid.errors import MatchingNotMaximumError, NotSquareError
+from factorid.errors import InvalidArgumentError, MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
 
 
@@ -26,7 +26,7 @@ class Matching:
         cols = {c for c, _ in self.pairs}
         rows = {r for _, r in self.pairs}
         if len(cols) != len(self.pairs) or len(rows) != len(self.pairs):
-            raise ValueError("matching reuses an endpoint")
+            raise InvalidArgumentError("matching reuses an endpoint")
 
     @property
     def size(self) -> int:
@@ -116,15 +116,15 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
 
     Follows alternating paths from the unmatched column vertices: reached
     rows enter the cover, reached columns leave it. Cover size then equals
-    the matching size. Raises ValueError if a pair of `mm` is not a 1-entry
-    of p, and MatchingNotMaximumError if the walk finds an augmenting path
-    (i.e. `mm` was not maximum).
+    the matching size. Raises InvalidArgumentError if a pair of `mm` is not
+    a 1-entry of p, and MatchingNotMaximumError if the walk finds an
+    augmenting path (i.e. `mm` was not maximum).
     """
     match_l = [-1] * p.r
     match_r = [-1] * p.m
     for c, r in mm.pairs:
         if not (0 <= c < p.r and 0 <= r < p.m and p.col_masks[c] >> r & 1):
-            raise ValueError(f"matching pair ({c}, {r}) is not an edge of the pattern")
+            raise InvalidArgumentError(f"matching pair ({c}, {r}) is not an edge of the pattern")
         match_l[c] = r
         match_r[r] = c
     reached_c, reached_r = alternating_reach(p.col_rows, match_l, match_r)

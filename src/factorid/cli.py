@@ -5,12 +5,9 @@ witness exists, 2 = input or system error. Human-readable output goes to
 stdout, diagnostics to stderr; --json switches stdout to machine form.
 """
 
-import csv
 import json
 import os
-import statistics
 import sys
-import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,14 +15,9 @@ from itertools import islice
 
 import click
 
-from factorid.errors import FactorIdError
-from factorid.identify import counting_rule_bruteforce, rcm_decomposition, variance_identified
-from factorid.pattern import (
-    SparsityPattern,
-    parse_jsonl_record,
-    parse_pattern,
-    trim,
-)
+from factorid.errors import FactorIdError, InvalidArgumentError, OutOfRangeError
+from factorid.identify import rcm_decomposition, variance_identified
+from factorid.pattern import SparsityPattern, parse_jsonl_record, parse_pattern
 
 
 def _col_label(j: int, r: int | None = None) -> str:
@@ -92,7 +84,7 @@ def cmd_check(input_path, s, fmt, as_json):
     try:
         pattern = _load_pattern(input_path, fmt)
         verdict = variance_identified(pattern, s)
-    except (FactorIdError, OSError, ValueError) as e:
+    except (FactorIdError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if as_json:
@@ -143,7 +135,7 @@ def cmd_witness(input_path, delete_spec, fmt):
         pattern = _load_pattern(input_path, fmt)
         deleted = _parse_row_spec(delete_spec, pattern.m)
         decomposition = rcm_decomposition(pattern, deleted)
-    except (FactorIdError, OSError, ValueError, IndexError) as e:
+    except (FactorIdError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if decomposition is None:
@@ -170,11 +162,13 @@ def _parse_row_spec(spec: str, m: int) -> frozenset[int]:
             continue
         if token.startswith(("v", "V")):
             token = token[1:]
-        if not token.isdigit():
-            raise ValueError(f"bad row label {token!r}")
-        i = int(token) - 1
+        if not (token.isascii() and token.isdigit()):
+            raise InvalidArgumentError(f"bad row label {token!r}")
+        digits = token.lstrip("0")
+        # a label with more digits than m is out of range; int() refuses huge ones
+        i = int(digits) - 1 if 0 < len(digits) <= len(str(m)) else -1
         if not (0 <= i < m):
-            raise IndexError(f"row label v{token} out of range for m={m}")
+            raise OutOfRangeError(f"row label v{token} out of range for m={m}")
         rows.add(i)
     return frozenset(rows)
 
@@ -330,80 +324,6 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
                 click.echo(f"error: {e}", err=True)
                 sys.exit(2)
     sys.exit(2 if summary.errors else 0)
-
-
-@main.command("bench")
-@click.option("--m", "m_spec", default="50,100", show_default=True,
-              help="Comma-separated row counts.")
-@click.option("--r", "r_spec", default="5,10", show_default=True,
-              help="Comma-separated column counts.")
-@click.option("--density", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--patterns", "n_patterns", type=int, default=5, show_default=True,
-              help="Random patterns per grid cell.")
-@click.option("--brute-cap", type=int, default=24, show_default=True,
-              help="Skip brute force above this column count.")
-@click.option("--output", "output_path", default="-", show_default=True,
-              help="CSV destination ('-' for stdout).")
-def cmd_bench(m_spec, r_spec, density, seed, n_patterns, brute_cap, output_path):
-    """Time the polynomial s=1 check against the brute-force oracle on random grids."""
-    try:
-        m_list = [int(x) for x in m_spec.split(",") if x.strip()]
-        r_list = [int(x) for x in r_spec.split(",") if x.strip()]
-        if min(m_list + r_list + [seed]) < 0:
-            raise ValueError("--m, --r and --seed must be non-negative")
-        if n_patterns < 1:
-            raise ValueError("--patterns must be at least 1")
-    except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    import numpy as np  # only bench needs numpy; check and filter start faster without it
-
-    rows = []
-    for m in m_list:
-        for r in r_list:
-            rng = np.random.default_rng([seed, m, r])
-            patterns = []
-            for _ in range(n_patterns):
-                mat = (rng.random((m, r)) < density).astype(int)
-                trimmed, _ = trim(SparsityPattern.from_rows(mat.tolist()))
-                patterns.append(trimmed)
-            verdicts = {}
-            timings = {}
-            checks = [("mincut", lambda p: variance_identified(p).identified)]
-            if r <= brute_cap:
-                checks.append((
-                    "bruteforce",
-                    lambda p: counting_rule_bruteforce(p, 1, max_columns=brute_cap).holds,
-                ))
-            for method, check in checks:
-                outcome = []
-                elapsed = []
-                for p in patterns:
-                    t0 = time.perf_counter_ns()
-                    outcome.append(check(p))
-                    elapsed.append(time.perf_counter_ns() - t0)
-                verdicts[method] = outcome
-                timings[method] = int(statistics.median(elapsed))
-            agree = all(v == verdicts["mincut"] for v in verdicts.values())
-            for method in ("mincut", "bruteforce"):
-                if method not in timings:
-                    rows.append([m, r, density, method, "", "skipped"])
-                else:
-                    rows.append([m, r, density, method, timings[method], str(agree).lower()])
-    try:
-        out = sys.stdout if output_path == "-" else open(output_path, "w", newline="")
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["m", "r", "density", "method", "median_ns", "verdict_agreement"])
-            writer.writerows(rows)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,15 @@ class FactorIdError(Exception):
     """Base class for all factorid errors."""
 
 
+class InvalidArgumentError(FactorIdError, ValueError):
+    """An argument has a value the function does not accept (s < 0, an entry
+    other than 0/1, an unknown format, a malformed matching or row label)."""
+
+
+class OutOfRangeError(FactorIdError, IndexError):
+    """A row or column index lies outside the pattern."""
+
+
 class ParseError(FactorIdError):
     """Input text is not a valid pattern (bad character, bad JSON, ...)."""
 

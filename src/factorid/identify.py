@@ -41,13 +41,13 @@ from math import comb
 
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
-from factorid.errors import NoDecompositionError, TooManyColumnsError
+from factorid.errors import (
+    InvalidArgumentError,
+    NoDecompositionError,
+    OutOfRangeError,
+    TooManyColumnsError,
+)
 from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, restrict_rows, trim
-
-METHOD_BRUTEFORCE = "bruteforce"
-METHOD_MINCUT = "mincut"
-METHOD_DUPMATCHING = "dupmatching"
-METHOD_DELETION_WRAPPER = "deletion_wrapper"
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class CountingRuleVerdict:
     r: int
     s: int
     holds: bool
-    method: str
     witness_fail: FailWitness | None = None
     witness_pass: PassWitness | None = None
     mincut_value: int | None = None
@@ -150,17 +149,17 @@ def counting_rule_bruteforce(
     rows, and usually visits far fewer.
     """
     if s < 0:
-        raise ValueError("s must be non-negative")
+        raise InvalidArgumentError("s must be non-negative")
     if p.r > max_columns:
         raise TooManyColumnsError(f"r={p.r} exceeds the brute-force cap {max_columns}")
     holds, subset, count = _kernels.counting_sweep(p.r, s, list(p.col_masks))
     if holds:
         return CountingRuleVerdict(
-            r=p.r, s=s, holds=True, method=METHOD_BRUTEFORCE,
+            r=p.r, s=s, holds=True,
             witness_pass=PassWitness(note=f"all {2 ** p.r - 1} column subsets pass"),
         )
     return CountingRuleVerdict(
-        r=p.r, s=s, holds=False, method=METHOD_BRUTEFORCE,
+        r=p.r, s=s, holds=False,
         witness_fail=FailWitness(columns=tuple(subset), nonzero_rows=count),
     )
 
@@ -188,13 +187,11 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     excluded = tuple(j for j in range(r) if j not in reached and j + r not in reached)
     value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
     if not excluded:
-        return CountingRuleVerdict(
-            r=r, s=1, holds=True, method=METHOD_MINCUT, mincut_value=value
-        )
+        return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=value)
     count = nonzero_row_count(p, excluded)
     assert count <= 2 * len(excluded)
     return CountingRuleVerdict(
-        r=r, s=1, holds=False, method=METHOD_MINCUT,
+        r=r, s=1, holds=False,
         witness_fail=FailWitness(columns=excluded, nonzero_rows=count),
         mincut_value=value,
     )
@@ -213,7 +210,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     match_l, violated = _replica_check(p, [*range(r)] * 2)
     if violated is None:
         return CountingRuleVerdict(
-            r=r, s=0, holds=True, method=METHOD_DUPMATCHING,
+            r=r, s=0, holds=True,
             witness_pass=PassWitness(
                 matching=Matching(frozenset(enumerate(match_l))),
                 note="matching saturates all columns and duplicates",
@@ -222,7 +219,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     cols, rows = violated
     assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
-        r=r, s=0, holds=False, method=METHOD_DUPMATCHING,
+        r=r, s=0, holds=False,
         witness_fail=FailWitness(columns=tuple(sorted(cols)), nonzero_rows=len(rows)),
     )
 
@@ -245,7 +242,7 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
     if s < 0:
-        raise ValueError("s must be non-negative")
+        raise InvalidArgumentError("s must be non-negative")
     if s == 0:
         return counting_rule_s0(p)
     if s == 1:
@@ -254,7 +251,7 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     m, r = p.m, p.r
     if m < 2 * r + s:
         return CountingRuleVerdict(
-            r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
+            r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
     for j in range(r):
@@ -268,14 +265,14 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
         outside = [i for i in range(m) if i not in rows]
         deleted = sorted((sorted(rows) + outside)[: s - 1])
         return CountingRuleVerdict(
-            r=r, s=s, holds=False, method=METHOD_DELETION_WRAPPER,
+            r=r, s=s, holds=False,
             witness_fail=FailWitness(
                 columns=tuple(sorted(cols)), nonzero_rows=len(rows),
                 deleted_rows=tuple(deleted),
             ),
         )
     return CountingRuleVerdict(
-        r=r, s=s, holds=True, method=METHOD_DELETION_WRAPPER,
+        r=r, s=s, holds=True,
         witness_pass=PassWitness(
             note=f"all {comb(m, s - 1)} deletions of {s - 1} rows pass the s=1 rule"
         ),
@@ -296,7 +293,7 @@ def rcm_decomposition(
     deleted = frozenset(deleted_rows)
     for i in deleted:
         if not (0 <= i < p.m):
-            raise IndexError(f"row index {i} out of range for m={p.m}")
+            raise OutOfRangeError(f"row index {i} out of range for m={p.m}")
     kept = [i for i in range(p.m) if i not in deleted]
     r = p.r
     if len(kept) < 2 * r:
@@ -355,7 +352,7 @@ def generic_rank_check(
 
     m, r = p.m, p.r
     if s < 0 or s > m:
-        raise ValueError(f"cannot delete {s} of {m} rows")
+        raise InvalidArgumentError(f"cannot delete {s} of {m} rows")
     rng_streams = np.random.SeedSequence(seed).spawn(trials)
     nz = np.nonzero(np.array(p.entries, dtype=np.int64).reshape(m, r))
     enumerable = comb(m, s) <= deletion_cap
@@ -449,11 +446,11 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     trivially identified (the covariance is purely idiosyncratic). Otherwise
     `counting_rule` at strength s on the trimmed pattern decides (s=1, the
     default, is the paper's sufficient condition); witnesses are reported in
-    the caller's original coordinates, for every s >= 0 (ValueError
+    the caller's original coordinates, for every s >= 0 (InvalidArgumentError
     otherwise, raised before trimming).
     """
     if s < 0:
-        raise ValueError("s must be non-negative")
+        raise InvalidArgumentError("s must be non-negative")
     trimmed, report = trim(p_raw)
     if trimmed.r == 0:
         return IdentificationVerdict(

@@ -19,6 +19,8 @@ from factorid.errors import (
     DimensionError,
     EmptyInputError,
     EmptyPatternError,
+    InvalidArgumentError,
+    OutOfRangeError,
     ParseError,
     UntrimmedPatternError,
 )
@@ -65,7 +67,7 @@ class SparsityPattern:
                 raise DimensionError("rows have differing lengths")
             for v in row:
                 if not (v == 0 or v == 1):
-                    raise ValueError(f"pattern entries must be 0 or 1, got {v!r}")
+                    raise InvalidArgumentError(f"pattern entries must be 0 or 1, got {v!r}")
             cells += bytes(map(bool, row))
         masks = _column_masks(cells.translate(_DIGITS), width)
         self.__dict__.update(m=len(entries), col_masks=masks)  # past the frozen __setattr__
@@ -171,12 +173,12 @@ def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
     """Number of rows with at least one 1 within the selected columns."""
     cols = tuple(cols)
     if not cols:
-        raise ValueError("cols must be a nonempty set of column indices")
+        raise InvalidArgumentError("cols must be a nonempty set of column indices")
     masks = p.col_masks
     union = 0
     for c in cols:
         if c < 0 or c >= p.r:
-            raise IndexError(f"column index {c} out of range for r={p.r}")
+            raise OutOfRangeError(f"column index {c} out of range for r={p.r}")
         union |= masks[c]
     return union.bit_count()
 
@@ -203,7 +205,7 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
             raise ParseError("expected a single JSONL record, got multiple lines")
         _, pattern = parse_jsonl_record(lines[0])
         return pattern
-    raise ValueError(f"unknown format {format!r}")
+    raise InvalidArgumentError(f"unknown format {format!r}")
 
 
 def _parse_dense(data: bytes) -> SparsityPattern:

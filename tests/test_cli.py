@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import os
 import subprocess
@@ -188,6 +186,24 @@ class TestWitness:
         assert result.exit_code == 2
         result = runner.invoke(main, ["witness", "--input", path, "--delete", "vx"])
         assert result.exit_code == 2
+        long_label = "9" * 5000  # past int()'s digit limit
+        for spec, message in [
+            ("²", "bad row label '²'"),  # str.isdigit accepts it, int() does not
+            ("v١", "bad row label '١'"),  # int() reads it as 1; not an ASCII label
+            (long_label, f"row label v{long_label} out of range for m=8"),
+            ("v0", "row label v0 out of range for m=8"),
+        ]:
+            result = runner.invoke(main, ["witness", "--input", path, "--delete", spec])
+            assert no_traceback(result)
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == f"error: {message}\n"
+        # leading zeros are not digits of the row number
+        result = runner.invoke(
+            main, ["witness", "--input", path, "--delete", "0" * 5000 + "1,v06"]
+        )
+        assert result.exit_code == 0
+        assert result.stdout.startswith("deleted rows: v1, v6\n")
 
 
 STREAM = (
@@ -311,65 +327,6 @@ class TestFilter:
         assert read == len(lines)
 
 
-class TestBench:
-    def test_csv_shape_and_agreement(self, runner, tmp_path):
-        out = str(tmp_path / "bench.csv")
-        result = runner.invoke(
-            main,
-            ["bench", "--m", "20,30", "--r", "3,4", "--density", "0.4",
-             "--seed", "5", "--patterns", "3", "--output", out],
-        )
-        assert result.exit_code == 0
-        rows = list(csv.DictReader(open(out)))
-        assert len(rows) == 8
-        assert {r["method"] for r in rows} == {"mincut", "bruteforce"}
-        assert all(r["verdict_agreement"] == "true" for r in rows)
-        assert all(int(r["median_ns"]) > 0 for r in rows)
-
-    def test_brute_cap_skips(self, runner, tmp_path):
-        out = str(tmp_path / "bench.csv")
-        result = runner.invoke(
-            main,
-            ["bench", "--m", "40", "--r", "30", "--patterns", "2", "--output", out],
-        )
-        assert result.exit_code == 0
-        rows = list(csv.DictReader(open(out)))
-        brute = next(r for r in rows if r["method"] == "bruteforce")
-        assert brute["verdict_agreement"] == "skipped"
-        assert brute["median_ns"] == ""
-
-    def test_stdout_output(self, runner):
-        result = runner.invoke(main, ["bench", "--m", "10", "--r", "2", "--patterns", "2"])
-        assert result.exit_code == 0
-        rows = list(csv.DictReader(io.StringIO(result.output)))
-        assert rows and rows[0]["m"] == "10"
-
-    def test_unwritable_output(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["bench", "--m", "10", "--r", "2", "--patterns", "2",
-             "--output", str(tmp_path / "no" / "dir" / "x.csv")],
-        )
-        assert result.exit_code == 2
-
-    @pytest.mark.parametrize("args", [
-        ["--patterns", "0"], ["--m", "-1"], ["--r", "-2"], ["--seed", "-1"],
-    ])
-    def test_bad_grid_exits_2(self, runner, args):
-        result = runner.invoke(main, ["bench", "--m", "10", "--r", "2", *args])
-        assert no_traceback(result)
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-
-    def test_density_zero_degenerates(self, runner):
-        result = runner.invoke(
-            main, ["bench", "--m", "10", "--r", "2", "--density", "0", "--patterns", "2"]
-        )
-        assert result.exit_code == 0
-        rows = list(csv.DictReader(io.StringIO(result.output)))
-        assert all(r["verdict_agreement"] == "true" for r in rows)
-
-
 def test_import_leaves_numpy_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -453,3 +410,24 @@ def test_arbitrary_bytes_never_crash(lines):
         result = runner.invoke(main, ["check", "--input", inp, "--format", "jsonl"])
         assert no_traceback(result)
         assert result.exit_code in (0, 1, 2)
+
+
+@given(st.integers(), st.text())
+@example(-1, "²")
+@example(10**40, "9" * 5000)
+@settings(max_examples=80, deadline=None)
+def test_arbitrary_arguments_never_crash(s, delete_spec):
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "demo.txt")
+        with open(path, "w") as f:
+            f.write(MINCUT_DEMO_TEXT)
+        for args in (
+            ["check", "--input", path, "--s", str(s)],
+            ["witness", "--input", path, "--delete", delete_spec],
+        ):
+            result = runner.invoke(main, args)
+            assert no_traceback(result)
+            assert result.exit_code in (0, 1, 2)
+            if result.exit_code == 2:
+                assert result.stderr.startswith("error: ")

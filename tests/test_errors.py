@@ -1,0 +1,70 @@
+"""The error contract: every exception the package raises is a FactorIdError.
+
+Argument errors are also the built-in exception they used to be, so callers
+that catch ValueError or IndexError keep working.
+"""
+
+import ast
+import builtins
+from pathlib import Path
+
+import pytest
+
+import factorid
+from factorid import cli
+from factorid.bipartite import Matching, minimum_vertex_cover
+from factorid.errors import FactorIdError
+from factorid.identify import (
+    counting_rule,
+    counting_rule_bruteforce,
+    generic_rank_check,
+    rcm_decomposition,
+    variance_identified,
+)
+from factorid.pattern import SparsityPattern, nonzero_row_count, parse_pattern
+
+P = SparsityPattern.from_rows([[1, 0], [0, 1], [1, 1]])
+
+# one row per raise site that used to throw a plain built-in
+BAD_CALLS = {
+    "counting_rule_negative_s": (ValueError, lambda: counting_rule(P, -1)),
+    "bruteforce_negative_s": (ValueError, lambda: counting_rule_bruteforce(P, -1)),
+    "variance_identified_negative_s": (ValueError, lambda: variance_identified(P, -1)),
+    "generic_rank_check_s_above_m": (ValueError, lambda: generic_rank_check(P, 4, trials=1)),
+    "rcm_decomposition_row_out_of_range": (IndexError, lambda: rcm_decomposition(P, {3})),
+    "nonzero_row_count_no_columns": (ValueError, lambda: nonzero_row_count(P, ())),
+    "nonzero_row_count_column_out_of_range": (IndexError, lambda: nonzero_row_count(P, (2,))),
+    "pattern_entry_not_0_1": (ValueError, lambda: SparsityPattern(((1, 2),))),
+    "parse_pattern_unknown_format": (ValueError, lambda: parse_pattern("1", "csv")),
+    "matching_reuses_endpoint": (ValueError, lambda: Matching(frozenset({(0, 0), (1, 0)}))),
+    "cover_from_foreign_pair": (
+        ValueError, lambda: minimum_vertex_cover(P, Matching(frozenset({(0, 1)}))),
+    ),
+    "row_spec_bad_label": (ValueError, lambda: cli._parse_row_spec("vx", 3)),
+    "row_spec_out_of_range": (IndexError, lambda: cli._parse_row_spec("v4", 3)),
+}
+
+
+@pytest.mark.parametrize("builtin, call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_argument_raises_factorid_error_and_its_builtin(builtin, call):
+    with pytest.raises(builtin) as info:
+        call()
+    assert isinstance(info.value, FactorIdError)
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def test_package_raises_no_builtin_exception():
+    raised = []
+    for path in sorted(Path(factorid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare `raise` re-raises what it caught
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                raised.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert raised == []

@@ -157,8 +157,8 @@ class TestS0:
 
 class TestDispatcher:
     def test_routes(self, mincut_demo_8x3):
-        assert counting_rule(mincut_demo_8x3, 0).method == "dupmatching"
-        assert counting_rule(mincut_demo_8x3, 1).method == "mincut"
+        assert counting_rule(mincut_demo_8x3, 0) == counting_rule_s0(mincut_demo_8x3)
+        assert counting_rule(mincut_demo_8x3, 1) == counting_rule_s1(mincut_demo_8x3)
 
     def test_negative_s(self, mincut_demo_8x3):
         with pytest.raises(ValueError):
@@ -170,7 +170,6 @@ class TestDispatcher:
         # 8 = m < 2r+s = 9: the full column set is the witness
         verdict = counting_rule(mincut_demo_8x3, 3)
         assert not verdict.holds
-        assert verdict.method == "deletion_wrapper"
         assert verdict.witness_fail == FailWitness(columns=(0, 1, 2), nonzero_rows=8)
         assert verdict.witness_pass is None and verdict.mincut_value is None
 
@@ -182,7 +181,6 @@ class TestDispatcher:
         p = SparsityPattern.from_rows([[1, 1, 1]] * 8)
         verdict = counting_rule(p, 2)
         assert verdict.holds
-        assert verdict.method == "deletion_wrapper"
         assert "8 deletions" in verdict.witness_pass.note
 
     def test_deletion_demo_fails_s2_with_column_witness(self, deletion_demo_8x3):
