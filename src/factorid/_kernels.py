@@ -2,7 +2,8 @@
 
 Outputs are deterministic, so iteration order and tie-breaking are part of
 the contract: vertices are processed in ascending index order and arcs in
-insertion order. Hopcroft-Karp serves every counting-rule route; Dinic's
+insertion order. Hopcroft-Karp serves every counting-rule route, and a
+single augmenting-path search grows its matching by one added vertex; Dinic's
 min-cut serves the paper's identification network, which the s=1 route is
 tested against; the sweep, a plain recursive walk over column subsets that
 skips the extensions of any prefix already touching enough rows, serves the
@@ -92,6 +93,49 @@ def hopcroft_karp(n_left, n_right, indptr, indices):
                     su.append(w)
                     sk.append(indptr[w])
                     sv.append(-1)
+
+
+def augment(adjacency, u0, match_l, match_r):
+    """Search one augmenting path from the free left vertex u0 and flip it.
+
+    `adjacency[u]` lists the right neighbours of left vertex u; `match_l` and
+    `match_r` give each vertex's partner, -1 when free, and are updated in
+    place. A depth-first walk along alternating paths that enters each right
+    vertex at most once, so one search is O(E). Each left vertex it reaches
+    first looks for a free neighbour (the first in adjacency order) and only
+    then descends. Returns whether it found a path (the matching then grew
+    by one).
+    """
+    seen = set()
+    path = []  # left vertices of the current alternating path
+    pending = []  # per vertex of `path`, its (row, partner) pairs not yet tried
+    via = []  # via[k]: the row the path takes from path[k]
+    u = u0
+    while u != -1:
+        rows = adjacency[u]
+        partners = list(map(match_r.__getitem__, rows))
+        path.append(u)
+        if -1 in partners:
+            via.append(rows[partners.index(-1)])
+            for w, v in zip(path, via):
+                match_l[w] = v
+                match_r[v] = w
+            return True
+        pending.append(zip(rows, partners))
+        u = -1
+        while pending and u == -1:
+            for v, w in pending[-1]:
+                if v not in seen:
+                    seen.add(v)
+                    via.append(v)
+                    u = w
+                    break
+            else:  # a dead end: back up one row
+                path.pop()
+                pending.pop()
+                if via:
+                    via.pop()
+    return False
 
 
 def dinic_min_cut(n_nodes, source, sink, tails, heads, caps):

@@ -4,8 +4,8 @@ A pattern is the biadjacency matrix of its graph: column vertex j and row
 vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
 functions here take the `SparsityPattern` itself. `match_adjacency` is the
 one way into the Hopcroft-Karp kernel: the graph functions, `is_rcm`, and
-identify.py's replica check and s=1 route all pass it an adjacency list, one
-list of right neighbours per left vertex.
+identify.py's base matching all pass it an adjacency list, one list of right
+neighbours per left vertex.
 """
 
 from dataclasses import dataclass

@@ -16,19 +16,22 @@ brute force over all column subsets is the oracle (exponential in r):
   Mendelsohn), the cover weighs r(2r+1) - rd - |S*|. The rule holds iff S*
   is empty, and S* is then the violating subset. flow.py keeps the paper's
   min-cut of the same cover as the reference the tests compare against.
-* s >= 2: the matching once per column j, with j copied 2+s times. By Hall's
-  theorem every such matching saturates its copies iff every q columns touch
-  at least 2q+s rows. This replaces the paper's equivalent reduction to s=1
-  on every deletion of s-1 rows.
+* s >= 2: for each column j, the same matching grown by s more copies of j,
+  one augmenting-path search per copy. By Hall's theorem every grown
+  matching saturates its 2r+s copies iff every q columns touch at least 2q+s
+  rows. This replaces the paper's equivalent reduction to s=1 on every
+  deletion of s-1 rows.
 
-s=0, s >= 2 and `rcm_decomposition` share one replica check: it returns the
-matching when every copy is matched, else König's (S, N(S)), the columns and
-rows that alternating paths from the free copies reach. S is the smallest
-column set that maximizes its number of copies minus |N(S)| (Dulmage and
-Mendelsohn), so the witness depends neither on the order of the copies nor
-on which maximum matching the kernel finds. `variance_identified` trims,
-runs the rule at any s and maps the verdict back to the caller's
-coordinates; every CLI command that decides the rule goes through it.
+Every route and `rcm_decomposition` read this one base matching, so a
+pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches
+of O(nnz) each. Where a copy stays free, s=0 and s >= 2 report König's
+(S, N(S)), the columns and rows that alternating paths from the free copies
+reach. S is the smallest column set that maximizes its number of copies
+minus |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the
+order of the copies nor on which maximum matching the kernel or the searches
+end with. `variance_identified` trims, runs the rule at any s and maps the
+verdict back to the caller's coordinates; every CLI command that decides the
+rule goes through it.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -120,22 +123,15 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _replica_check(
-    p: SparsityPattern, owner: list[int]
-) -> tuple[list[int] | None, tuple[set[int], set[int]] | None]:
-    """Match copy u of column owner[u] into the rows of p.
+def _base_matching(p: SparsityPattern) -> tuple[tuple, int, list[int], list[int]]:
+    """The replica matching: Hopcroft-Karp on two copies of every column,
+    copy j + r mirroring column j, into the rows of p.
 
-    Returns (match_l, None) when every copy is matched, match_l[u] being the
-    row of copy u. Otherwise returns (None, (S, N(S))): the columns and rows
-    König's walk reaches from the free copies, N(S) having fewer rows than S
-    has copies.
+    Returns (adjacency, size, match_l, match_r): adjacency[u] lists the rows
+    of copy u, and match_l/match_r pair copies and rows, -1 for free.
     """
-    adjacency = [p.col_rows[c] for c in owner]
-    size, match_l, match_r = match_adjacency(adjacency, p.m)
-    if size == len(owner):
-        return match_l, None
-    copies, rows = alternating_reach(adjacency, match_l, match_r)
-    return None, ({owner[u] for u in copies}, rows)
+    adjacency = p.col_rows * 2
+    return (adjacency, *match_adjacency(adjacency, p.m))
 
 
 def counting_rule_bruteforce(
@@ -178,7 +174,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    size, match_l, match_r = match_adjacency(p.col_rows * 2, p.m)
+    _, size, match_l, match_r = _base_matching(p)
     row_copies: list[list[int]] = [[] for _ in range(p.m)]
     for j, rows in enumerate(p.col_rows):
         for i in rows:
@@ -207,8 +203,8 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    match_l, violated = _replica_check(p, [*range(r)] * 2)
-    if violated is None:
+    adjacency, size, match_l, match_r = _base_matching(p)
+    if size == 2 * r:
         return CountingRuleVerdict(
             r=r, s=0, holds=True,
             witness_pass=PassWitness(
@@ -216,7 +212,8 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
                 note="matching saturates all columns and duplicates",
             ),
         )
-    cols, rows = violated
+    copies, rows = alternating_reach(adjacency, match_l, match_r)
+    cols = {u % r for u in copies}
     assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
         r=r, s=0, holds=False,
@@ -225,17 +222,23 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
 
 
 def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
-    """Dispatch on s: the replica matching for s=0 and s=1, or one
-    b-matching per column (s >= 2).
+    """Dispatch on s: the replica matching for s=0 and s=1, or that matching
+    grown once per column (s >= 2).
 
     For s >= 2, column j gets 2+s copies and every other column 2. Hall's
     theorem on these replicas: the rule holds iff, for every j, a matching
-    saturates all 2r+s copies. That is r Hopcroft-Karp runs whatever m and s.
-    The pass note states the equivalent deletion form of the paper, C(m, s-1)
-    deletions of s-1 rows. On the first j that fails, the replica check's S
-    has |N(S)| < 2|S|+s. `deleted_rows` are the s-1 lowest rows of N(S),
-    padded with the lowest rows outside N(S) when it is smaller; deleting
-    them leaves S violating the s=1 rule.
+    saturates all 2r+s copies. The base matching of the 2r copies is found
+    once; for each j, a copy of it grows by one augmenting-path search per
+    added copy of j. Before a copy is added the matching is maximum, and the
+    new copy, being free, can only end an augmenting path; a matching is
+    maximum iff no augmenting path is left (Berge), so one search from it
+    keeps the matching maximum. That is one Hopcroft-Karp run and at most
+    r*s searches whatever m. The pass note states the equivalent deletion
+    form of the paper, C(m, s-1) deletions of s-1 rows. On the first j that
+    fails, König's S from the free copies has |N(S)| < 2|S|+s.
+    `deleted_rows` are the s-1 lowest rows of N(S), padded with the lowest
+    rows outside N(S) when it is smaller; deleting them leaves S violating
+    the s=1 rule.
 
     For s >= 2 and m < 2r+s the full column set is the witness, r columns on
     all m rows, without deleted rows: the rule's q = r case is the dimension
@@ -254,11 +257,21 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
+    adjacency, size, base_l, base_r = _base_matching(p)
     for j in range(r):
-        _, violated = _replica_check(p, [*range(r)] * 2 + [j] * s)
-        if violated is None:
+        # Grow the base matching by s copies of column j, one augmenting
+        # search each. Once a copy finds no path, neither do its twins.
+        grown = adjacency + (p.col_rows[j],) * s
+        match_l, match_r = base_l + [-1] * s, base_r.copy()
+        matched = size
+        for u in range(2 * r, 2 * r + s):
+            if not _kernels.augment(grown, u, match_l, match_r):
+                break
+            matched += 1
+        if matched == 2 * r + s:
             continue
-        cols, rows = violated
+        copies, rows = alternating_reach(grown, match_l, match_r)
+        cols = {u % r if u < 2 * r else j for u in copies}
         assert len(rows) < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
         # remainder fails the s=1 rule; pad from outside N(S) if it is short.
@@ -298,8 +311,8 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    match_l, _ = _replica_check(restrict_rows(p, kept), [*range(r)] * 2)
-    if match_l is None:
+    _, size, match_l, _ = _base_matching(restrict_rows(p, kept))
+    if size < 2 * r:
         return None
     matched = [kept[i] for i in match_l]
     rows_a = tuple(matched[:r])

@@ -236,6 +236,39 @@ def _parse_dense(data: bytes) -> SparsityPattern:
     return _from_masks(len(rows), _column_masks(b"".join(rows), width))
 
 
+def _delta_cells(delta: list) -> bytes | None:
+    """The cells of 'delta', row-major, as bytes 0/1; None if it has no row,
+    a row that is not an array, rows of different lengths or a cell other
+    than the integer 0 or 1. The checks run at C speed; bool, a subclass of
+    int, fails the type test."""
+    if set(map(type, delta)) != {list} or len(set(map(len, delta))) != 1:
+        return None
+    cells = list(chain.from_iterable(delta))
+    if not set(map(type, cells)) <= {int}:
+        return None
+    try:
+        data = bytes(cells)
+    except ValueError:  # an integer outside 0..255
+        return None
+    return None if data.translate(None, b"\x00\x01") else data
+
+
+def _check_delta(delta: list) -> None:
+    """Raise for the first row or cell of 'delta' that `_delta_cells` rejects,
+    in row order."""
+    width = None
+    for i, row in enumerate(delta):
+        if not isinstance(row, list):
+            raise ParseError(f"'delta' row {i} is not an array")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DimensionError(f"'delta' row {i} has {len(row)} entries, expected {width}")
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
+                raise ParseError(f"'delta' entries must be 0 or 1, got {v!r}")
+
+
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     """Parse one JSONL draw record (UTF-8 if bytes); returns (id, pattern)."""
     try:
@@ -257,21 +290,12 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     delta = obj.get("delta")
     if not isinstance(delta, list):
         raise ParseError("'delta' must be an array of arrays of 0/1")
-    width = None
-    for i, row in enumerate(delta):
-        if not isinstance(row, list):
-            raise ParseError(f"'delta' row {i} is not an array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DimensionError(f"'delta' row {i} has {len(row)} entries, expected {width}")
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
-                raise ParseError(f"'delta' entries must be 0 or 1, got {v!r}")
-    if not delta or width == 0:
+    cells = _delta_cells(delta)
+    if cells is None:
+        _check_delta(delta)  # raises, naming the first bad row or cell
+    if not cells:
         raise EmptyInputError("'delta' contains no cells")
-    cells = bytes(chain.from_iterable(delta)).translate(_DIGITS)
-    pattern = _from_masks(len(delta), _column_masks(cells, width))
+    pattern = _from_masks(len(delta), _column_masks(cells.translate(_DIGITS), len(delta[0])))
     for key, size, unit in (("m", pattern.m, "rows"), ("r", pattern.r, "columns")):
         if key not in obj:
             continue

@@ -5,7 +5,10 @@ backtracking, covers and rule checks from direct subset scans. Keep these
 naive; their only job is to be trivially auditable. The exceptions keep the
 paper's constructions as references for the routes that replaced them:
 `mincut_s1` is the identification network's min-cut for the s=1 route, and
-`counting_rule_by_deletion` reduces s >= 2 to that min-cut. The graph helpers
+`counting_rule_by_deletion` reduces s >= 2 to that min-cut, and
+`counting_rule_per_column` decides s >= 2 with one fresh replica matching per
+column, the route that one base matching plus augmenting searches replaced,
+on patterns beyond brute force's reach. The graph helpers
 `duplicate_columns` and `has_saturating_matching` are the textbook forms of
 the replica matching. A graph is given as the pattern that is its
 biadjacency matrix: `pattern_from_edges` builds it from (column, row) edges
@@ -13,9 +16,11 @@ and `pattern_edges` lists them back.
 """
 
 from itertools import combinations, permutations
+from math import comb
 
-from factorid.bipartite import maximum_matching
+from factorid.bipartite import alternating_reach, match_adjacency, maximum_matching
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
+from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
 
 
@@ -201,3 +206,38 @@ def hall_condition_columns(n_col, n_row, edges):
             if len(set().union(*(adj[c] for c in cols))) < q:
                 return False
     return True
+
+
+def counting_rule_per_column(p, s):
+    """`counting_rule` at s >= 2 on a trimmed pattern, one column at a time:
+    a fresh Hopcroft-Karp matching of the replicas in which column j has 2+s
+    copies and every other column 2, and on the first j whose matching
+    leaves a copy free, König's walk from the free copies for S and N(S)."""
+    m, r = p.m, p.r
+    if m < 2 * r + s:
+        return CountingRuleVerdict(
+            r=r, s=s, holds=False,
+            witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
+        )
+    for j in range(r):
+        owner = [*range(r)] * 2 + [j] * s
+        adjacency = [p.col_rows[c] for c in owner]
+        size, match_l, match_r = match_adjacency(adjacency, m)
+        if size == len(owner):
+            continue
+        copies, rows = alternating_reach(adjacency, match_l, match_r)
+        outside = [i for i in range(m) if i not in rows]
+        return CountingRuleVerdict(
+            r=r, s=s, holds=False,
+            witness_fail=FailWitness(
+                columns=tuple(sorted({owner[u] for u in copies})),
+                nonzero_rows=len(rows),
+                deleted_rows=tuple(sorted((sorted(rows) + outside)[: s - 1])),
+            ),
+        )
+    return CountingRuleVerdict(
+        r=r, s=s, holds=True,
+        witness_pass=PassWitness(
+            note=f"all {comb(m, s - 1)} deletions of {s - 1} rows pass the s=1 rule"
+        ),
+    )

@@ -132,6 +132,18 @@ class TestCheck:
                 assert result.stdout == ""
                 assert result.stderr == "error: s must be non-negative\n"
 
+    @pytest.mark.parametrize("value", ["abc", "9" * 5000])
+    def test_option_click_rejects(self, runner, tmp_path, value):
+        # not an integer, or past int()'s digit limit: click's own usage
+        # error, not one `error:` line
+        path = write(tmp_path, "pattern.txt", MINCUT_DEMO_TEXT)
+        result = runner.invoke(main, ["check", "--input", path, "--s", value])
+        assert result.exit_code == 2
+        assert no_traceback(result) and "Traceback" not in result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: ")
+        assert "Error: Invalid value for '--s': " in result.stderr
+
     def test_s0(self, runner, tmp_path):
         path = write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT)
         result = runner.invoke(main, ["check", "--input", path, "--s", "0", "--json"])

@@ -191,7 +191,7 @@ class TestDispatcher:
         assert verdict.witness_fail.nonzero_rows == 3
 
     def test_more_than_a_million_deletions(self):
-        # C(1415, 2) = 1,000,405 deletions of two rows; still r matchings
+        # C(1415, 2) = 1,000,405 deletions of two rows; still one matching
         verdict = counting_rule(SparsityPattern.from_rows([[1, 1]] * 1415), 3)
         assert verdict.holds
         assert verdict.witness_pass.note == "all 1000405 deletions of 2 rows pass the s=1 rule"
@@ -310,6 +310,38 @@ class TestCanonicalWitness:
         assert min(failing.values()) >= 200, failing
 
 
+class TestPerColumnReference:
+    """Beyond brute force's reach: the base matching grown by augmenting
+    searches gives the verdict of r fresh replica matchings, witness columns,
+    row count, deleted rows and pass note included."""
+
+    def test_equals_per_column_route(self):
+        rng = np.random.default_rng(113)
+        failing = passing = at_bound = 0
+        for case in range(600):
+            s = int(rng.integers(2, 5))
+            r = int(rng.integers(1, 21))
+            m = 2 * r + s if case % 4 == 0 else int(rng.integers(2 * r + s, 121))
+            dense = rng.random((m, r)) < rng.uniform(0.05, 0.6)
+            if case % 2:
+                # q columns on 2q+s-1 rows: a violator that usually passes s=1,
+                # so only the grown matchings expose it
+                cols = rng.choice(r, int(rng.integers(1, min(r, 3) + 1)), replace=False)
+                dense[:, cols] = False
+                rows = rng.choice(m, 2 * len(cols) + s - 1, replace=False)
+                dense[np.ix_(rows, cols)] = rng.random((len(rows), len(cols))) < 0.8
+            p, _ = trim(SparsityPattern.from_rows(dense.astype(int).tolist()))
+            if p.r == 0:
+                continue
+            verdict = counting_rule(p, s)
+            assert verdict == oracles.counting_rule_per_column(p, s)
+            if p.m >= 2 * p.r + s:
+                failing += not verdict.holds
+                passing += verdict.holds
+                at_bound += p.m == 2 * p.r + s
+        assert failing >= 200 and passing >= 100 and at_bound >= 40, (failing, passing, at_bound)
+
+
 class TestGraphReference:
     """s=0 and rcm_decomposition share the replica matching; the public graph
     functions on the column-duplicated graph are the reference."""
@@ -388,6 +420,25 @@ class TestDeletionProperty:
         rows = [list(row) for row in p.entries]
         rows[i][j] = 1
         assert counting_rule_bruteforce(SparsityPattern.from_rows(rows), s).holds
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_holds_is_monotone_in_s(self, data):
+        # q columns on 2q+s rows also pass at s-1; at s = m-2r+1 the full
+        # column set fails, so the sequence flips exactly once
+        r = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 2 * r + 5))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=r, max_size=r), min_size=m, max_size=m
+        ))
+        p, _ = trim(SparsityPattern.from_rows(rows))
+        if p.r == 0:
+            return
+        holds = [counting_rule(p, s).holds for s in range(max(0, p.m - 2 * p.r + 1) + 1)]
+        first_fail = holds.index(False)
+        assert not any(holds[first_fail:])
+        assert not counting_rule_bruteforce(p, first_fail).holds
+        assert first_fail == 0 or counting_rule_bruteforce(p, first_fail - 1).holds
 
 
 class TestRcmDecomposition:

@@ -1,4 +1,5 @@
-"""The counting sweep against the naive scan that defines its contract."""
+"""The counting sweep against the naive scan that defines its contract, and
+the augmenting search against Hopcroft-Karp on the grown graph."""
 
 import numpy as np
 
@@ -52,3 +53,42 @@ def test_counting_sweep_first_violator():
     ]
     for r, s, masks in cases:
         assert _kernels.counting_sweep(r, s, masks) == oracles.first_violating_subset(masks, s)
+
+
+def test_augment_grows_a_maximum_matching():
+    """Hopcroft-Karp on a random CSR graph, then k appended left vertices,
+    each searched once: the matching stays a maximum one of the grown graph
+    and every pair is an edge."""
+    rng = np.random.default_rng(89)
+    grew = 0
+    for _ in range(400):
+        n_left, n_right, k = (int(x) for x in rng.integers(0, 12, size=3))
+        n_right += 1
+        density = rng.random()
+        rows = [
+            [int(v) for v in rng.permutation(n_right) if rng.random() < density]
+            for _ in range(n_left + k)
+        ]
+        indptr = [0]
+        for adj in rows[:n_left]:
+            indptr.append(indptr[-1] + len(adj))
+        indices = [v for adj in rows[:n_left] for v in adj]
+        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, indptr, indices)
+        match_l += [-1] * k
+        for u in range(n_left, n_left + k):
+            found = _kernels.augment(rows, u, match_l, match_r)
+            assert found == (match_l[u] != -1)
+            size += found
+            grew += found
+        indptr = [0]
+        for adj in rows:
+            indptr.append(indptr[-1] + len(adj))
+        indices = [v for adj in rows for v in adj]
+        assert size == _kernels.hopcroft_karp(n_left + k, n_right, indptr, indices)[0]
+        pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
+        assert len(pairs) == size
+        assert len({v for _, v in pairs}) == size
+        assert all(v in rows[u] for u, v in pairs)
+        assert all(match_r[v] == u for u, v in pairs)
+        assert sum(u != -1 for u in match_r) == size
+    assert grew >= 200

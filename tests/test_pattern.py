@@ -1,5 +1,6 @@
 
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,9 +112,23 @@ class TestParseJsonl:
         with pytest.raises(ParseError):
             parse_jsonl_record('{"id": 1, "delta": [[2]]}')
 
+    @pytest.mark.parametrize("cell, shown", [
+        ("true", "True"), ("2", "2"), ("1.0", "1.0"), ('"1"', "'1'"),
+        ("null", "None"), ("300", "300"),
+    ])
+    def test_bad_cell_message(self, cell, shown):
+        message = f"'delta' entries must be 0 or 1, got {shown}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_jsonl_record(f'{{"id": 1, "delta": [[1, 0], [0, {cell}]]}}')
+        # a bad cell is named before a later row's ragged length
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_jsonl_record(f'{{"id": 1, "delta": [[{cell}, 0], [0]]}}')
+
     def test_ragged_delta(self):
         with pytest.raises(DimensionError):
             parse_jsonl_record('{"id": 1, "delta": [[1,0],[1]]}')
+        with pytest.raises(ParseError, match="^'delta' row 1 is not an array$"):
+            parse_jsonl_record('{"id": 1, "delta": [[1,0],1,[2]]}')
 
     def test_empty_delta(self):
         with pytest.raises(EmptyInputError):
