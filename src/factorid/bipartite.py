@@ -5,7 +5,9 @@ vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
 functions here take the `SparsityPattern` itself. `match_adjacency` is the
 one way into the Hopcroft-Karp kernel: the graph functions, `is_rcm`, and
 identify.py's base matching all pass it an adjacency list, one list of right
-neighbours per left vertex.
+neighbours per left vertex. `alternating_reach` is the one alternating-path
+walk over such a list: from a maximum matching it gives König's vertex
+cover, and from a free vertex it grows a matching by one augmenting path.
 """
 
 from dataclasses import dataclass
@@ -79,35 +81,41 @@ def maximum_matching(p: SparsityPattern) -> Matching:
 
 
 def alternating_reach(
-    adjacency: Sequence[Sequence[int]], match_l: list[int], match_r: list[int]
-) -> tuple[set[int], set[int]]:
-    """Left and right vertices that alternating paths from the free left
-    vertices reach (König's construction).
+    adjacency: Sequence[Sequence[int]],
+    match_l: list[int],
+    match_r: list[int],
+    starts: Sequence[int] | None = None,
+) -> tuple[set[int], set[int]] | None:
+    """Walk alternating paths from the free left vertices `starts` (default:
+    all of them): augment on the first free right vertex met, else return the
+    reached left and right vertices (König's construction).
 
     `adjacency[u]` lists the right neighbours of left vertex u; `match_l` and
-    `match_r` give each vertex's partner, -1 when free. Either side may play
-    the left one: pass the other side's adjacency and swap the two matching
-    arrays to walk from its free vertices. Raises MatchingNotMaximumError on
-    an augmenting path (matching not maximum).
+    `match_r` give each vertex's partner, -1 when free. A right vertex is
+    entered at most once, so a walk is O(E). If it meets a free right
+    vertex, it flips that augmenting path in place (the matching grows by
+    one) and returns None; callers that need a maximum matching check this.
     """
-    stack = [u for u, v in enumerate(match_l) if v == -1]
+    stack = [u for u, v in enumerate(match_l) if v == -1] if starts is None else [*starts]
     reached_l = set(stack)
-    reached_r: set[int] = set()
+    came_from: dict[int, int] = {}  # reached right vertex -> left vertex before it
     while stack:
         u = stack.pop()
         for v in adjacency[u]:
-            if match_l[u] == v or v in reached_r:
+            if match_l[u] == v or v in came_from:
                 continue
-            reached_r.add(v)
+            came_from[v] = u
             back = match_r[v]
             if back == -1:
-                raise MatchingNotMaximumError(
-                    f"augmenting path exists through right vertex {v}"
-                )
+                while v != -1:  # flip the path back to its start
+                    u = came_from[v]
+                    match_r[v] = u
+                    match_l[u], v = v, match_l[u]
+                return None
             if back not in reached_l:
                 reached_l.add(back)
                 stack.append(back)
-    return reached_l, reached_r
+    return reached_l, set(came_from)
 
 
 def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
@@ -127,7 +135,10 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
             raise InvalidArgumentError(f"matching pair ({c}, {r}) is not an edge of the pattern")
         match_l[c] = r
         match_r[r] = c
-    reached_c, reached_r = alternating_reach(p.col_rows, match_l, match_r)
+    reach = alternating_reach(p.col_rows, match_l, match_r)
+    if reach is None:
+        raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
+    reached_c, reached_r = reach
     cols = frozenset(c for c in range(p.r) if c not in reached_c)
     rows = frozenset(reached_r)
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))

@@ -26,10 +26,11 @@ Every route and `rcm_decomposition` read this one base matching, so a
 pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches
 of O(nnz) each. Where a copy stays free, s=0 and s >= 2 report König's
 (S, N(S)), the columns and rows that alternating paths from the free copies
-reach. S is the smallest column set that maximizes its number of copies
-minus |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the
-order of the copies nor on which maximum matching the kernel or the searches
-end with. `variance_identified` trims, runs the rule at any s and maps the
+reach; `bipartite.alternating_reach` is both these walks and the searches.
+S is the smallest column set that maximizes its number of copies minus
+|N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
+of the copies nor on which maximum matching the kernel or the searches end
+with. `variance_identified` trims, runs the rule at any s and maps the
 verdict back to the caller's coordinates; every CLI command that decides the
 rule goes through it.
 
@@ -46,6 +47,7 @@ from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
 from factorid.errors import (
     InvalidArgumentError,
+    MatchingNotMaximumError,
     NoDecompositionError,
     OutOfRangeError,
     TooManyColumnsError,
@@ -171,16 +173,30 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     violating subset, q columns touching at most 2q rows, and the columns the
     min-cut leaves out of the cover. A passing verdict has no `witness_pass`:
     its certificate is `mincut_value`.
+
+    S* is read off the column masks: paths that reach a row of column j reach
+    both its copies (they share their rows, and a row matched to one copy
+    enters the other by a non-matching edge), and then the rows those copies
+    are matched to. A reached copy that is free would end an augmenting path.
     """
     p.require_trimmed()
     r = p.r
-    _, size, match_l, match_r = _base_matching(p)
-    row_copies: list[list[int]] = [[] for _ in range(p.m)]
-    for j, rows in enumerate(p.col_rows):
-        for i in rows:
-            row_copies[i] += (j, j + r)
-    _, reached = alternating_reach(row_copies, match_r, match_l)
-    excluded = tuple(j for j in range(r) if j not in reached and j + r not in reached)
+    _, size, match_l, _ = _base_matching(p)
+    reached = (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)  # the free rows
+    excluded = range(r)
+    grew = True
+    while grew:
+        rest = []
+        for j in excluded:
+            if not p.col_masks[j] & reached:
+                rest.append(j)
+            elif -1 in (match_l[j], match_l[j + r]):
+                raise MatchingNotMaximumError(f"augmenting path ends at a copy of column {j}")
+            else:
+                reached |= 1 << match_l[j] | 1 << match_l[j + r]
+        grew = len(rest) < len(excluded)
+        excluded = rest
+    excluded = tuple(excluded)
     value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
     if not excluded:
         return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=value)
@@ -212,7 +228,10 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
                 note="matching saturates all columns and duplicates",
             ),
         )
-    copies, rows = alternating_reach(adjacency, match_l, match_r)
+    reach = alternating_reach(adjacency, match_l, match_r)
+    if reach is None:
+        raise MatchingNotMaximumError("the base matching is not maximum")
+    copies, rows = reach
     cols = {u % r for u in copies}
     assert len(rows) <= 2 * len(cols) - 1
     return CountingRuleVerdict(
@@ -234,8 +253,9 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     maximum iff no augmenting path is left (Berge), so one search from it
     keeps the matching maximum. That is one Hopcroft-Karp run and at most
     r*s searches whatever m. The pass note states the equivalent deletion
-    form of the paper, C(m, s-1) deletions of s-1 rows. On the first j that
-    fails, König's S from the free copies has |N(S)| < 2|S|+s.
+    form of the paper, C(m, s-1) deletions of s-1 rows, and writes the count
+    as `C(m, s-1)` where it has more digits than int-to-str allows. On the
+    first j that fails, König's S from the free copies has |N(S)| < 2|S|+s.
     `deleted_rows` are the s-1 lowest rows of N(S), padded with the lowest
     rows outside N(S) when it is smaller; deleting them leaves S violating
     the s=1 rule.
@@ -265,12 +285,15 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
         match_l, match_r = base_l + [-1] * s, base_r.copy()
         matched = size
         for u in range(2 * r, 2 * r + s):
-            if not _kernels.augment(grown, u, match_l, match_r):
+            if alternating_reach(grown, match_l, match_r, starts=(u,)) is not None:
                 break
             matched += 1
         if matched == 2 * r + s:
             continue
-        copies, rows = alternating_reach(grown, match_l, match_r)
+        reach = alternating_reach(grown, match_l, match_r)
+        if reach is None:
+            raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
+        copies, rows = reach
         cols = {u % r if u < 2 * r else j for u in copies}
         assert len(rows) < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
@@ -284,11 +307,13 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
                 deleted_rows=tuple(deleted),
             ),
         )
+    try:
+        count = str(comb(m, s - 1))
+    except ValueError:  # more digits than int-to-str allows
+        count = f"C({m}, {s - 1})"
     return CountingRuleVerdict(
         r=r, s=s, holds=True,
-        witness_pass=PassWitness(
-            note=f"all {comb(m, s - 1)} deletions of {s - 1} rows pass the s=1 rule"
-        ),
+        witness_pass=PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule"),
     )
 
 

@@ -74,7 +74,9 @@ class SparsityPattern:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SparsityPattern":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        """Pattern from any iterable of row iterables (lists, numpy arrays),
+        validated like `SparsityPattern(entries)`."""
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def r(self) -> int:

@@ -8,17 +8,18 @@ paper's constructions as references for the routes that replaced them:
 `counting_rule_by_deletion` reduces s >= 2 to that min-cut, and
 `counting_rule_per_column` decides s >= 2 with one fresh replica matching per
 column, the route that one base matching plus augmenting searches replaced,
-on patterns beyond brute force's reach. The graph helpers
-`duplicate_columns` and `has_saturating_matching` are the textbook forms of
-the replica matching. A graph is given as the pattern that is its
-biadjacency matrix: `pattern_from_edges` builds it from (column, row) edges
-and `pattern_edges` lists them back.
+on patterns beyond brute force's reach. It reads S and N(S) off its own
+`konig_reach`, not off the package's alternating walk that it checks. The
+graph helpers `duplicate_columns` and `has_saturating_matching` are the
+textbook forms of the replica matching. A graph is given as the pattern
+that is its biadjacency matrix: `pattern_from_edges` builds it from
+(column, row) edges and `pattern_edges` lists them back.
 """
 
 from itertools import combinations, permutations
 from math import comb
 
-from factorid.bipartite import alternating_reach, match_adjacency, maximum_matching
+from factorid.bipartite import match_adjacency, maximum_matching
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
@@ -208,6 +209,27 @@ def hall_condition_columns(n_col, n_row, edges):
     return True
 
 
+def konig_reach(adjacency, match_l, match_r):
+    """Left and right vertices that alternating paths from the free left
+    vertices of a maximum matching reach (König's construction); asserts
+    that no augmenting path exists."""
+    stack = [u for u, v in enumerate(match_l) if v == -1]
+    reached_l = set(stack)
+    reached_r = set()
+    while stack:
+        u = stack.pop()
+        for v in adjacency[u]:
+            if match_l[u] == v or v in reached_r:
+                continue
+            reached_r.add(v)
+            back = match_r[v]
+            assert back != -1, f"augmenting path exists through right vertex {v}"
+            if back not in reached_l:
+                reached_l.add(back)
+                stack.append(back)
+    return reached_l, reached_r
+
+
 def counting_rule_per_column(p, s):
     """`counting_rule` at s >= 2 on a trimmed pattern, one column at a time:
     a fresh Hopcroft-Karp matching of the replicas in which column j has 2+s
@@ -225,7 +247,7 @@ def counting_rule_per_column(p, s):
         size, match_l, match_r = match_adjacency(adjacency, m)
         if size == len(owner):
             continue
-        copies, rows = alternating_reach(adjacency, match_l, match_r)
+        copies, rows = konig_reach(adjacency, match_l, match_r)
         outside = [i for i in range(m) if i not in rows]
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
@@ -235,9 +257,11 @@ def counting_rule_per_column(p, s):
                 deleted_rows=tuple(sorted((sorted(rows) + outside)[: s - 1])),
             ),
         )
+    try:
+        count = str(comb(m, s - 1))
+    except ValueError:  # more digits than int-to-str allows
+        count = f"C({m}, {s - 1})"
     return CountingRuleVerdict(
         r=r, s=s, holds=True,
-        witness_pass=PassWitness(
-            note=f"all {comb(m, s - 1)} deletions of {s - 1} rows pass the s=1 rule"
-        ),
+        witness_pass=PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule"),
     )

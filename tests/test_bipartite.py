@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pattern
-from factorid.bipartite import Matching, is_rcm, maximum_matching, minimum_vertex_cover
+from factorid.bipartite import (
+    Matching,
+    alternating_reach,
+    is_rcm,
+    match_adjacency,
+    maximum_matching,
+    minimum_vertex_cover,
+)
 from factorid.errors import MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
 
@@ -149,6 +156,39 @@ class TestMinimumVertexCover:
                 p.r, p.m, oracles.pattern_edges(p)
             )
             assert unweighted == full
+
+
+class TestAlternatingReach:
+    def test_konig_cover_or_one_augmentation(self):
+        """From a maximum matching the walk gives König's cover: the unreached
+        left and the reached right vertices cover every edge and number |M|.
+        With one pair taken out it finds an augmenting path instead, flips it
+        and restores the size."""
+        rng = np.random.default_rng(131)
+        augmented = 0
+        for _ in range(400):
+            n_left, n_right = (int(x) for x in rng.integers(0, 12, size=2))
+            density = rng.random()
+            adjacency = [
+                [int(v) for v in rng.permutation(n_right) if rng.random() < density]
+                for _ in range(n_left)
+            ]
+            size, match_l, match_r = match_adjacency(adjacency, n_right)
+            reached_l, reached_r = alternating_reach(adjacency, match_l, match_r)
+            cover_l = set(range(n_left)) - reached_l
+            assert len(cover_l) + len(reached_r) == size
+            assert all(u in cover_l or v in reached_r for u, vs in enumerate(adjacency) for v in vs)
+            if not size:
+                continue
+            u = int(rng.choice([u for u, v in enumerate(match_l) if v != -1]))
+            match_r[match_l[u]] = match_l[u] = -1
+            assert alternating_reach(adjacency, match_l, match_r) is None
+            augmented += 1
+            pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
+            assert len(pairs) == size
+            assert all(v in adjacency[u] and match_r[v] == u for u, v in pairs)
+            assert sum(u != -1 for u in match_r) == size
+        assert augmented >= 200
 
 
 class TestSaturation:

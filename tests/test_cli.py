@@ -162,6 +162,23 @@ class TestCheck:
             "HOLDS: no factors remain after trimming; variance is trivially identified\n"
         )
 
+    def test_note_past_the_int_to_str_limit(self, tmp_path):
+        # C(2200, 1100) has 661 digits, more than the limit set here
+        path = write(tmp_path, "tall.txt", "1\n" * 2200)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "factorid.cli", "check", "--input", path, "--s", "1101"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0
+        assert "Traceback" not in out.stderr
+        assert out.stdout == (
+            "pattern 2200x1 (effective 2200x1 after trimming)\n"
+            "HOLDS (s=1101): all C(2200, 1100) deletions of 1100 rows pass the s=1 rule\n"
+        )
+
     def test_s2_holds_output(self, runner, tmp_path):
         path = write(tmp_path, "ones.txt", "1 1 1\n" * 8)
         result = runner.invoke(main, ["check", "--input", path, "--s", "2"])
@@ -235,13 +252,13 @@ class TestFilter:
             main, ["filter", "--input", inp, "--output", out, "--summary", summary]
         )
         assert result.exit_code == 0
-        records = [json.loads(l) for l in open(out)]
+        records = [json.loads(l) for l in Path(out).read_text().splitlines()]
         assert [r["id"] for r in records] == ["dense_demo", "staircase", "empty"]
         assert [r["identified"] for r in records] == [True, False, True]
         assert [r["effective_r"] for r in records] == [3, 3, 0]
         assert records[0]["mwvc_weight"] == 21
         assert records[2]["mwvc_weight"] is None
-        s = json.load(open(summary))
+        s = json.loads(Path(summary).read_text())
         assert s["total"] == 3 and s["accepted"] == 2
         assert abs(s["acceptance_fraction"] - 2 / 3) < 1e-12
         assert s["histogram_effective_r"] == {"0": 1, "3": 2}
@@ -269,11 +286,11 @@ class TestFilter:
             main, ["filter", "--input", inp, "--output", out, "--summary", summary]
         )
         assert result.exit_code == 2
-        records = [json.loads(l) for l in open(out)]
+        records = [json.loads(l) for l in Path(out).read_text().splitlines()]
         assert len(records) == 4
         assert records[1]["error"] is not None
         assert records[1]["identified"] is None
-        s = json.load(open(summary))
+        s = json.loads(Path(summary).read_text())
         assert s["total"] == 3 and s["errors"] == 1
 
     def test_bad_json_error_record_names_column(self, runner, tmp_path):
@@ -283,7 +300,7 @@ class TestFilter:
         out = str(tmp_path / "out.jsonl")
         result = runner.invoke(main, ["filter", "--input", inp, "--output", out])
         assert result.exit_code == 2
-        error = [json.loads(l) for l in open(out)][1]["error"]
+        error = [json.loads(l) for l in Path(out).read_text().splitlines()][1]["error"]
         assert error == "invalid JSON: Expecting property name enclosed in double quotes at column 2"
 
     def test_float_and_bool_dims_are_error_records(self, runner, tmp_path):
@@ -296,7 +313,7 @@ class TestFilter:
             main, ["filter", "--input", inp, "--output", out, "--summary", "-"]
         )
         assert result.exit_code == 2
-        records = [json.loads(l) for l in open(out)]
+        records = [json.loads(l) for l in Path(out).read_text().splitlines()]
         assert len(records) == 5
         for record in records[1:3]:
             assert "must be an integer" in record["error"]
@@ -320,7 +337,7 @@ class TestFilter:
         assert runner.invoke(
             main, ["filter", "--input", inp, "--output", out_parallel, "--parallel", "3"]
         ).exit_code == 0
-        assert open(out_serial, "rb").read() == open(out_parallel, "rb").read()
+        assert Path(out_serial).read_bytes() == Path(out_parallel).read_bytes()
 
     def test_parallel_reads_a_bounded_window(self):
         lines = [line.encode() for line in STREAM.splitlines()] * 400

@@ -1,3 +1,4 @@
+import sys
 from math import comb
 
 import numpy as np
@@ -130,6 +131,23 @@ class TestS1:
             assert wf.nonzero_rows <= 2 * q  # violates the 2q+1 requirement
 
 
+class TestS1FreeCopies:
+    def test_deficient_patterns_match_mincut(self):
+        """Patterns whose base matching leaves copies free (d > 0) fail, and
+        the cover weight r(2r+1) - rd - |S*| and S* equal the min-cut's."""
+        rng = np.random.default_rng(137)
+        seen = 0
+        while seen < 150:
+            p = trimmed_random(rng, 14, 8, density=float(rng.uniform(0.1, 0.5)))
+            if p.r == 0 or maximum_matching(oracles.duplicate_columns(p)).size == 2 * p.r:
+                continue
+            seen += 1
+            verdict = counting_rule_s1(p)
+            assert not verdict.holds
+            oracles.assert_s1_matches_mincut(p, verdict)
+            assert not counting_rule_bruteforce(p, 1).holds
+
+
 class TestS0:
     def test_deletion_demo_remainder(self, deletion_demo_8x3):
         remainder = SparsityPattern(
@@ -195,6 +213,22 @@ class TestDispatcher:
         verdict = counting_rule(SparsityPattern.from_rows([[1, 1]] * 1415), 3)
         assert verdict.holds
         assert verdict.witness_pass.note == "all 1000405 deletions of 2 rows pass the s=1 rule"
+
+    def test_note_past_the_int_to_str_limit(self):
+        # C(2200, 1100) has 661 digits: the note names it instead of raising
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            p = SparsityPattern.from_rows([[1]] * 2200)
+            verdict = counting_rule(p, 1101)
+            assert verdict == oracles.counting_rule_per_column(p, 1101)
+            assert verdict.witness_pass.note == (
+                "all C(2200, 1100) deletions of 1100 rows pass the s=1 rule"
+            )
+            verdict = counting_rule(SparsityPattern.from_rows([[1, 1]] * 1415), 3)
+            assert verdict.witness_pass.note == "all 1000405 deletions of 2 rows pass the s=1 rule"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_emptied_column_detected(self):
         # deleting the two rows of column 2 empties it

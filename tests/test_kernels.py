@@ -1,10 +1,12 @@
 """The counting sweep against the naive scan that defines its contract, and
-the augmenting search against Hopcroft-Karp on the grown graph."""
+the alternating walk's augmenting search, which grows a Hopcroft-Karp
+matching, against Hopcroft-Karp on the grown graph."""
 
 import numpy as np
 
 import oracles
 from factorid import _kernels
+from factorid.bipartite import alternating_reach
 
 
 def sweep_cases(rng, n, max_rows=None):
@@ -57,8 +59,8 @@ def test_counting_sweep_first_violator():
 
 def test_augment_grows_a_maximum_matching():
     """Hopcroft-Karp on a random CSR graph, then k appended left vertices,
-    each searched once: the matching stays a maximum one of the grown graph
-    and every pair is an edge."""
+    each searched once by the alternating walk: the matching stays a maximum
+    one of the grown graph and every pair is an edge."""
     rng = np.random.default_rng(89)
     grew = 0
     for _ in range(400):
@@ -76,7 +78,7 @@ def test_augment_grows_a_maximum_matching():
         size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, indptr, indices)
         match_l += [-1] * k
         for u in range(n_left, n_left + k):
-            found = _kernels.augment(rows, u, match_l, match_r)
+            found = alternating_reach(rows, match_l, match_r, starts=(u,)) is None
             assert found == (match_l[u] != -1)
             size += found
             grew += found

@@ -2,12 +2,13 @@
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINCUT_DEMO_8X3, MINCUT_DEMO_TEXT
-from factorid.errors import DimensionError, EmptyInputError, ParseError
+from factorid.errors import DimensionError, EmptyInputError, InvalidArgumentError, ParseError
 from factorid.pattern import (
     SparsityPattern,
     nonzero_row_count,
@@ -148,6 +149,17 @@ class TestPattern:
             SparsityPattern(((0, 2),))
         with pytest.raises(DimensionError):
             SparsityPattern(((0, 1), (1,)))
+
+    def test_from_rows_validates_cells(self):
+        """from_rows rejects what SparsityPattern(entries) rejects, instead of
+        truncating a loading like 0.73 to 0, and keeps bools, numpy integers
+        and 1.0."""
+        for cell in (0.5, 1.9, 0.73, "1", 2, None):
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"got {cell!r}")):
+                SparsityPattern.from_rows([[1, cell]])
+        rows = [[True, np.int64(0)], [np.uint8(1), 1.0]]
+        assert SparsityPattern.from_rows(rows) == SparsityPattern(((1, 0), (1, 1)))
+        assert SparsityPattern.from_rows(np.eye(2, dtype=int)) == SparsityPattern(((1, 0), (0, 1)))
 
     def test_masks(self, mincut_demo_8x3):
         assert mincut_demo_8x3.col_masks[2] == sum(
