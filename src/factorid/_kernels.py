@@ -4,7 +4,9 @@ Outputs are deterministic, so iteration order and tie-breaking are part of
 the contract: vertices are processed in ascending index order and arcs in
 insertion order. Hopcroft-Karp finds the base matching that every
 counting-rule route reads (bipartite.py's alternating walk grows it by one
-augmenting path at a time where s >= 2); Dinic's min-cut serves the paper's
+augmenting path at a time where s >= 2); each phase's breadth-first layering
+stops at the first free right vertex it meets, which leaves the matching it
+returns unchanged (see its docstring). Dinic's min-cut serves the paper's
 identification network, which the s=1 route is tested against; the sweep, a
 plain recursive walk over column subsets that skips the extensions of any
 prefix already touching enough rows, serves the brute-force oracle.
@@ -24,6 +26,14 @@ def hopcroft_karp(n_left, n_right, indptr, indices):
     Phases of breadth-first layering followed by depth-first augmentation
     along shortest alternating paths, O(E * sqrt(V)) worst case.
 
+    The layering stops as soon as an edge reaches a free right vertex: that
+    fixes `found`, the shortest augmenting-path length. The queue is FIFO, so
+    by then every left vertex within distance `found - 1` of a free one has
+    its distance. The depth-first step descends one layer at a time and
+    augments only from distance `found - 1`; left vertices at distance
+    `found`, labelled or not, lead it to no free vertex. So it makes the same
+    augmentations, in the same order, as after a full layering.
+
     Returns (size, match_left, match_right) with -1 for unmatched vertices.
     """
     match_l = [-1] * n_left
@@ -33,7 +43,8 @@ def hopcroft_karp(n_left, n_right, indptr, indices):
     size = 0
     while True:
         # BFS: layer left vertices by alternating-path distance from the
-        # free ones; `found` is the length of the shortest augmenting path.
+        # free ones until an edge reaches a free right vertex; `found` is
+        # the length of the shortest augmenting path.
         qn = 0
         for u in range(n_left):
             if match_l[u] == -1:
@@ -44,19 +55,17 @@ def hopcroft_karp(n_left, n_right, indptr, indices):
                 dist[u] = _INF
         found = _INF
         qi = 0
-        while qi < qn:
+        while qi < qn and found == _INF:
             u = queue[qi]
             qi += 1
-            du = dist[u]
-            if du >= found:
-                continue
+            du = dist[u] + 1
             for k in range(indptr[u], indptr[u + 1]):
                 w = match_r[indices[k]]
                 if w == -1:
-                    if found == _INF:
-                        found = du + 1
-                elif dist[w] == _INF:
-                    dist[w] = du + 1
+                    found = du
+                    break
+                if dist[w] == _INF:
+                    dist[w] = du
                     queue[qn] = w
                     qn += 1
         if found == _INF:

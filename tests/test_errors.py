@@ -21,11 +21,11 @@ from factorid.identify import (
     rcm_decomposition,
     variance_identified,
 )
-from factorid.pattern import SparsityPattern, nonzero_row_count, parse_pattern
+from factorid.pattern import SparsityPattern, nonzero_row_count, parse_pattern, restrict_rows
 
 P = SparsityPattern.from_rows([[1, 0], [0, 1], [1, 1]])
 
-# one row per raise site that used to throw a plain built-in
+# one row per raise site that used to throw a plain built-in, or nothing
 BAD_CALLS = {
     "counting_rule_negative_s": (ValueError, lambda: counting_rule(P, -1)),
     "bruteforce_negative_s": (ValueError, lambda: counting_rule_bruteforce(P, -1)),
@@ -42,6 +42,8 @@ BAD_CALLS = {
     ),
     "row_spec_bad_label": (ValueError, lambda: cli._parse_row_spec("vx", 3)),
     "row_spec_out_of_range": (IndexError, lambda: cli._parse_row_spec("v4", 3)),
+    "restrict_rows_row_m": (IndexError, lambda: restrict_rows(P, [3])),
+    "restrict_rows_negative_row": (IndexError, lambda: restrict_rows(P, [-1])),
 }
 
 

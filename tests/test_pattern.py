@@ -185,6 +185,36 @@ class TestPattern:
         assert pickle.loads(pickle.dumps(p)) == p
 
 
+def test_restrict_rows_and_trim_on_wide_masks():
+    """restrict_rows and trim against row tuples on up to 1,200 rows, where
+    masks are far wider than 64 bits: rows in any order and repeated, a
+    single row, no row, and a 1000x50 pattern with planted zero rows and
+    columns."""
+    rng = np.random.default_rng(107)
+    for _ in range(60):
+        m = int(rng.integers(1, 1201))
+        r = int(rng.integers(1, 6))
+        p = SparsityPattern.from_rows(rng.random((m, r)) < rng.random())
+        entries = p.entries
+        for rows in (
+            rng.integers(0, m, size=int(rng.integers(1, m + 3))).tolist(),
+            sorted(set(rng.integers(0, m, size=m // 2 + 1).tolist())),
+            [int(rng.integers(0, m))],
+            [m - 1, 0],
+        ):
+            assert restrict_rows(p, rows) == SparsityPattern(tuple(entries[i] for i in rows))
+        empty = restrict_rows(p, ())
+        assert (empty.m, empty.col_masks) == (0, (0,) * r)
+
+    mat = rng.random((1000, 50)) < 0.2
+    mat[rng.choice(1000, 20, replace=False), :] = False
+    mat[:, rng.choice(50, 2, replace=False)] = False
+    keep_rows, keep_cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
+    trimmed, report = trim(SparsityPattern.from_rows(mat))
+    assert (report.effective_m, report.effective_r) == (len(keep_rows), len(keep_cols)) == (980, 48)
+    assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
+
+
 class TestTrim:
     def test_zero_row(self):
         p = SparsityPattern.from_rows([[1, 0], [0, 0], [0, 1]])
