@@ -42,6 +42,7 @@ necessary), which is what the `sufficient_only` flag on verdict records says.
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
+from operator import index
 
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
@@ -136,6 +137,18 @@ def _base_matching(p: SparsityPattern) -> tuple[tuple, int, list[int], list[int]
     return (adjacency, *match_adjacency(adjacency, p.m))
 
 
+def _strength(s) -> int:
+    """s as an int, from any integer type (numpy's too); InvalidArgumentError
+    unless it is a non-negative integer."""
+    try:
+        s = index(s)
+    except TypeError:
+        raise InvalidArgumentError(f"s must be an integer, got {s!r}") from None
+    if s < 0:
+        raise InvalidArgumentError("s must be non-negative")
+    return s
+
+
 def counting_rule_bruteforce(
     p: SparsityPattern, s: int, max_columns: int = 24
 ) -> CountingRuleVerdict:
@@ -146,8 +159,7 @@ def counting_rule_bruteforce(
     The sweep skips every subset that extends columns already touching 2q+s
     rows, and usually visits far fewer.
     """
-    if s < 0:
-        raise InvalidArgumentError("s must be non-negative")
+    s = _strength(s)
     if p.r > max_columns:
         raise TooManyColumnsError(f"r={p.r} exceeds the brute-force cap {max_columns}")
     holds, subset, count = _kernels.counting_sweep(p.r, s, list(p.col_masks))
@@ -264,8 +276,7 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     all m rows, without deleted rows: the rule's q = r case is the dimension
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
-    if s < 0:
-        raise InvalidArgumentError("s must be non-negative")
+    s = _strength(s)
     if s == 0:
         return counting_rule_s0(p)
     if s == 1:
@@ -487,8 +498,7 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     the caller's original coordinates, for every s >= 0 (InvalidArgumentError
     otherwise, raised before trimming).
     """
-    if s < 0:
-        raise InvalidArgumentError("s must be non-negative")
+    s = _strength(s)
     trimmed, report = trim(p_raw)
     if trimmed.r == 0:
         return IdentificationVerdict(

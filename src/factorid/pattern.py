@@ -11,8 +11,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count
-from operator import itemgetter, or_
+from itertools import chain, compress
+from operator import itemgetter, or_, sub
 from typing import Iterable, Literal, Sequence
 
 from factorid.errors import (
@@ -28,6 +28,11 @@ from factorid.errors import (
 PatternFormat = Literal["dense_text", "jsonl_record"]
 
 _TOKEN = re.compile(rb"\S+")
+# the bytes that separate cells within a dense-text line; \r and \n end lines
+_BLANKS = b" \t\x0b\x0c"
+# on text of digits and whitespace only: every digit to 1, whitespace to 0,
+# so that two adjacent digits, a token longer than one cell, read b"11"
+_RUNS = bytes.maketrans(b"0" + _BLANKS + b"\r\n", b"1" + b"0" * 6)
 # cell bytes 0/1 to ASCII digits, so that int(..., 2) reads a column at once,
 # and back, so that compress() picks the positions of the ones
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -40,9 +45,12 @@ def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
     return tuple(int(digits[j::width][::-1], 2) for j in range(width))
 
 
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """Ascending positions of the set bits of a mask."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_CELLS)))
+def _set_bits(mask: int, positions: Sequence[int]) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a mask, taken from positions,
+    which is range(n) or tuple(range(n)) for some n at least the mask's
+    bit length. compress() hands out the tuple's own ints, where a range
+    makes a new int for every position above 256."""
+    return tuple(compress(positions, bin(mask)[:1:-1].encode().translate(_CELLS)))
 
 
 @dataclass(frozen=True, init=False)
@@ -84,8 +92,13 @@ class SparsityPattern:
 
     @cached_property
     def col_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, its nonzero rows in ascending order."""
-        return tuple(map(_set_bits, self.col_masks))
+        """Per column, its nonzero rows in ascending order.
+
+        Each column costs O(m) work at C speed, and every column shares the
+        row ints of one tuple(range(m)) built per call.
+        """
+        rows = tuple(range(self.m))
+        return tuple(_set_bits(mask, rows) for mask in self.col_masks)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -111,9 +124,13 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     """The pattern made of the given rows of p, in the given order: row k of
     the result is row rows[k] of p. All r columns are kept; rows may repeat.
 
-    Each column costs O(m + len(rows)) work at C speed: its mask is written
-    as m binary digits, one itemgetter picks the wanted digits, and int()
-    reads them back. Raises OutOfRangeError for a row outside 0..m-1.
+    The wanted digit positions are grouped once into maximal runs of
+    consecutive positions, and one itemgetter of their slices picks them.
+    Each column then costs O(m + len(rows)) work at C speed plus O(1) per
+    run: its mask is written as m binary digits, the itemgetter cuts out the
+    runs, and int() reads them back. Rows in ascending order with g gaps,
+    as trim keeps them, make g + 1 runs; other orders make shorter runs, down
+    to one row each. Raises OutOfRangeError for a row outside 0..m-1.
     """
     if not rows:
         return _from_masks(0, (0,) * p.r)
@@ -122,8 +139,14 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
         raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
     # row i is digit m-1-i of the mask's digits and row k of the result is
     # digit len(rows)-1-k of the picked ones
-    pick = itemgetter(*[p.m - 1 - i for i in reversed(rows)])
+    digits = [p.m - 1 - i for i in reversed(rows)]
+    # a run ends where the next digit is not the one right after it
+    ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
+            len(digits)]
+    starts = [0, *ends[:-1]]
+    pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
     width = f"0{p.m}b"
+    # with one run, pick returns a str, which join() copies unchanged
     return _from_masks(len(rows), tuple(
         int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
     ))
@@ -168,7 +191,7 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
     """
     zero_cols = tuple(j for j, mask in enumerate(p.col_masks) if not mask)
-    zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0))
+    zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0), range(p.m))
     report = TrimReport(
         removed_zero_columns=zero_cols,
         removed_zero_rows=zero_rows,
@@ -202,13 +225,21 @@ def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
 def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> SparsityPattern:
     """Parse a pattern from dense text or from a single JSONL record.
 
-    Dense text: one row per line, entries '0'/'1' separated by spaces or
-    tabs; blank lines and lines starting with '#' are ignored.
+    Dense text (a str is encoded as UTF-8 first): one row per line, each
+    cell a single '0' or '1'. Cells are separated by one or more space, tab,
+    vertical tab (\\v) or form feed (\\f) bytes, which may also lead or
+    trail a line. A line ends at '\\n', '\\r' or '\\r\\n'. A line holding only
+    those separators is blank, and a line whose first byte after them is
+    '#' is a comment, whatever follows; both are ignored. All other rows
+    must have the same number of cells.
     JSONL record: one object with fields `id` and `delta` (and optionally
     `m`, `r`, which are validated when present).
     """
     if isinstance(text, str):
-        data = text.encode("utf-8")
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate
+            raise ParseError(f"text is not valid Unicode: {e}") from e
     else:
         data = bytes(text)
     if format == "dense_text":
@@ -224,32 +255,50 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     raise InvalidArgumentError(f"unknown format {format!r}")
 
 
-def _parse_dense(data: bytes) -> SparsityPattern:
-    rows: list[bytes] = []
+def _dense_rows(data: bytes) -> list[bytes] | None:
+    """The rows of dense text, blanks deleted, as ASCII '0'/'1' digits; None
+    if some non-comment line holds a byte other than '0', '1' or a blank, a
+    token of more than one digit, or a number of cells other than that of
+    the first row. The checks run over the whole text at C speed; only the
+    comment lines, when there are any, are dropped line by line."""
+    if b"#" in data:
+        data = b"\n".join(ln for ln in data.splitlines() if not ln.lstrip().startswith(b"#"))
+    if data.translate(None, b"01\r\n" + _BLANKS) or b"11" in data.translate(_RUNS):
+        return None
+    rows = list(filter(None, data.translate(None, _BLANKS).splitlines()))
+    return rows if len(set(map(len, rows))) <= 1 else None
+
+
+def _check_dense(data: bytes) -> None:
+    """Raise for the first line of dense text that `_dense_rows` rejects,
+    naming its first bad token or its number of cells."""
     width = None
     for lineno, raw in enumerate(data.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith(b"#"):
             continue
-        row = b"".join(tokens)
-        if len(row) != len(tokens) or row.translate(None, b"01"):
-            # some token is not a lone 0 or 1: report the first one
-            tok = next(t for t in _TOKEN.finditer(raw) if t.group() not in (b"0", b"1"))
-            raise ParseError(
-                f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
-                line=lineno,
-                column=tok.start() + 1,
-            )
+        for tok in _TOKEN.finditer(raw):
+            if tok.group() not in (b"0", b"1"):
+                raise ParseError(
+                    f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
+                    line=lineno,
+                    column=tok.start() + 1,
+                )
         if width is None:
-            width = len(row)
-        elif len(row) != width:
+            width = len(tokens)
+        elif len(tokens) != width:
             raise DimensionError(
-                f"row has {len(row)} entries, expected {width}", line=lineno
+                f"row has {len(tokens)} entries, expected {width}", line=lineno
             )
-        rows.append(row)
+
+
+def _parse_dense(data: bytes) -> SparsityPattern:
+    rows = _dense_rows(data)
+    if rows is None:
+        _check_dense(data)  # raises, naming the first bad token or ragged row
     if not rows:
         raise EmptyInputError("input contains no pattern rows")
-    return _from_masks(len(rows), _column_masks(b"".join(rows), width))
+    return _from_masks(len(rows), _column_masks(b"".join(rows), len(rows[0])))
 
 
 def _delta_cells(delta: list) -> bytes | None:

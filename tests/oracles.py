@@ -13,13 +13,17 @@ on patterns beyond brute force's reach. It reads S and N(S) off its own
 graph helpers `duplicate_columns` and `has_saturating_matching` are the
 textbook forms of the replica matching. A graph is given as the pattern
 that is its biadjacency matrix: `pattern_from_edges` builds it from
-(column, row) edges and `pattern_edges` lists them back.
+(column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
+is the dense-text parser that splits every line into one token per cell, the
+reference for the whole-buffer checks that replaced it.
 """
 
+import re
 from itertools import combinations, permutations
 from math import comb
 
 from factorid.bipartite import match_adjacency, maximum_matching
+from factorid.errors import DimensionError, EmptyInputError, ParseError
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
@@ -265,3 +269,30 @@ def counting_rule_per_column(p, s):
         r=r, s=s, holds=True,
         witness_pass=PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule"),
     )
+
+
+def parse_dense_per_line(data):
+    """(m, col_masks) of dense text, read line by line and token by token,
+    raising the error `parse_pattern` raises for the first bad line."""
+    rows = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith(b"#"):
+            continue
+        row = b"".join(tokens)
+        if len(row) != len(tokens) or row.translate(None, b"01"):
+            tok = next(t for t in re.finditer(rb"\S+", raw) if t.group() not in (b"0", b"1"))
+            raise ParseError(
+                f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
+                line=lineno,
+                column=tok.start() + 1,
+            )
+        if rows and len(row) != len(rows[0]):
+            raise DimensionError(f"row has {len(row)} entries, expected {len(rows[0])}", line=lineno)
+        rows.append(row)
+    if not rows:
+        raise EmptyInputError("input contains no pattern rows")
+    masks = tuple(
+        sum(1 << i for i, row in enumerate(rows) if row[j] == ord("1")) for j in range(len(rows[0]))
+    )
+    return len(rows), masks

@@ -421,6 +421,7 @@ byte_lines = st.lists(
 
 @given(byte_lines)
 @example([b"\x80", b"", b" \r", b"\xef\xbb\xbf{}"])
+@example([b"1 0\r0 1", b"\x0b1\x0c1", b"# 11 \xff", b"0 1 "])
 @settings(max_examples=80, deadline=None)
 def test_arbitrary_bytes_never_crash(lines):
     data = b"\n".join(lines) + b"\n"
@@ -437,6 +438,9 @@ def test_arbitrary_bytes_never_crash(lines):
             records = f.read().splitlines()
         assert len(records) == sum(1 for line in lines if line.strip())
         result = runner.invoke(main, ["check", "--input", inp, "--format", "jsonl"])
+        assert no_traceback(result)
+        assert result.exit_code in (0, 1, 2)
+        result = runner.invoke(main, ["check", "--input", inp])
         assert no_traceback(result)
         assert result.exit_code in (0, 1, 2)
 

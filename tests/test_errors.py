@@ -13,7 +13,7 @@ import pytest
 import factorid
 from factorid import cli
 from factorid.bipartite import Matching, minimum_vertex_cover
-from factorid.errors import FactorIdError
+from factorid.errors import FactorIdError, ParseError
 from factorid.identify import (
     counting_rule,
     counting_rule_bruteforce,
@@ -25,17 +25,26 @@ from factorid.pattern import SparsityPattern, nonzero_row_count, parse_pattern, 
 
 P = SparsityPattern.from_rows([[1, 0], [0, 1], [1, 1]])
 
-# one row per raise site that used to throw a plain built-in, or nothing
+# one row per raise site that used to throw a plain built-in, or nothing, or
+# returned a verdict; ParseError rows name no built-in, since it is none
 BAD_CALLS = {
     "counting_rule_negative_s": (ValueError, lambda: counting_rule(P, -1)),
     "bruteforce_negative_s": (ValueError, lambda: counting_rule_bruteforce(P, -1)),
     "variance_identified_negative_s": (ValueError, lambda: variance_identified(P, -1)),
+    "counting_rule_fractional_s": (ValueError, lambda: counting_rule(P, 1.5)),
+    "bruteforce_fractional_s": (ValueError, lambda: counting_rule_bruteforce(P, 1.5)),
+    "variance_identified_fractional_s": (ValueError, lambda: variance_identified(P, 1.5)),
+    "variance_identified_str_s": (ValueError, lambda: variance_identified(P, "1")),
     "generic_rank_check_s_above_m": (ValueError, lambda: generic_rank_check(P, 4, trials=1)),
     "rcm_decomposition_row_out_of_range": (IndexError, lambda: rcm_decomposition(P, {3})),
     "nonzero_row_count_no_columns": (ValueError, lambda: nonzero_row_count(P, ())),
     "nonzero_row_count_column_out_of_range": (IndexError, lambda: nonzero_row_count(P, (2,))),
     "pattern_entry_not_0_1": (ValueError, lambda: SparsityPattern(((1, 2),))),
     "parse_pattern_unknown_format": (ValueError, lambda: parse_pattern("1", "csv")),
+    "parse_pattern_lone_surrogate": (ParseError, lambda: parse_pattern("1 \ud800\n")),
+    "parse_jsonl_lone_surrogate": (
+        ParseError, lambda: parse_pattern('{"id": "\ud800", "delta": [[1]]}', "jsonl_record"),
+    ),
     "matching_reuses_endpoint": (ValueError, lambda: Matching(frozenset({(0, 0), (1, 0)}))),
     "cover_from_foreign_pair": (
         ValueError, lambda: minimum_vertex_cover(P, Matching(frozenset({(0, 1)}))),

@@ -4,9 +4,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import MINCUT_DEMO_8X3, MINCUT_DEMO_TEXT
 from factorid.errors import DimensionError, EmptyInputError, InvalidArgumentError, ParseError
 from factorid.pattern import (
@@ -31,6 +32,46 @@ def patterns(draw, max_m=7, max_r=5):
         )
     )
     return SparsityPattern.from_rows(rows)
+
+
+# dense-text pieces: cells, every blank and line end, and bytes that are
+# none of them (a comment mark, a digit other than 0/1, a non-ASCII byte, a
+# byte str.split() takes for whitespace and bytes.split() does not, a
+# two-digit token)
+DENSE_PIECES = [b"0", b"1", b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"2", b"\xff",
+                b"\x1c", b"00"]
+
+
+@st.composite
+def dense_grids(draw):
+    """Dense texts that mostly parse: rows of a common width, random blanks
+    and line ends, comment lines, and now and then a stray piece."""
+    width = draw(st.integers(1, 4))
+
+    def blanks(min_size):
+        return draw(st.text(" \t\x0b\x0c", min_size=min_size, max_size=2)).encode()
+
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            line = blanks(0) + b"#" + b"".join(draw(st.lists(st.sampled_from(DENSE_PIECES))))
+        else:
+            cells = draw(st.lists(st.sampled_from(DENSE_PIECES[:2]), min_size=width,
+                                  max_size=width + draw(st.sampled_from([0, 0, 0, 1]))))
+            line = b"".join(blanks(int(k > 0)) + cell for k, cell in enumerate(cells)) + blanks(0)
+            if draw(st.integers(0, 9)) == 0:
+                line += draw(st.sampled_from(DENSE_PIECES))
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r", b"\r\n"])))
+    return b"".join(lines)
+
+
+def outcome(parse, data):
+    """What a parse returns, (m, col_masks), or raises: the exception's
+    class, message, line and column."""
+    try:
+        return parse(data)
+    except (ParseError, DimensionError, EmptyInputError) as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
 
 
 class TestParseDense:
@@ -65,6 +106,30 @@ class TestParseDense:
             parse_pattern(b"")
         with pytest.raises(EmptyInputError):
             parse_pattern(b"# only a comment\n\n")
+
+    @given(st.one_of(st.lists(st.sampled_from(DENSE_PIECES)).map(b"".join), dense_grids()))
+    @example(b"1 0\r\n0 1\r\n")  # CRLF
+    @example(b"1 0\r0 1\n1 1")  # a lone CR ends a line
+    @example(b"1\x0b0\x0c1\n\x0c0 1\x0b1\n")  # vertical tab and form feed separate cells
+    @example(b"  # 11 2 \xff\n1 0\n\t#11\n0 1\n")  # comments may hold anything
+    @example(b"1 0\n0 1 # 11\n")  # a '#' after a cell is a bad token
+    @example(b"1 0\n1 1 1\n0 2\n")  # the ragged row comes first
+    @example(b"1 \x1c 0\n")
+    @settings(max_examples=600)
+    def test_matches_per_line_reference(self, data):
+        p = outcome(parse_pattern, data)
+        if isinstance(p, SparsityPattern):
+            p = p.m, p.col_masks
+        assert p == outcome(oracles.parse_dense_per_line, data)
+
+    def test_large_pattern_against_numpy(self):
+        rng = np.random.default_rng(15)
+        mat = rng.random((1000, 50)) < 0.3
+        text = "\n".join(" ".join(map(str, row)) for row in mat.astype(int)) + "\n"
+        p = parse_pattern(text)
+        assert (p.m, p.r) == mat.shape
+        assert np.array_equal(np.array(p.entries, dtype=bool), mat)
+        assert (p.m, p.col_masks) == oracles.parse_dense_per_line(text.encode())
 
 
 class TestParseJsonl:
@@ -188,8 +253,9 @@ class TestPattern:
 def test_restrict_rows_and_trim_on_wide_masks():
     """restrict_rows and trim against row tuples on up to 1,200 rows, where
     masks are far wider than 64 bits: rows in any order and repeated, a
-    single row, no row, and a 1000x50 pattern with planted zero rows and
-    columns."""
+    sorted subset, one run of all rows, runs with gaps at both ends, rows in
+    descending order, a single row, no row, and a 1000x50 pattern with
+    planted zero rows and columns."""
     rng = np.random.default_rng(107)
     for _ in range(60):
         m = int(rng.integers(1, 1201))
@@ -199,6 +265,9 @@ def test_restrict_rows_and_trim_on_wide_masks():
         for rows in (
             rng.integers(0, m, size=int(rng.integers(1, m + 3))).tolist(),
             sorted(set(rng.integers(0, m, size=m // 2 + 1).tolist())),
+            list(range(m)),
+            [*range(1, m // 3), *range(m // 2, m - 1)] or [0],
+            list(range(m - 1, -1, -1)),
             [int(rng.integers(0, m))],
             [m - 1, 0],
         ):
