@@ -4,15 +4,15 @@ Outputs are deterministic, so iteration order and tie-breaking are part of
 the contract: vertices are processed in ascending index order and arcs in
 insertion order. Hopcroft-Karp finds the base matching that every
 counting-rule route reads (bipartite.py's alternating walk grows it by one
-augmenting path at a time where s >= 2); each phase's breadth-first layering
-stops at the first free right vertex it meets, which leaves the matching it
-returns unchanged (see its docstring). Dinic's min-cut serves the paper's
+augmenting path at a time where s >= 2). It reads the pattern's column
+bitmasks, so a step at a left vertex is a few operations on row masks at C
+speed, and each phase's breadth-first layering stops at the first free right
+vertex it meets; its output is the edge-by-edge kernel's on ascending rows
+(see its docstring). Dinic's min-cut serves the paper's
 identification network, which the s=1 route is tested against; the sweep, a
 plain recursive walk over column subsets that skips the extensions of any
 prefix already touching enough rows, serves the brute-force oracle.
 """
-
-_INF = 1 << 60
 
 
 def active_backend() -> str:
@@ -20,88 +20,100 @@ def active_backend() -> str:
     return "pure"
 
 
-def hopcroft_karp(n_left, n_right, indptr, indices):
-    """Maximum bipartite matching on a CSR adjacency (left -> right).
+def hopcroft_karp(n_left, n_right, col_masks, owner):
+    """Maximum bipartite matching of left vertices into right vertices given
+    as row bitmasks: left vertex u is a copy of column owner[u], and its right
+    neighbours are the set bits of col_masks[owner[u]].
 
     Phases of breadth-first layering followed by depth-first augmentation
-    along shortest alternating paths, O(E * sqrt(V)) worst case.
+    along shortest alternating paths, O(E * sqrt(V)) worst case. Sets of
+    right vertices are ints, so each step at a vertex is a few mask
+    operations at C speed instead of one Python step per edge.
 
-    The layering stops as soon as an edge reaches a free right vertex: that
-    fixes `found`, the shortest augmenting-path length. The queue is FIFO, so
-    by then every left vertex within distance `found - 1` of a free one has
-    its distance. The depth-first step descends one layer at a time and
-    augments only from distance `found - 1`; left vertices at distance
-    `found`, labelled or not, lead it to no free vertex. So it makes the same
-    augmentations, in the same order, as after a full layering.
+    The layering runs one layer of left vertices at a time. A vertex whose
+    mask meets `free` (the free right vertices) fixes `found`, the shortest
+    augmenting-path length, and stops it: every layer below `found` is then
+    complete, and vertices at distance `found` lead the depth-first step to
+    no free vertex. Otherwise `mask & unseen` are its new right vertices,
+    whose partners form the next layer. `rows_at[d]` is the mask of right
+    vertices whose partner lies at distance d; a vertex at depth d of the
+    depth-first step steps to the lowest right vertex above its cursor that
+    is in `rows_at[d + 1]`, or in `free` at depth `found - 1`. A dead end
+    takes its right vertex out of its layer, and so does every vertex of a
+    flipped augmenting path (whose free end leaves `free`): a path of the
+    same length through it would share an edge with the flipped one, and so
+    be longer (Hopcroft and Karp 1973). The edge-by-edge kernel, which may
+    step into such a vertex again through its new right vertex, meets a dead
+    end there. So on ascending neighbours both try the vertices that lead on
+    in the same order, and return the same matching.
 
     Returns (size, match_left, match_right) with -1 for unmatched vertices.
     """
+    masks = [col_masks[j] for j in owner]
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-    dist = [0] * n_left
-    queue = [0] * n_left
+    free = (1 << n_right) - 1
     size = 0
     while True:
-        # BFS: layer left vertices by alternating-path distance from the
-        # free ones until an edge reaches a free right vertex; `found` is
-        # the length of the shortest augmenting path.
-        qn = 0
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue[qn] = u
-                qn += 1
-            else:
-                dist[u] = _INF
-        found = _INF
-        qi = 0
-        while qi < qn and found == _INF:
-            u = queue[qi]
-            qi += 1
-            du = dist[u] + 1
-            for k in range(indptr[u], indptr[u + 1]):
-                w = match_r[indices[k]]
-                if w == -1:
-                    found = du
+        # BFS: rows_at[d + 1] collects the rows met from layer d, that is the
+        # rows whose partners form layer d + 1.
+        layer = [u for u in range(n_left) if match_l[u] == -1]
+        unseen = ((1 << n_right) - 1) ^ free
+        rows_at = [0]
+        found = 0
+        while layer and not found:
+            nxt = []
+            met = 0
+            for u in layer:
+                mask = masks[u]
+                if mask & free:
+                    found = len(rows_at)
                     break
-                if dist[w] == _INF:
-                    dist[w] = du
-                    queue[qn] = w
-                    qn += 1
-        if found == _INF:
+                new = mask & unseen
+                if new:
+                    unseen ^= new
+                    met |= new
+                    while new:
+                        low = new & -new
+                        nxt.append(match_r[low.bit_length() - 1])
+                        new ^= low
+            rows_at.append(met)
+            layer = nxt
+        if not found:
             return size, match_l, match_r
-        # DFS: augment along layered paths of length exactly `found`.
+        # DFS: augment along layered paths of length exactly `found`; the
+        # vertex at depth d of the stack lies in layer d.
+        last = found - 1
         for u0 in range(n_left):
             if match_l[u0] != -1:
                 continue
             su = [u0]
-            sk = [indptr[u0]]
-            sv = [-1]
+            sc = [0]
             while su:
-                u = su[-1]
-                k = sk[-1]
-                if k == indptr[u + 1]:
-                    dist[u] = _INF
+                d = len(su) - 1
+                u = su[d]
+                cand = masks[u] & (free if d == last else rows_at[d + 1]) >> sc[d] << sc[d]
+                if not cand:
+                    if d:
+                        rows_at[d] ^= 1 << match_l[u]
                     su.pop()
-                    sk.pop()
-                    sv.pop()
+                    sc.pop()
                     continue
-                sk[-1] = k + 1
-                v = indices[k]
-                w = match_r[v]
-                if w == -1:
-                    if dist[u] + 1 == found:
-                        sv[-1] = v
-                        for i in range(len(su)):
-                            match_l[su[i]] = sv[i]
-                            match_r[sv[i]] = su[i]
-                        size += 1
-                        break
-                elif dist[w] == dist[u] + 1:
-                    sv[-1] = v
-                    su.append(w)
-                    sk.append(indptr[w])
-                    sv.append(-1)
+                v = (cand & -cand).bit_length() - 1
+                if d < last:
+                    sc[d] = v + 1
+                    su.append(match_r[v])
+                    sc.append(0)
+                    continue
+                free ^= 1 << v
+                for k in range(d, -1, -1):
+                    u = su[k]
+                    if k:
+                        rows_at[k] ^= 1 << match_l[u]
+                    match_l[u], v = v, match_l[u]
+                    match_r[match_l[u]] = u
+                size += 1
+                break
 
 
 def dinic_min_cut(n_nodes, source, sink, tails, heads, caps):

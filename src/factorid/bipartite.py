@@ -2,11 +2,11 @@
 
 A pattern is the biadjacency matrix of its graph: column vertex j and row
 vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
-functions here take the `SparsityPattern` itself. `match_adjacency` is the
-one way into the Hopcroft-Karp kernel: the graph functions, `is_rcm`, and
-identify.py's base matching all pass it an adjacency list, one list of right
-neighbours per left vertex. `alternating_reach` is the one alternating-path
-walk over such a list: from a maximum matching it gives König's vertex
+functions here take the `SparsityPattern` itself, and matchings run on its
+column masks: the Hopcroft-Karp kernel takes the masks and the column that
+each left vertex copies, and `alternating_reach` one row mask per left
+vertex. No matching lists column rows. `alternating_reach` is the one
+alternating-path walk: from a maximum matching it gives König's vertex
 cover, and from a free vertex it grows a matching by one augmenting path.
 """
 
@@ -15,7 +15,7 @@ from typing import Sequence
 
 from factorid import _kernels
 from factorid.errors import InvalidArgumentError, MatchingNotMaximumError, NotSquareError
-from factorid.pattern import SparsityPattern
+from factorid.pattern import SparsityPattern, _set_bits
 
 
 @dataclass(frozen=True)
@@ -52,70 +52,64 @@ class VertexCover:
 
     def covers(self, p: SparsityPattern) -> bool:
         """Whether every 1-entry (i, j) of p has column j or row i in the cover."""
-        return all(
-            j in self.cols or i in self.rows for j, rows in enumerate(p.col_rows) for i in rows
-        )
-
-
-def match_adjacency(
-    adjacency: Sequence[Sequence[int]], n_right: int
-) -> tuple[int, list[int], list[int]]:
-    """Maximum matching (Hopcroft-Karp) of the left vertices u into the right
-    vertices adjacency[u]: (size, match_left, match_right), -1 for free.
-
-    Deterministic: vertices are scanned in ascending order and neighbours in
-    the given order, so equal inputs give the same matching even when
-    several maximum matchings exist.
-    """
-    indptr, indices = [0], []
-    for rows in adjacency:
-        indices += rows
-        indptr.append(len(indices))
-    return _kernels.hopcroft_karp(len(adjacency), n_right, indptr, indices)
+        rows = sum(1 << i for i in self.rows)
+        return all(j in self.cols or not mask & ~rows for j, mask in enumerate(p.col_masks))
 
 
 def maximum_matching(p: SparsityPattern) -> Matching:
     """Maximum-cardinality matching of the pattern's columns into its rows."""
-    _, match_l, _ = match_adjacency(p.col_rows, p.m)
+    _, match_l, _ = _kernels.hopcroft_karp(p.r, p.m, p.col_masks, range(p.r))
     return Matching(frozenset((c, r) for c, r in enumerate(match_l) if r != -1))
 
 
 def alternating_reach(
-    adjacency: Sequence[Sequence[int]],
+    masks: Sequence[int],
     match_l: list[int],
     match_r: list[int],
+    free: int,
     starts: Sequence[int] | None = None,
-) -> tuple[set[int], set[int]] | None:
+) -> tuple[set[int] | None, int]:
     """Walk alternating paths from the free left vertices `starts` (default:
     all of them): augment on the first free right vertex met, else return the
-    reached left and right vertices (König's construction).
+    reached left vertices and the mask of reached right vertices (König's
+    construction).
 
-    `adjacency[u]` lists the right neighbours of left vertex u; `match_l` and
-    `match_r` give each vertex's partner, -1 when free. A right vertex is
-    entered at most once, so a walk is O(E). If it meets a free right
-    vertex, it flips that augmenting path in place (the matching grows by
-    one) and returns None; callers that need a maximum matching check this.
+    Bit v of `masks[u]` is set iff left vertex u and right vertex v are
+    adjacent; `match_l` and `match_r` give each vertex's partner, -1 when
+    free, and bit v of `free` is set iff right vertex v is free. Each step
+    takes the right vertices of the popped left vertex not yet reached as
+    one mask, so a walk costs O(|left| + |right|) mask operations of
+    O(|right| / 64) words each. If they include a free one, it flips the
+    augmenting path to the lowest such vertex in place (the matching grows
+    by one) and returns (None, the mask of that right vertex), which the
+    caller clears from its `free`; callers that need a maximum matching
+    check for None.
     """
     stack = [u for u, v in enumerate(match_l) if v == -1] if starts is None else [*starts]
-    reached_l = set(stack)
-    came_from: dict[int, int] = {}  # reached right vertex -> left vertex before it
+    reached = set(stack)
+    before: dict[int, int] = {}  # reached matched left vertex -> left vertex before it
+    seen = 0
     while stack:
         u = stack.pop()
-        for v in adjacency[u]:
-            if match_l[u] == v or v in came_from:
-                continue
-            came_from[v] = u
-            back = match_r[v]
-            if back == -1:
-                while v != -1:  # flip the path back to its start
-                    u = came_from[v]
-                    match_r[v] = u
-                    match_l[u], v = v, match_l[u]
-                return None
-            if back not in reached_l:
-                reached_l.add(back)
-                stack.append(back)
-    return reached_l, set(came_from)
+        new = masks[u] & ~seen  # a matched u was reached by its own row, already seen
+        hit = new & free
+        if hit:
+            hit &= -hit
+            v = hit.bit_length() - 1
+            while u != -1:  # flip the path back to its start
+                match_r[v] = u
+                match_l[u], v = v, match_l[u]
+                u = before.get(u, -1)
+            return None, hit
+        seen |= new
+        while new:
+            low = new & -new
+            w = match_r[low.bit_length() - 1]
+            before[w] = u
+            reached.add(w)
+            stack.append(w)
+            new ^= low
+    return reached, seen
 
 
 def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
@@ -135,12 +129,12 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
             raise InvalidArgumentError(f"matching pair ({c}, {r}) is not an edge of the pattern")
         match_l[c] = r
         match_r[r] = c
-    reach = alternating_reach(p.col_rows, match_l, match_r)
-    if reach is None:
+    free = (1 << p.m) - 1 - sum(1 << r for r in match_l if r != -1)
+    reached_c, reached_r = alternating_reach(p.col_masks, match_l, match_r, free)
+    if reached_c is None:
         raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
-    reached_c, reached_r = reach
     cols = frozenset(c for c in range(p.r) if c not in reached_c)
-    rows = frozenset(reached_r)
+    rows = frozenset(_set_bits(reached_r, range(p.m)))
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
 

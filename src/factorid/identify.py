@@ -23,10 +23,12 @@ brute force over all column subsets is the oracle (exponential in r):
   deletion of s-1 rows.
 
 Every route and `rcm_decomposition` read this one base matching, so a
-pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches
-of O(nnz) each. Where a copy stays free, s=0 and s >= 2 report König's
-(S, N(S)), the columns and rows that alternating paths from the free copies
-reach; `bipartite.alternating_reach` is both these walks and the searches.
+pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches,
+each O(r + m) operations on m-bit row masks. Both read the column masks; no
+decision lists column rows. Where a copy stays free, s=0 and s >= 2 report
+König's (S, N(S)), the columns and rows that alternating paths from the
+free copies reach; `bipartite.alternating_reach` is both these walks and
+the searches.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
@@ -45,7 +47,7 @@ from math import comb
 from operator import index
 
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach, is_rcm, match_adjacency
+from factorid.bipartite import Matching, alternating_reach, is_rcm
 from factorid.errors import (
     InvalidArgumentError,
     MatchingNotMaximumError,
@@ -53,7 +55,14 @@ from factorid.errors import (
     OutOfRangeError,
     TooManyColumnsError,
 )
-from factorid.pattern import SparsityPattern, TrimReport, nonzero_row_count, restrict_rows, trim
+from factorid.pattern import (
+    SparsityPattern,
+    TrimReport,
+    _set_bits,
+    nonzero_row_count,
+    restrict_rows,
+    trim,
+)
 
 
 @dataclass(frozen=True)
@@ -126,15 +135,17 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _base_matching(p: SparsityPattern) -> tuple[tuple, int, list[int], list[int]]:
+def _base_matching(p: SparsityPattern) -> tuple[int, list[int], list[int], int]:
     """The replica matching: Hopcroft-Karp on two copies of every column,
     copy j + r mirroring column j, into the rows of p.
 
-    Returns (adjacency, size, match_l, match_r): adjacency[u] lists the rows
-    of copy u, and match_l/match_r pair copies and rows, -1 for free.
+    Returns (size, match_l, match_r, free): match_l/match_r pair copies and
+    rows, -1 for free, and bit i of `free` is set iff row i is free.
     """
-    adjacency = p.col_rows * 2
-    return (adjacency, *match_adjacency(adjacency, p.m))
+    size, match_l, match_r = _kernels.hopcroft_karp(
+        2 * p.r, p.m, p.col_masks, (*range(p.r), *range(p.r))
+    )
+    return size, match_l, match_r, (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)
 
 
 def _strength(s) -> int:
@@ -193,8 +204,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    _, size, match_l, _ = _base_matching(p)
-    reached = (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)  # the free rows
+    size, match_l, _, reached = _base_matching(p)  # reached starts as the free rows
     excluded = range(r)
     grew = True
     while grew:
@@ -231,7 +241,7 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
     """
     p.require_trimmed()
     r = p.r
-    adjacency, size, match_l, match_r = _base_matching(p)
+    size, match_l, match_r, free = _base_matching(p)
     if size == 2 * r:
         return CountingRuleVerdict(
             r=r, s=0, holds=True,
@@ -240,15 +250,15 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
                 note="matching saturates all columns and duplicates",
             ),
         )
-    reach = alternating_reach(adjacency, match_l, match_r)
-    if reach is None:
+    copies, rows = alternating_reach(p.col_masks * 2, match_l, match_r, free)
+    if copies is None:
         raise MatchingNotMaximumError("the base matching is not maximum")
-    copies, rows = reach
     cols = {u % r for u in copies}
-    assert len(rows) <= 2 * len(cols) - 1
+    count = rows.bit_count()
+    assert count <= 2 * len(cols) - 1
     return CountingRuleVerdict(
         r=r, s=0, holds=False,
-        witness_fail=FailWitness(columns=tuple(sorted(cols)), nonzero_rows=len(rows)),
+        witness_fail=FailWitness(columns=tuple(sorted(cols)), nonzero_rows=count),
     )
 
 
@@ -288,34 +298,36 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
-    adjacency, size, base_l, base_r = _base_matching(p)
+    size, base_l, base_r, base_free = _base_matching(p)
+    copies = p.col_masks * 2
     for j in range(r):
         # Grow the base matching by s copies of column j, one augmenting
         # search each. Once a copy finds no path, neither do its twins.
-        grown = adjacency + (p.col_rows[j],) * s
-        match_l, match_r = base_l + [-1] * s, base_r.copy()
+        grown = copies + (p.col_masks[j],) * s
+        match_l, match_r, free = base_l + [-1] * s, base_r.copy(), base_free
         matched = size
         for u in range(2 * r, 2 * r + s):
-            if alternating_reach(grown, match_l, match_r, starts=(u,)) is not None:
+            reached, row = alternating_reach(grown, match_l, match_r, free, starts=(u,))
+            if reached is not None:
                 break
+            free ^= row
             matched += 1
         if matched == 2 * r + s:
             continue
-        reach = alternating_reach(grown, match_l, match_r)
-        if reach is None:
+        reached, rows = alternating_reach(grown, match_l, match_r, free)
+        if reached is None:
             raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
-        copies, rows = reach
-        cols = {u % r if u < 2 * r else j for u in copies}
-        assert len(rows) < 2 * len(cols) + s
+        cols = {u % r if u < 2 * r else j for u in reached}
+        count = rows.bit_count()
+        assert count < 2 * len(cols) + s
         # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
         # remainder fails the s=1 rule; pad from outside N(S) if it is short.
-        outside = [i for i in range(m) if i not in rows]
-        deleted = sorted((sorted(rows) + outside)[: s - 1])
+        padded = _set_bits(rows, range(m)) + _set_bits(((1 << m) - 1) ^ rows, range(m))
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(
-                columns=tuple(sorted(cols)), nonzero_rows=len(rows),
-                deleted_rows=tuple(deleted),
+                columns=tuple(sorted(cols)), nonzero_rows=count,
+                deleted_rows=tuple(sorted(padded[: s - 1])),
             ),
         )
     try:
@@ -347,7 +359,7 @@ def rcm_decomposition(
     r = p.r
     if len(kept) < 2 * r:
         return None
-    _, size, match_l, _ = _base_matching(restrict_rows(p, kept))
+    size, match_l, _, _ = _base_matching(restrict_rows(p, kept))
     if size < 2 * r:
         return None
     matched = [kept[i] for i in match_l]
@@ -399,8 +411,9 @@ def generic_rank_check(
     """
     import numpy as np  # only this check needs numpy; `import factorid` stays light
 
+    s = _strength(s)
     m, r = p.m, p.r
-    if s < 0 or s > m:
+    if s > m:
         raise InvalidArgumentError(f"cannot delete {s} of {m} rows")
     rng_streams = np.random.SeedSequence(seed).spawn(trials)
     nz = np.nonzero(np.array(p.entries, dtype=np.int64).reshape(m, r))

@@ -8,8 +8,10 @@ paper's constructions as references for the routes that replaced them:
 `counting_rule_by_deletion` reduces s >= 2 to that min-cut, and
 `counting_rule_per_column` decides s >= 2 with one fresh replica matching per
 column, the route that one base matching plus augmenting searches replaced,
-on patterns beyond brute force's reach. It reads S and N(S) off its own
-`konig_reach`, not off the package's alternating walk that it checks. The
+on patterns beyond brute force's reach. It matches with
+`hopcroft_karp_csr`, the edge-by-edge kernel that the mask kernel replaced
+and must equal, and reads S and N(S) off its own `konig_reach`, so it shares
+no matching code with the package's routes that it checks. The
 graph helpers `duplicate_columns` and `has_saturating_matching` are the
 textbook forms of the replica matching. A graph is given as the pattern
 that is its biadjacency matrix: `pattern_from_edges` builds it from
@@ -22,11 +24,13 @@ import re
 from itertools import combinations, permutations
 from math import comb
 
-from factorid.bipartite import match_adjacency, maximum_matching
+from factorid.bipartite import maximum_matching
 from factorid.errors import DimensionError, EmptyInputError, ParseError
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
+
+_INF = 1 << 60
 
 
 def pattern_from_edges(n_col, n_row, edges):
@@ -211,6 +215,103 @@ def hall_condition_columns(n_col, n_row, edges):
             if len(set().union(*(adj[c] for c in cols))) < q:
                 return False
     return True
+
+
+def hopcroft_karp_csr(n_left, n_right, indptr, indices):
+    """Maximum bipartite matching on a CSR adjacency (left -> right), one
+    Python step per edge: the package kernel before it read column masks,
+    kept as the reference that the mask kernel must equal on ascending
+    neighbour lists.
+
+    Phases of breadth-first layering followed by depth-first augmentation
+    along shortest alternating paths, O(E * sqrt(V)) worst case.
+
+    The layering stops as soon as an edge reaches a free right vertex: that
+    fixes `found`, the shortest augmenting-path length. The queue is FIFO, so
+    by then every left vertex within distance `found - 1` of a free one has
+    its distance. The depth-first step descends one layer at a time and
+    augments only from distance `found - 1`; left vertices at distance
+    `found`, labelled or not, lead it to no free vertex. So it makes the same
+    augmentations, in the same order, as after a full layering.
+
+    Returns (size, match_left, match_right) with -1 for unmatched vertices.
+    """
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0] * n_left
+    queue = [0] * n_left
+    size = 0
+    while True:
+        # BFS: layer left vertices by alternating-path distance from the
+        # free ones until an edge reaches a free right vertex; `found` is
+        # the length of the shortest augmenting path.
+        qn = 0
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue[qn] = u
+                qn += 1
+            else:
+                dist[u] = _INF
+        found = _INF
+        qi = 0
+        while qi < qn and found == _INF:
+            u = queue[qi]
+            qi += 1
+            du = dist[u] + 1
+            for k in range(indptr[u], indptr[u + 1]):
+                w = match_r[indices[k]]
+                if w == -1:
+                    found = du
+                    break
+                if dist[w] == _INF:
+                    dist[w] = du
+                    queue[qn] = w
+                    qn += 1
+        if found == _INF:
+            return size, match_l, match_r
+        # DFS: augment along layered paths of length exactly `found`.
+        for u0 in range(n_left):
+            if match_l[u0] != -1:
+                continue
+            su = [u0]
+            sk = [indptr[u0]]
+            sv = [-1]
+            while su:
+                u = su[-1]
+                k = sk[-1]
+                if k == indptr[u + 1]:
+                    dist[u] = _INF
+                    su.pop()
+                    sk.pop()
+                    sv.pop()
+                    continue
+                sk[-1] = k + 1
+                v = indices[k]
+                w = match_r[v]
+                if w == -1:
+                    if dist[u] + 1 == found:
+                        sv[-1] = v
+                        for i in range(len(su)):
+                            match_l[su[i]] = sv[i]
+                            match_r[sv[i]] = su[i]
+                        size += 1
+                        break
+                elif dist[w] == dist[u] + 1:
+                    sv[-1] = v
+                    su.append(w)
+                    sk.append(indptr[w])
+                    sv.append(-1)
+
+
+def match_adjacency(adjacency, n_right):
+    """`hopcroft_karp_csr` on adjacency lists: (size, match_left,
+    match_right) of left vertex u into the right vertices adjacency[u]."""
+    indptr, indices = [0], []
+    for rows in adjacency:
+        indices += rows
+        indptr.append(len(indices))
+    return hopcroft_karp_csr(len(adjacency), n_right, indptr, indices)
 
 
 def konig_reach(adjacency, match_l, match_r):

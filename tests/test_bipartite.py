@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pattern
+from factorid import _kernels
 from factorid.bipartite import (
     Matching,
     alternating_reach,
     is_rcm,
-    match_adjacency,
     maximum_matching,
     minimum_vertex_cover,
 )
@@ -162,8 +162,8 @@ class TestAlternatingReach:
     def test_konig_cover_or_one_augmentation(self):
         """From a maximum matching the walk gives König's cover: the unreached
         left and the reached right vertices cover every edge and number |M|.
-        With one pair taken out it finds an augmenting path instead, flips it
-        and restores the size."""
+        With one pair taken out it finds an augmenting path instead, flips it,
+        restores the size and reports the one free row it matched."""
         rng = np.random.default_rng(131)
         augmented = 0
         for _ in range(400):
@@ -173,16 +173,22 @@ class TestAlternatingReach:
                 [int(v) for v in rng.permutation(n_right) if rng.random() < density]
                 for _ in range(n_left)
             ]
-            size, match_l, match_r = match_adjacency(adjacency, n_right)
-            reached_l, reached_r = alternating_reach(adjacency, match_l, match_r)
+            masks = [sum(1 << v for v in vs) for vs in adjacency]
+            size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+            free = sum(1 << v for v, u in enumerate(match_r) if u == -1)
+            reached_l, reached_r = alternating_reach(masks, match_l, match_r, free)
+            reached_r = {v for v in range(n_right) if reached_r >> v & 1}
             cover_l = set(range(n_left)) - reached_l
             assert len(cover_l) + len(reached_r) == size
             assert all(u in cover_l or v in reached_r for u, vs in enumerate(adjacency) for v in vs)
             if not size:
                 continue
             u = int(rng.choice([u for u, v in enumerate(match_l) if v != -1]))
+            free |= 1 << match_l[u]
             match_r[match_l[u]] = match_l[u] = -1
-            assert alternating_reach(adjacency, match_l, match_r) is None
+            reached_l, row = alternating_reach(masks, match_l, match_r, free)
+            assert reached_l is None
+            assert row & free and row.bit_count() == 1 and match_r[row.bit_length() - 1] != -1
             augmented += 1
             pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
             assert len(pairs) == size

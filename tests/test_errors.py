@@ -36,6 +36,8 @@ BAD_CALLS = {
     "variance_identified_fractional_s": (ValueError, lambda: variance_identified(P, 1.5)),
     "variance_identified_str_s": (ValueError, lambda: variance_identified(P, "1")),
     "generic_rank_check_s_above_m": (ValueError, lambda: generic_rank_check(P, 4, trials=1)),
+    "generic_rank_check_fractional_s": (ValueError, lambda: generic_rank_check(P, 1.5, trials=1)),
+    "generic_rank_check_str_s": (ValueError, lambda: generic_rank_check(P, "1", trials=1)),
     "rcm_decomposition_row_out_of_range": (IndexError, lambda: rcm_decomposition(P, {3})),
     "nonzero_row_count_no_columns": (ValueError, lambda: nonzero_row_count(P, ())),
     "nonzero_row_count_column_out_of_range": (IndexError, lambda: nonzero_row_count(P, (2,))),

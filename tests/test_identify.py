@@ -17,8 +17,10 @@ from factorid.errors import (
     TooManyColumnsError,
     UntrimmedPatternError,
 )
+from factorid import _kernels
 from factorid.identify import (
     FailWitness,
+    _base_matching,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
@@ -386,6 +388,114 @@ class TestPerColumnReference:
                 passing += verdict.holds
                 at_bound += p.m == 2 * p.r + s
         assert failing >= 200 and passing >= 100 and at_bound >= 40, (failing, passing, at_bound)
+
+    def test_equals_per_column_route_at_m_1000(self):
+        """1000x50 patterns, dense and sparse, with and without q=3 columns
+        confined to 2q+s-1 rows (they pass s=1 and fail at s)."""
+        rng = np.random.default_rng(127)
+        verdicts = []
+        for density in (0.3, 0.05):
+            for s in (2, 3):
+                for planted in (False, True):
+                    dense = rng.random((1000, 50)) < density
+                    if planted:
+                        cols = rng.choice(50, 3, replace=False)
+                        dense[:, cols] = False
+                        dense[np.ix_(rng.choice(1000, 5 + s, replace=False), cols)] = True
+                    p, _ = trim(SparsityPattern.from_rows(dense.astype(int).tolist()))
+                    verdict = counting_rule(p, s)
+                    assert verdict == oracles.counting_rule_per_column(p, s)
+                    verdicts.append((planted, verdict.holds))
+        assert verdicts == [(planted, not planted) for planted in (False, True)] * 4
+
+
+def base_matching_cases(seed, n):
+    """n patterns drawn from random() alone, whose stream Python keeps fixed
+    across versions, four families in turn: r up to 12 on up to 3r+3 rows at
+    any density; r up to 50 on 2r to 400 rows at densities around 2r/m;
+    the same with q <= 3 columns confined to 2q-1 rows, so that copies stay
+    free; and 1000x50 at density 0.3 (every other one with 3 columns
+    confined to 5 rows) or 0.05."""
+    rng = random.Random(seed)
+
+    def below(k):
+        return int(rng.random() * k)
+
+    for case in range(n):
+        family = case % 4
+        if family == 0:
+            r = 1 + below(12)
+            m = 1 + below(3 * r + 3)
+            density = rng.random()
+        elif family < 3:
+            r = 1 + below(50)
+            m = 2 * r + below(401 - 2 * r)
+            density = min(1.0, (0.5 + 2 * rng.random()) * 2 * r / m)
+        else:
+            r, m = 50, 1000
+            density = 0.3 if case % 8 == 3 else 0.05
+        cells = [[int(rng.random() < density) for _ in range(r)] for _ in range(m)]
+        if family == 2 or case % 8 == 3:
+            q = 3 if family == 3 else 1 + below(min(r, 3))
+            cols = sorted({below(r) for _ in range(q)})
+            rows = {below(m) for _ in range(2 * len(cols) - 1)}
+            for i, row in enumerate(cells):
+                for j in cols:
+                    row[j] = int(i in rows)
+        yield SparsityPattern(tuple(map(tuple, cells)))
+
+
+# SHA-256 of repr((size, match_l, match_r)) of the replica matching over
+# base_matching_cases(173, 240), computed with the Hopcroft-Karp that walked
+# each column's row list edge by edge
+BASE_MATCHING_DIGEST = "ec8eae1bb04fd786fdb1dcf5e27f3c0fdc9b62f14d0c5f80a68b2316b120d61c"
+
+
+class TestBaseMatching:
+    """The one replica matching that every route reads."""
+
+    def test_output_is_pinned(self):
+        digest = hashlib.sha256()
+        short = 0
+        for p in base_matching_cases(173, 240):
+            size, match_l, match_r, free = _base_matching(p)
+            assert free == sum(1 << i for i, u in enumerate(match_r) if u == -1)
+            short += size < 2 * p.r
+            digest.update(repr((size, match_l, match_r)).encode())
+        assert short >= 100
+        assert digest.hexdigest() == BASE_MATCHING_DIGEST
+
+    def test_one_kernel_run_per_decision(self, monkeypatch, deletion_demo_8x3, mincut_demo_8x3):
+        """counting_rule and variance_identified run Hopcroft-Karp once at
+        every s, passing or failing, and no decision lists column rows."""
+        calls = []
+        kernel = _kernels.hopcroft_karp
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        def unlisted(p):
+            raise AssertionError("a decision listed column rows")
+
+        monkeypatch.setattr(_kernels, "hopcroft_karp", counted)
+        monkeypatch.setattr(SparsityPattern, "col_rows", property(unlisted))
+        rng = np.random.default_rng(139)
+        patterns = [deletion_demo_8x3, mincut_demo_8x3]
+        patterns += [trimmed_random(rng, 16, 5, density=0.3) for _ in range(30)]
+        outcomes = set()
+        for p in filter(lambda p: p.r, patterns):
+            rcm_decomposition(p, {0})
+            for s in range(4):
+                if p.m < 2 * p.r + s:
+                    continue
+                for decide in (counting_rule, variance_identified):
+                    calls.clear()
+                    verdict = decide(p, s)
+                    assert calls == [2 * p.r], (decide, s)
+                    holds = verdict.holds if decide is counting_rule else verdict.identified
+                    outcomes.add((s, holds))
+        assert outcomes == {(s, holds) for s in range(4) for holds in (False, True)}
 
 
 class TestGraphReference:

@@ -1,7 +1,8 @@
 """The counting sweep against the naive scan that defines its contract,
-Hopcroft-Karp's exact output against a pinned digest and its size against
-scipy, and the alternating walk's augmenting search, which grows a
-Hopcroft-Karp matching, against Hopcroft-Karp on the grown graph."""
+Hopcroft-Karp on column masks against the edge-by-edge reference kernel in
+oracles.py (whose exact output a digest pins) and its size against scipy,
+and the alternating walk's augmenting search, which grows a Hopcroft-Karp
+matching, against the reference on the grown graph."""
 
 import hashlib
 import random
@@ -62,9 +63,10 @@ def test_counting_sweep_first_violator():
 
 
 def test_augment_grows_a_maximum_matching():
-    """Hopcroft-Karp on a random CSR graph, then k appended left vertices,
-    each searched once by the alternating walk: the matching stays a maximum
-    one of the grown graph and every pair is an edge."""
+    """Hopcroft-Karp on a random graph, then k appended left vertices, each
+    searched once by the alternating walk: the matching stays a maximum one
+    of the grown graph, every pair is an edge, and the rows each search
+    reports matched keep the caller's free-row mask exact."""
     rng = np.random.default_rng(89)
     grew = 0
     for _ in range(400):
@@ -75,22 +77,21 @@ def test_augment_grows_a_maximum_matching():
             [int(v) for v in rng.permutation(n_right) if rng.random() < density]
             for _ in range(n_left + k)
         ]
-        indptr = [0]
-        for adj in rows[:n_left]:
-            indptr.append(indptr[-1] + len(adj))
-        indices = [v for adj in rows[:n_left] for v in adj]
-        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, indptr, indices)
+        masks = [sum(1 << v for v in adj) for adj in rows]
+        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
         match_l += [-1] * k
+        free = sum(1 << v for v, u in enumerate(match_r) if u == -1)
         for u in range(n_left, n_left + k):
-            found = alternating_reach(rows, match_l, match_r, starts=(u,)) is None
+            reached, row = alternating_reach(masks, match_l, match_r, free, starts=(u,))
+            found = reached is None
             assert found == (match_l[u] != -1)
+            if found:
+                assert row & free and row.bit_count() == 1
+                free ^= row
             size += found
             grew += found
-        indptr = [0]
-        for adj in rows:
-            indptr.append(indptr[-1] + len(adj))
-        indices = [v for adj in rows for v in adj]
-        assert size == _kernels.hopcroft_karp(n_left + k, n_right, indptr, indices)[0]
+        assert free == sum(1 << v for v, u in enumerate(match_r) if u == -1)
+        assert size == oracles.match_adjacency(rows, n_right)[0]
         pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
         assert len(pairs) == size
         assert len({v for _, v in pairs}) == size
@@ -138,6 +139,17 @@ def matching_graphs(seed, n):
         yield len(rows), n_right, indptr, [v for adj in rows for v in adj]
 
 
+def sorted_and_masks(graph):
+    """A CSR graph with each neighbour list in ascending order, and its left
+    vertices' neighbour sets as masks."""
+    n_left, n_right, indptr, indices = graph
+    rows = [sorted(indices[indptr[u]:indptr[u + 1]]) for u in range(n_left)]
+    return (
+        (n_left, n_right, indptr, [v for adj in rows for v in adj]),
+        [sum(1 << v for v in adj) for adj in rows],
+    )
+
+
 # SHA-256 of repr((size, match_l, match_r)) over matching_graphs(97, 2400),
 # computed with the Hopcroft-Karp whose breadth-first layering ran through its
 # whole queue; the layering that stops at the first free vertex must give the
@@ -146,12 +158,23 @@ HOPCROFT_KARP_DIGEST = "9a4aa94d0568a2edb736cd99ecf1894cc32b4895ef81cbf3326b3512
 
 
 def test_hopcroft_karp_output_is_pinned():
-    """Hopcroft-Karp returns exactly the pinned matchings, so every witness
-    built on them stays byte for byte the same."""
+    """The reference kernel returns exactly the pinned matchings, so every
+    witness built on them stays byte for byte the same."""
     digest = hashlib.sha256()
     for graph in matching_graphs(97, 2400):
-        digest.update(repr(_kernels.hopcroft_karp(*graph)).encode())
+        digest.update(repr(oracles.hopcroft_karp_csr(*graph)).encode())
     assert digest.hexdigest() == HOPCROFT_KARP_DIGEST
+
+
+def test_mask_kernel_equals_reference():
+    """On ascending neighbour lists the mask kernel returns exactly the
+    reference kernel's matching; each left vertex is the one copy of its own
+    mask (owner = range(n_left))."""
+    for graph in matching_graphs(97, 2400):
+        ascending, masks = sorted_and_masks(graph)
+        n_left, n_right = graph[:2]
+        expected = oracles.hopcroft_karp_csr(*ascending)
+        assert _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left)) == expected
 
 
 def test_hopcroft_karp_size_matches_scipy():
@@ -159,8 +182,10 @@ def test_hopcroft_karp_size_matches_scipy():
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    for n_left, n_right, indptr, indices in matching_graphs(101, 600):
-        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, indptr, indices)
+    for graph in matching_graphs(101, 600):
+        n_left, n_right, indptr, indices = graph
+        masks = sorted_and_masks(graph)[1]
+        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
         pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
         assert len(pairs) == size and all(match_r[v] == u for u, v in pairs)
         assert all(v in indices[indptr[u]:indptr[u + 1]] for u, v in pairs)
