@@ -9,7 +9,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -173,6 +172,10 @@ def _parse_row_spec(spec: str, m: int) -> frozenset[int]:
     return frozenset(rows)
 
 
+# json.dumps builds a new encoder on every call that passes separators
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass
 class DrawRecord:
     """Verdict for one posterior draw; `error` is set for malformed lines."""
@@ -191,7 +194,7 @@ class DrawRecord:
             "mwvc_weight": self.mwvc_weight,
             "error": self.error,
         }
-        return json.dumps(payload, separators=(",", ":"))
+        return _COMPACT.encode(payload)
 
 
 @dataclass
@@ -267,6 +270,9 @@ def _filter_records(lines, workers: int):
     if workers == 1:
         yield from map(_filter_record, lines)
         return
+    # the pool's import pulls in multiprocessing, which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     lines = iter(lines)
     pending = deque()
     with ProcessPoolExecutor(max_workers=workers) as executor:

@@ -70,3 +70,7 @@ class TooManyColumnsError(FactorIdError):
 
 class NoDecompositionError(FactorIdError):
     """No pair of disjoint row groups with reordered nonzero diagonals exists."""
+
+
+class MissingDependencyError(FactorIdError, ImportError):
+    """An optional dependency that the call needs is not installed."""

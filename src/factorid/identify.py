@@ -41,9 +41,10 @@ one only means the sufficient condition does not apply (the rule is not
 necessary), which is what the `sufficient_only` flag on verdict records says.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from numbers import Real
 from operator import index
 
 from factorid import _kernels
@@ -51,6 +52,7 @@ from factorid.bipartite import Matching, alternating_reach, is_rcm
 from factorid.errors import (
     InvalidArgumentError,
     MatchingNotMaximumError,
+    MissingDependencyError,
     NoDecompositionError,
     OutOfRangeError,
     TooManyColumnsError,
@@ -148,16 +150,18 @@ def _base_matching(p: SparsityPattern) -> tuple[int, list[int], list[int], int]:
     return size, match_l, match_r, (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)
 
 
-def _strength(s) -> int:
-    """s as an int, from any integer type (numpy's too); InvalidArgumentError
-    unless it is a non-negative integer."""
+def _integer(name: str, value, least: int = 0) -> int:
+    """value as an int, from any integer type (numpy's too);
+    InvalidArgumentError unless it is an integer of at least `least`."""
     try:
-        s = index(s)
+        value = index(value)
     except TypeError:
-        raise InvalidArgumentError(f"s must be an integer, got {s!r}") from None
-    if s < 0:
-        raise InvalidArgumentError("s must be non-negative")
-    return s
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidArgumentError(
+            f"{name} must be non-negative" if least == 0 else f"{name} must be at least {least}"
+        )
+    return value
 
 
 def counting_rule_bruteforce(
@@ -170,7 +174,7 @@ def counting_rule_bruteforce(
     The sweep skips every subset that extends columns already touching 2q+s
     rows, and usually visits far fewer.
     """
-    s = _strength(s)
+    s = _integer("s", s)
     if p.r > max_columns:
         raise TooManyColumnsError(f"r={p.r} exceeds the brute-force cap {max_columns}")
     holds, subset, count = _kernels.counting_sweep(p.r, s, list(p.col_masks))
@@ -286,7 +290,7 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     all m rows, without deleted rows: the rule's q = r case is the dimension
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
-    s = _strength(s)
+    s = _integer("s", s)
     if s == 0:
         return counting_rule_s0(p)
     if s == 1:
@@ -349,9 +353,15 @@ def rcm_decomposition(
     The groups come from the s=0 replica matching on the kept rows: group A
     collects the rows matched to the first copies of the columns (ordered by
     column), group B those matched to the second copies. All indices refer
-    to the input pattern's coordinates.
+    to the input pattern's coordinates. `deleted_rows` may hold any integer
+    type (numpy's too); the result lists them as sorted ints.
     """
-    deleted = frozenset(deleted_rows)
+    try:
+        deleted = frozenset(map(index, deleted_rows))
+    except TypeError:
+        raise InvalidArgumentError(
+            f"deleted rows must be integers, got {deleted_rows!r}"
+        ) from None
     for i in deleted:
         if not (0 <= i < p.m):
             raise OutOfRangeError(f"row index {i} out of range for m={p.m}")
@@ -407,11 +417,26 @@ def generic_rank_check(
 
     A missing decomposition signals that the counting rule fails for that
     deletion; it raises NoDecompositionError unless diagnose=True, in which
-    case it is recorded and the deletion skipped.
+    case it is recorded and the deletion skipped. InvalidArgumentError unless
+    s, trials and seed are non-negative integers, deletion_cap a positive
+    one and tolerance a non-negative real number; MissingDependencyError
+    when numpy, the `rank` extra, is not installed.
     """
-    import numpy as np  # only this check needs numpy; `import factorid` stays light
+    s = _integer("s", s)
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
+    deletion_cap = _integer("deletion_cap", deletion_cap, least=1)
+    if not (isinstance(tolerance, Real) and tolerance >= 0):  # NaN fails too
+        raise InvalidArgumentError(
+            f"tolerance must be a non-negative real number, got {tolerance!r}"
+        )
+    try:
+        import numpy as np  # only this check needs numpy; `import factorid` stays light
+    except ImportError as e:
+        raise MissingDependencyError(
+            "generic_rank_check needs numpy: install factorid[rank]"
+        ) from e
 
-    s = _strength(s)
     m, r = p.m, p.r
     if s > m:
         raise InvalidArgumentError(f"cannot delete {s} of {m} rows")
@@ -470,35 +495,39 @@ def generic_rank_check(
 def verdict_in_original_coords(
     verdict: CountingRuleVerdict, report: TrimReport
 ) -> CountingRuleVerdict:
-    """Map a verdict computed on a trimmed pattern back to original indices."""
-    if not report.removed_zero_columns and not report.removed_zero_rows:
+    """Map a verdict computed on a trimmed pattern back to original indices.
+    The verdict itself comes back when no index needs mapping: nothing was
+    trimmed, or it carries neither a violating subset nor a matching."""
+    wf, wp = verdict.witness_fail, verdict.witness_pass
+    matching = wp.matching if wp is not None else None
+    if (
+        not (report.removed_zero_columns or report.removed_zero_rows)
+        or (wf is None and matching is None)
+    ):
         return verdict
-    wf = verdict.witness_fail
+    rows, cols = report.kept_rows, report.kept_columns
     if wf is not None:
-        wf = replace(
-            wf,
-            columns=tuple(report.original_column(j) for j in wf.columns),
+        wf = FailWitness(
+            columns=tuple(map(cols.__getitem__, wf.columns)),
+            nonzero_rows=wf.nonzero_rows,
             deleted_rows=(
-                tuple(report.original_row(i) for i in wf.deleted_rows)
-                if wf.deleted_rows is not None
-                else None
+                None if wf.deleted_rows is None
+                else tuple(map(rows.__getitem__, wf.deleted_rows))
             ),
         )
-    wp = verdict.witness_pass
-    if wp is not None and wp.matching is not None:
-        r_eff = report.effective_r
-        r_orig = report.original_r
-        pairs = frozenset(
-            (
-                report.original_column(c)
-                if c < r_eff
-                else r_orig + report.original_column(c - r_eff),
-                report.original_row(i),
-            )
-            for c, i in wp.matching.pairs
+    if matching is not None:
+        r_eff, r_orig = report.effective_r, report.original_r
+        wp = PassWitness(
+            matching=Matching(frozenset(
+                (cols[c] if c < r_eff else r_orig + cols[c - r_eff], rows[i])
+                for c, i in matching.pairs
+            )),
+            note=wp.note,
         )
-        wp = replace(wp, matching=Matching(pairs))
-    return replace(verdict, witness_fail=wf, witness_pass=wp)
+    return CountingRuleVerdict(
+        r=verdict.r, s=verdict.s, holds=verdict.holds, witness_fail=wf,
+        witness_pass=wp, mincut_value=verdict.mincut_value,
+    )
 
 
 def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVerdict:
@@ -511,7 +540,7 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     the caller's original coordinates, for every s >= 0 (InvalidArgumentError
     otherwise, raised before trimming).
     """
-    s = _strength(s)
+    s = _integer("s", s)
     trimmed, report = trim(p_raw)
     if trimmed.r == 0:
         return IdentificationVerdict(

@@ -152,6 +152,11 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     ))
 
 
+def _kept(removed: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The indices 0..n-1 not in removed, which holds distinct indices."""
+    return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), range(n))
+
+
 @dataclass(frozen=True)
 class TrimReport:
     """Record of the zero rows/columns removed by :func:`trim`.
@@ -169,13 +174,11 @@ class TrimReport:
 
     @cached_property
     def kept_rows(self) -> tuple[int, ...]:
-        gone = set(self.removed_zero_rows)
-        return tuple(i for i in range(self.original_m) if i not in gone)
+        return _kept(self.removed_zero_rows, self.original_m)
 
     @cached_property
     def kept_columns(self) -> tuple[int, ...]:
-        gone = set(self.removed_zero_columns)
-        return tuple(j for j in range(self.original_r) if j not in gone)
+        return _kept(self.removed_zero_columns, self.original_r)
 
     def original_row(self, i: int) -> int:
         return self.kept_rows[i]
@@ -202,7 +205,7 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     )
     if not zero_cols and not zero_rows:
         return p, report
-    trimmed = _from_masks(p.m, tuple(mask for mask in p.col_masks if mask))
+    trimmed = _from_masks(p.m, tuple(filter(None, p.col_masks)))
     if zero_rows:
         trimmed = restrict_rows(trimmed, report.kept_rows)
     return trimmed, report

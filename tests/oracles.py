@@ -18,13 +18,18 @@ that is its biadjacency matrix: `pattern_from_edges` builds it from
 (column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
 is the dense-text parser that splits every line into one token per cell, the
 reference for the whole-buffer checks that replaced it.
+`verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
+and the report's per-index lookups, the reference for the package's mapping
+that builds the mapped witness directly and returns an unmapped verdict as
+it is.
 """
 
 import re
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
-from factorid.bipartite import maximum_matching
+from factorid.bipartite import Matching, maximum_matching
 from factorid.errors import DimensionError, EmptyInputError, ParseError
 from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
@@ -397,3 +402,35 @@ def parse_dense_per_line(data):
         sum(1 << i for i, row in enumerate(rows) if row[j] == ord("1")) for j in range(len(rows[0]))
     )
     return len(rows), masks
+
+
+def verdict_in_original_coords(verdict, report):
+    """Map a verdict computed on a trimmed pattern back to original indices."""
+    if not report.removed_zero_columns and not report.removed_zero_rows:
+        return verdict
+    wf = verdict.witness_fail
+    if wf is not None:
+        wf = replace(
+            wf,
+            columns=tuple(report.original_column(j) for j in wf.columns),
+            deleted_rows=(
+                tuple(report.original_row(i) for i in wf.deleted_rows)
+                if wf.deleted_rows is not None
+                else None
+            ),
+        )
+    wp = verdict.witness_pass
+    if wp is not None and wp.matching is not None:
+        r_eff = report.effective_r
+        r_orig = report.original_r
+        pairs = frozenset(
+            (
+                report.original_column(c)
+                if c < r_eff
+                else r_orig + report.original_column(c - r_eff),
+                report.original_row(i),
+            )
+            for c, i in wp.matching.pairs
+        )
+        wp = replace(wp, matching=Matching(pairs))
+    return replace(verdict, witness_fail=wf, witness_pass=wp)

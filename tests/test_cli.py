@@ -366,6 +366,40 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+POOL_PROBE = """
+import os, sys
+import factorid.cli
+from factorid.cli import main
+
+def run(out, *extra):
+    try:
+        main(["filter", "--input", sys.argv[1], "--output", out, *extra], standalone_mode=False)
+    except SystemExit as e:
+        assert e.code == 0, e.code
+    with open(out, "rb") as f:
+        return f.read()
+
+pool = ("concurrent.futures.process", "multiprocessing")
+serial = run(sys.argv[2])
+print(*(name in sys.modules for name in pool))
+os.cpu_count = lambda: 2  # so that --parallel 2 starts two workers anywhere
+same = run(sys.argv[3], "--parallel", "2") == serial
+print(*(name in sys.modules for name in pool), same)
+"""
+
+
+def test_serial_filter_leaves_the_process_pool_unloaded(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    stream = tmp_path / "in.jsonl"
+    stream.write_text(STREAM * 50)
+    out = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(stream), str(tmp_path / "a"), str(tmp_path / "b")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.splitlines() == ["False False", "True True True"]
+
+
 def test_worker_count_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [cli._worker_count(n) for n in (-5, 0, 1, 3, 4, 10**9)] == [1, 1, 1, 3, 4, 4]

@@ -38,7 +38,35 @@ BAD_CALLS = {
     "generic_rank_check_s_above_m": (ValueError, lambda: generic_rank_check(P, 4, trials=1)),
     "generic_rank_check_fractional_s": (ValueError, lambda: generic_rank_check(P, 1.5, trials=1)),
     "generic_rank_check_str_s": (ValueError, lambda: generic_rank_check(P, "1", trials=1)),
+    "generic_rank_check_negative_seed": (ValueError, lambda: generic_rank_check(P, 1, seed=-1)),
+    "generic_rank_check_negative_trials": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=-1),
+    ),
+    "generic_rank_check_fractional_trials": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1.5),
+    ),
+    "generic_rank_check_fractional_seed": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, seed=1.5),
+    ),
+    "generic_rank_check_negative_deletion_cap": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, deletion_cap=-3),
+    ),
+    "generic_rank_check_zero_deletion_cap": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, deletion_cap=0),
+    ),
+    "generic_rank_check_negative_tolerance": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance=-1e-8),
+    ),
+    "generic_rank_check_nan_tolerance": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance=float("nan")),
+    ),
+    "generic_rank_check_str_tolerance": (
+        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance="1e-8"),
+    ),
     "rcm_decomposition_row_out_of_range": (IndexError, lambda: rcm_decomposition(P, {3})),
+    "rcm_decomposition_float_row": (ValueError, lambda: rcm_decomposition(P, {1.0})),
+    "rcm_decomposition_str_row": (ValueError, lambda: rcm_decomposition(P, {"a"})),
+    "rcm_decomposition_none_row": (ValueError, lambda: rcm_decomposition(P, [None])),
     "nonzero_row_count_no_columns": (ValueError, lambda: nonzero_row_count(P, ())),
     "nonzero_row_count_column_out_of_range": (IndexError, lambda: nonzero_row_count(P, (2,))),
     "pattern_entry_not_0_1": (ValueError, lambda: SparsityPattern(((1, 2),))),

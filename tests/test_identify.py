@@ -13,6 +13,7 @@ from conftest import random_pattern
 from factorid.bipartite import is_rcm, maximum_matching, minimum_vertex_cover
 from factorid.errors import (
     EmptyPatternError,
+    MissingDependencyError,
     NoDecompositionError,
     TooManyColumnsError,
     UntrimmedPatternError,
@@ -28,6 +29,7 @@ from factorid.identify import (
     generic_rank_check,
     rcm_decomposition,
     variance_identified,
+    verdict_in_original_coords,
 )
 from factorid.pattern import SparsityPattern, nonzero_row_count, trim
 
@@ -660,6 +662,11 @@ class TestRcmDecomposition:
         with pytest.raises(IndexError):
             rcm_decomposition(deletion_demo_8x3, {8})
 
+    def test_deleted_rows_come_back_as_ints(self, deletion_demo_8x3):
+        dec = rcm_decomposition(deletion_demo_8x3, {np.int64(5), 0})
+        assert dec == rcm_decomposition(deletion_demo_8x3, {0, 5})
+        assert [type(i) for i in dec.deleted_rows] == [int, int]
+
     def test_group_order_follows_columns(self, deletion_demo_8x3):
         dec = rcm_decomposition(deletion_demo_8x3, {0, 5})
         col_to_row = dec.matching.column_to_row()
@@ -710,6 +717,12 @@ class TestGenericRankCheck:
         assert report == generic_rank_check(p, s=2, trials=3, seed=5, deletion_cap=cap)
         assert cap <= report.deletions_tested <= min(comb(30, 2), 3 * cap)
         assert report.ok
+
+    def test_needs_numpy(self, monkeypatch, mincut_demo_8x3):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        with pytest.raises(MissingDependencyError, match=r"factorid\[rank\]") as info:
+            generic_rank_check(mincut_demo_8x3, s=1, trials=1)
+        assert isinstance(info.value, ImportError)
 
     def test_deterministic(self, mincut_demo_8x3):
         a = generic_rank_check(mincut_demo_8x3, s=1, trials=5, seed=42)
@@ -815,6 +828,49 @@ class TestVarianceIdentified:
         verdict = variance_identified(mincut_demo_8x3)
         assert verdict.identified
         assert verdict.detail.mincut_value == 21
+
+
+class TestOriginalCoordinates:
+    """The mapping back to the caller's coordinates against the reference
+    in oracles, which maps every witness through `dataclasses.replace`."""
+
+    def test_equals_reference(self):
+        # s=0 passes carry a matching, failures a subset, s >= 2 failures
+        # deleted rows too; each kind is mapped many times
+        rng = np.random.default_rng(127)
+        mapped_kinds = {"matching": 0, "columns": 0, "deleted_rows": 0}
+        for _ in range(400):
+            r = int(rng.integers(1, 5))
+            m = int(rng.integers(r, 2 * r + 9))
+            p, _ = trim(random_pattern(rng, m, r, float(rng.uniform(0.2, 0.8))))
+            if p.r == 0:
+                continue
+            trimmed, report = trim(pad_with_zeros(rng, p))
+            assert trimmed == p
+            for s in range(4):
+                verdict = counting_rule(trimmed, s)
+                mapped = verdict_in_original_coords(verdict, report)
+                assert mapped == oracles.verdict_in_original_coords(verdict, report)
+                if mapped is verdict:
+                    continue
+                wp, wf = verdict.witness_pass, verdict.witness_fail
+                mapped_kinds["matching"] += wp is not None and wp.matching is not None
+                mapped_kinds["columns"] += wf is not None
+                mapped_kinds["deleted_rows"] += wf is not None and wf.deleted_rows is not None
+        assert min(mapped_kinds.values()) >= 40, mapped_kinds
+
+    def test_unmapped_verdict_is_returned_as_it_is(self, deletion_demo_8x3):
+        trimmed, report = trim(deletion_demo_8x3)
+        assert trimmed is deletion_demo_8x3
+        for s in range(4):
+            verdict = counting_rule(trimmed, s)
+            assert verdict_in_original_coords(verdict, report) is verdict
+        # a passing s=1 verdict carries no index, whatever was trimmed
+        _, report = trim(pad_with_zeros(np.random.default_rng(5), deletion_demo_8x3))
+        assert report.removed_zero_rows or report.removed_zero_columns
+        verdict = counting_rule(trimmed, 1)
+        assert verdict.holds and verdict.witness_fail is None and verdict.witness_pass is None
+        assert verdict_in_original_coords(verdict, report) is verdict
 
 
 class TestDegenerateEdges:

@@ -1,5 +1,6 @@
 
 import pickle
+import random
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import MINCUT_DEMO_8X3, MINCUT_DEMO_TEXT
 from factorid.errors import DimensionError, EmptyInputError, InvalidArgumentError, ParseError
 from factorid.pattern import (
     SparsityPattern,
+    TrimReport,
     nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
@@ -324,6 +326,20 @@ class TestTrim:
             for i in rows:
                 entries[report.original_row(i)][report.original_column(j)] = 1
         assert SparsityPattern.from_rows(entries) == p
+
+    def test_kept_indices_are_the_complement_of_the_removed(self):
+        rng = random.Random(131)
+        for _ in range(500):
+            m, r = rng.randrange(0, 300), rng.randrange(0, 70)
+            gone_rows = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+            gone_cols = tuple(sorted(rng.sample(range(r), rng.randint(0, r))))
+            report = TrimReport(
+                removed_zero_columns=gone_cols, removed_zero_rows=gone_rows,
+                original_m=m, original_r=r,
+                effective_m=m - len(gone_rows), effective_r=r - len(gone_cols),
+            )
+            assert report.kept_rows == tuple(i for i in range(m) if i not in set(gone_rows))
+            assert report.kept_columns == tuple(j for j in range(r) if j not in set(gone_cols))
 
     def test_original_coordinates(self):
         p = SparsityPattern.from_rows([[0, 1, 0], [0, 0, 0], [0, 1, 1]])
