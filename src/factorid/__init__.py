@@ -2,26 +2,14 @@
 
 Decides whether a binary sparsity pattern guarantees, generically, a unique
 split of a covariance matrix into common and idiosyncratic variance. The
-decision runs in polynomial time via bipartite matching, with the paper's
-min-cut network, brute-force oracles and constructive witnesses alongside.
+decision runs in polynomial time via bipartite matching, with a brute-force
+oracle and constructive witnesses alongside. The paper's min-cut network is
+kept with the tests, as the reference for the s=1 route.
 """
 
 from factorid._kernels import active_backend
-from factorid.bipartite import (
-    Matching,
-    VertexCover,
-    maximum_matching,
-    minimum_vertex_cover,
-)
+from factorid.bipartite import Matching, maximum_matching
 from factorid.errors import FactorIdError
-from factorid.flow import (
-    Arc,
-    CutResult,
-    FlowNetwork,
-    build_identification_network,
-    max_flow_min_cut,
-    mwvc_from_cut,
-)
 from factorid.identify import (
     CountingRuleVerdict,
     FailWitness,
@@ -43,12 +31,9 @@ from factorid.pattern import SparsityPattern, TrimReport, parse_pattern, trim
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "CountingRuleVerdict",
-    "CutResult",
     "FactorIdError",
     "FailWitness",
-    "FlowNetwork",
     "GenericCheckReport",
     "IdentificationVerdict",
     "Matching",
@@ -57,18 +42,13 @@ __all__ = [
     "RcmDecomposition",
     "SparsityPattern",
     "TrimReport",
-    "VertexCover",
     "active_backend",
-    "build_identification_network",
     "counting_rule",
     "counting_rule_bruteforce",
     "counting_rule_s0",
     "counting_rule_s1",
     "generic_rank_check",
-    "max_flow_min_cut",
     "maximum_matching",
-    "minimum_vertex_cover",
-    "mwvc_from_cut",
     "parse_pattern",
     "rcm_decomposition",
     "trim",

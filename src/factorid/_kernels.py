@@ -1,15 +1,13 @@
-"""The hot kernels, in pure Python: bipartite matching, min-cut, subset sweep.
+"""The hot kernels, in pure Python: bipartite matching and subset sweep.
 
 Outputs are deterministic, so iteration order and tie-breaking are part of
-the contract: vertices are processed in ascending index order and arcs in
-insertion order. Hopcroft-Karp finds the base matching that every
-counting-rule route reads (bipartite.py's alternating walk grows it by one
-augmenting path at a time where s >= 2). It reads the pattern's column
-bitmasks, so a step at a left vertex is a few operations on row masks at C
-speed, and each phase's breadth-first layering stops at the first free right
-vertex it meets; its output is the edge-by-edge kernel's on ascending rows
-(see its docstring). Dinic's min-cut serves the paper's
-identification network, which the s=1 route is tested against; the sweep, a
+the contract: vertices are processed in ascending index order. Hopcroft-Karp
+finds the base matching that every counting-rule route reads (bipartite.py's
+alternating walk grows it by one augmenting path at a time where s >= 2). It
+reads the pattern's column bitmasks, so a step at a left vertex is a few
+operations on row masks at C speed, and each phase's breadth-first layering
+stops at the first free right vertex it meets; its output is the
+edge-by-edge kernel's on ascending rows (see its docstring). The sweep, a
 plain recursive walk over column subsets that skips the extensions of any
 prefix already touching enough rows, serves the brute-force oracle.
 """
@@ -114,87 +112,6 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
                     match_r[match_l[u]] = u
                 size += 1
                 break
-
-
-def dinic_min_cut(n_nodes, source, sink, tails, heads, caps):
-    """Exact maximum flow / minimum cut via level graphs and blocking flows.
-
-    Arcs are directed (tails[i] -> heads[i]) with integer capacities. Returns
-    (flow_value, source_side, flows) where source_side[v] is True iff v is
-    reachable from the source in the final residual network (the minimal
-    min-cut source side, which is the same for every maximum flow) and
-    flows[i] is the flow carried by input arc i.
-    """
-    n_arcs = len(tails)
-    to = [0] * (2 * n_arcs)
-    cap = [0] * (2 * n_arcs)
-    adj = [[] for _ in range(n_nodes)]
-    for i in range(n_arcs):
-        a = 2 * i
-        to[a] = heads[i]
-        cap[a] = caps[i]
-        to[a + 1] = tails[i]
-        adj[tails[i]].append(a)
-        adj[heads[i]].append(a + 1)
-    total = 0
-    level = [-1] * n_nodes
-    while True:
-        for i in range(n_nodes):
-            level[i] = -1
-        level[source] = 0
-        queue = [source]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            lv = level[u] + 1
-            for a in adj[u]:
-                if cap[a] > 0:
-                    v = to[a]
-                    if level[v] == -1:
-                        level[v] = lv
-                        queue.append(v)
-        if level[sink] == -1:
-            break
-        # Blocking flow: walk the level graph with per-node arc cursors.
-        ptr = [0] * n_nodes
-        path = []
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                total += pushed
-                k = 0
-                while cap[path[k]] > 0:
-                    k += 1
-                del path[k:]
-                u = source if k == 0 else to[path[k - 1]]
-                continue
-            au = adj[u]
-            pu = ptr[u]
-            lv = level[u] + 1
-            a = -1
-            while pu < len(au):
-                a = au[pu]
-                if cap[a] > 0 and level[to[a]] == lv:
-                    break
-                pu += 1
-            ptr[u] = pu
-            if pu < len(au):
-                path.append(a)
-                u = to[a]
-            elif u == source:
-                break
-            else:
-                a = path.pop()
-                u = to[a ^ 1]
-                ptr[u] += 1
-    source_side = [lv != -1 for lv in level]
-    flows = [caps[i] - cap[2 * i] for i in range(n_arcs)]
-    return total, source_side, flows
 
 
 def counting_sweep(r, s, col_masks):

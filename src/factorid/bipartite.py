@@ -1,11 +1,11 @@
-"""Matchings and vertex covers of a sparsity pattern's bipartite graph.
+"""Matchings of a sparsity pattern's bipartite graph.
 
 A pattern is the biadjacency matrix of its graph: column vertex j and row
 vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
 functions here take the `SparsityPattern` itself, and matchings run on its
 column masks: the Hopcroft-Karp kernel takes the masks and the column that
 each left vertex copies, and `alternating_reach` one row mask per left
-vertex. No matching lists column rows. `alternating_reach` is the one
+vertex. `alternating_reach` is the one
 alternating-path walk: from a maximum matching it gives König's vertex
 cover, and from a free vertex it grows a matching by one augmenting path.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from factorid import _kernels
-from factorid.errors import InvalidArgumentError, MatchingNotMaximumError, NotSquareError
-from factorid.pattern import SparsityPattern, _set_bits
+from factorid.errors import InvalidArgumentError, NotSquareError
+from factorid.pattern import SparsityPattern
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,6 @@ class Matching:
 
     def column_to_row(self) -> dict[int, int]:
         return {c: r for c, r in self.pairs}
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    """Vertex set touching every edge; `weight` is its total vertex weight."""
-
-    cols: frozenset[int]
-    rows: frozenset[int]
-    weight: int
-
-    @property
-    def size(self) -> int:
-        return len(self.cols) + len(self.rows)
-
-    def covers(self, p: SparsityPattern) -> bool:
-        """Whether every 1-entry (i, j) of p has column j or row i in the cover."""
-        rows = sum(1 << i for i in self.rows)
-        return all(j in self.cols or not mask & ~rows for j, mask in enumerate(p.col_masks))
 
 
 def maximum_matching(p: SparsityPattern) -> Matching:
@@ -110,32 +92,6 @@ def alternating_reach(
             stack.append(w)
             new ^= low
     return reached, seen
-
-
-def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
-    """Minimum vertex cover of the pattern's graph, built from a maximum
-    matching of it.
-
-    Follows alternating paths from the unmatched column vertices: reached
-    rows enter the cover, reached columns leave it. Cover size then equals
-    the matching size. Raises InvalidArgumentError if a pair of `mm` is not
-    a 1-entry of p, and MatchingNotMaximumError if the walk finds an
-    augmenting path (i.e. `mm` was not maximum).
-    """
-    match_l = [-1] * p.r
-    match_r = [-1] * p.m
-    for c, r in mm.pairs:
-        if not (0 <= c < p.r and 0 <= r < p.m and p.col_masks[c] >> r & 1):
-            raise InvalidArgumentError(f"matching pair ({c}, {r}) is not an edge of the pattern")
-        match_l[c] = r
-        match_r[r] = c
-    free = (1 << p.m) - 1 - sum(1 << r for r in match_l if r != -1)
-    reached_c, reached_r = alternating_reach(p.col_masks, match_l, match_r, free)
-    if reached_c is None:
-        raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
-    cols = frozenset(c for c in range(p.r) if c not in reached_c)
-    rows = frozenset(_set_bits(reached_r, range(p.m)))
-    return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
 
 def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:

@@ -60,10 +60,6 @@ class EmptyPatternError(FactorIdError):
     """The operation requires at least one column."""
 
 
-class SentinelCutError(FactorIdError):
-    """A reported cut contains an arc with the infinite-capacity sentinel."""
-
-
 class TooManyColumnsError(FactorIdError):
     """Brute-force subset enumeration refused above the column cap."""
 

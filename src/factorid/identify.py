@@ -14,8 +14,8 @@ brute force over all column subsets is the oracle (exponential in r):
   theorem) and S* the columns with no copy that an alternating path from a
   free row reaches (the largest set of that deficiency, by Dulmage and
   Mendelsohn), the cover weighs r(2r+1) - rd - |S*|. The rule holds iff S*
-  is empty, and S* is then the violating subset. flow.py keeps the paper's
-  min-cut of the same cover as the reference the tests compare against.
+  is empty, and S* is then the violating subset. The tests compare it
+  against the paper's min-cut of the same cover (tests/reference_cover.py).
 * s >= 2: for each column j, the same matching grown by s more copies of j,
   one augmenting-path search per copy. By Hall's theorem every grown
   matching saturates its 2r+s copies iff every q columns touch at least 2q+s
@@ -24,11 +24,10 @@ brute force over all column subsets is the oracle (exponential in r):
 
 Every route and `rcm_decomposition` read this one base matching, so a
 pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches,
-each O(r + m) operations on m-bit row masks. Both read the column masks; no
-decision lists column rows. Where a copy stays free, s=0 and s >= 2 report
-König's (S, N(S)), the columns and rows that alternating paths from the
-free copies reach; `bipartite.alternating_reach` is both these walks and
-the searches.
+each O(r + m) operations on m-bit row masks. Both read the column masks.
+Where a copy stays free, s=0 and s >= 2 report König's (S, N(S)), the
+columns and rows that alternating paths from the free copies reach;
+`bipartite.alternating_reach` is both these walks and the searches.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end

@@ -3,8 +3,8 @@
 A pattern records which entries of an m x r loading matrix are structurally
 nonzero. Rows index observed variables, columns index factors. A pattern
 is stored as one bitmask per column, which the parsers build directly and
-trimming, the flow network and the matchings read; every other view of it is
-derived from the masks on first use.
+trimming and the matchings read; the row tuples are derived from the masks
+on first use.
 """
 
 import json
@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import itemgetter, or_, sub
+from operator import itemgetter, lt, or_, sub
 from typing import Iterable, Literal, Sequence
 
 from factorid.errors import (
@@ -47,9 +47,7 @@ def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
 
 def _set_bits(mask: int, positions: Sequence[int]) -> tuple[int, ...]:
     """Ascending positions of the set bits of a mask, taken from positions,
-    which is range(n) or tuple(range(n)) for some n at least the mask's
-    bit length. compress() hands out the tuple's own ints, where a range
-    makes a new int for every position above 256."""
+    which is range(n) for some n at least the mask's bit length."""
     return tuple(compress(positions, bin(mask)[:1:-1].encode().translate(_CELLS)))
 
 
@@ -58,8 +56,8 @@ class SparsityPattern:
     """Immutable m x r matrix of 0/1 indicators: bit i of col_masks[j] is
     set iff entry (i, j) is 1, and r = len(col_masks).
 
-    `SparsityPattern(entries)` takes a tuple of row tuples. The views
-    `entries` and `col_rows` are derived from the masks. m = 0 and r = 0 are
+    `SparsityPattern(entries)` takes a tuple of row tuples. The view
+    `entries` is derived from the masks. m = 0 and r = 0 are
     representable so that trimming an all-zero pattern has a well-defined
     degenerate result; parsed user input always has m >= 1 and r >= 1.
     """
@@ -89,16 +87,6 @@ class SparsityPattern:
     @property
     def r(self) -> int:
         return len(self.col_masks)
-
-    @cached_property
-    def col_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, its nonzero rows in ascending order.
-
-        Each column costs O(m) work at C speed, and every column shares the
-        row ints of one tuple(range(m)) built per call.
-        """
-        rows = tuple(range(self.m))
-        return tuple(_set_bits(mask, rows) for mask in self.col_masks)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -152,8 +140,15 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     ))
 
 
-def _kept(removed: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The indices 0..n-1 not in removed, which holds distinct indices."""
+def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
+    """The indices 0..n-1 not in removed. Raises InvalidArgumentError unless
+    removed holds ints in strictly increasing order, and then OutOfRangeError
+    unless its first and last index lie in 0..n-1; the checks run at C speed."""
+    if not set(map(type, removed)) <= {int} or not all(map(lt, removed, removed[1:])):
+        raise InvalidArgumentError(f"{name} must hold strictly increasing ints")
+    if removed and (removed[0] < 0 or removed[-1] >= n):
+        bad = removed[0] if removed[0] < 0 else removed[-1]
+        raise OutOfRangeError(f"{name} holds index {bad}, outside 0..{n - 1}")
     return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), range(n))
 
 
@@ -162,7 +157,8 @@ class TrimReport:
     """Record of the zero rows/columns removed by :func:`trim`.
 
     Index lists are strictly increasing original-coordinate indices, so
-    witnesses computed on the trimmed pattern can be mapped back.
+    witnesses computed on the trimmed pattern can be mapped back through
+    `kept_rows` and `kept_columns`, which raise for a list that is not.
     """
 
     removed_zero_columns: tuple[int, ...]
@@ -174,17 +170,13 @@ class TrimReport:
 
     @cached_property
     def kept_rows(self) -> tuple[int, ...]:
-        return _kept(self.removed_zero_rows, self.original_m)
+        """Original index of each row of the trimmed pattern."""
+        return _kept(self.removed_zero_rows, self.original_m, "removed_zero_rows")
 
     @cached_property
     def kept_columns(self) -> tuple[int, ...]:
-        return _kept(self.removed_zero_columns, self.original_r)
-
-    def original_row(self, i: int) -> int:
-        return self.kept_rows[i]
-
-    def original_column(self, j: int) -> int:
-        return self.kept_columns[j]
+        """Original index of each column of the trimmed pattern."""
+        return _kept(self.removed_zero_columns, self.original_r, "removed_zero_columns")
 
 
 def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:

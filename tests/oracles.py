@@ -4,7 +4,8 @@ Independent of the package's algorithms on purpose: matchings come from
 backtracking, covers and rule checks from direct subset scans. Keep these
 naive; their only job is to be trivially auditable. The exceptions keep the
 paper's constructions as references for the routes that replaced them:
-`mincut_s1` is the identification network's min-cut for the s=1 route, and
+`mincut_s1` is the identification network's min-cut (built and cut by
+Dinic's algorithm in `reference_cover`) for the s=1 route,
 `counting_rule_by_deletion` reduces s >= 2 to that min-cut, and
 `counting_rule_per_column` decides s >= 2 with one fresh replica matching per
 column, the route that one base matching plus augmenting searches replaced,
@@ -19,9 +20,9 @@ that is its biadjacency matrix: `pattern_from_edges` builds it from
 is the dense-text parser that splits every line into one token per cell, the
 reference for the whole-buffer checks that replaced it.
 `verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
-and the report's per-index lookups, the reference for the package's mapping
-that builds the mapped witness directly and returns an unmapped verdict as
-it is.
+and the report's `kept_rows`/`kept_columns`, index by index, the reference
+for the package's mapping that builds the mapped witness directly and
+returns an unmapped verdict as it is.
 """
 
 import re
@@ -31,9 +32,9 @@ from math import comb
 
 from factorid.bipartite import Matching, maximum_matching
 from factorid.errors import DimensionError, EmptyInputError, ParseError
-from factorid.flow import build_identification_network, max_flow_min_cut, mwvc_from_cut
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
+from reference_cover import build_identification_network, max_flow_min_cut, mwvc_from_cut
 
 _INF = 1 << 60
 
@@ -351,9 +352,10 @@ def counting_rule_per_column(p, s):
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
+    col_rows = [[i for i in range(m) if mask >> i & 1] for mask in p.col_masks]
     for j in range(r):
         owner = [*range(r)] * 2 + [j] * s
-        adjacency = [p.col_rows[c] for c in owner]
+        adjacency = [col_rows[c] for c in owner]
         size, match_l, match_r = match_adjacency(adjacency, m)
         if size == len(owner):
             continue
@@ -412,9 +414,9 @@ def verdict_in_original_coords(verdict, report):
     if wf is not None:
         wf = replace(
             wf,
-            columns=tuple(report.original_column(j) for j in wf.columns),
+            columns=tuple(report.kept_columns[j] for j in wf.columns),
             deleted_rows=(
-                tuple(report.original_row(i) for i in wf.deleted_rows)
+                tuple(report.kept_rows[i] for i in wf.deleted_rows)
                 if wf.deleted_rows is not None
                 else None
             ),
@@ -425,10 +427,10 @@ def verdict_in_original_coords(verdict, report):
         r_orig = report.original_r
         pairs = frozenset(
             (
-                report.original_column(c)
+                report.kept_columns[c]
                 if c < r_eff
-                else r_orig + report.original_column(c - r_eff),
-                report.original_row(i),
+                else r_orig + report.kept_columns[c - r_eff],
+                report.kept_rows[i],
             )
             for c, i in wp.matching.pairs
         )

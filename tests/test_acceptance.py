@@ -14,9 +14,8 @@ import pytest
 
 import oracles
 from conftest import random_pattern
-from factorid.bipartite import Matching, is_rcm, maximum_matching, minimum_vertex_cover
+from factorid.bipartite import Matching, is_rcm, maximum_matching
 from factorid.cli import main as cli_main
-from factorid.flow import build_identification_network, max_flow_min_cut
 from factorid.identify import (
     counting_rule,
     counting_rule_bruteforce,
@@ -27,6 +26,11 @@ from factorid.identify import (
     variance_identified,
 )
 from factorid.pattern import SparsityPattern, trim
+from reference_cover import (
+    build_identification_network,
+    max_flow_min_cut,
+    minimum_vertex_cover,
+)
 
 
 def _report(n, message):

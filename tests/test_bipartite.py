@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_pattern
 from factorid import _kernels
-from factorid.bipartite import (
-    Matching,
-    alternating_reach,
-    is_rcm,
-    maximum_matching,
-    minimum_vertex_cover,
-)
+from factorid.bipartite import Matching, alternating_reach, is_rcm, maximum_matching
 from factorid.errors import MatchingNotMaximumError, NotSquareError
 from factorid.pattern import SparsityPattern
+from reference_cover import minimum_vertex_cover
 
 
 def random_graph(rng, max_side=8, max_edges=20):

