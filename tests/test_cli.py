@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -354,6 +356,58 @@ class TestFilter:
         assert read <= 2 * 2 * cli._CHUNK  # two chunks per worker
         assert [first, *records] == [cli._filter_record(line) for line in lines]
         assert read == len(lines)
+
+
+# one line of every malformed kind; each becomes an error record
+MALFORMED_LINES = [
+    b'{"id": "two", "delta": [[1, 2], [0, 1]]}',
+    b'{"id": "ragged", "delta": [[1, 0], [1]]}',
+    b'{"delta": [[1, 0], [0, 1]]}',
+    b'{"id": "wrong_m", "delta": [[1], [1]], "m": 3}',
+    b"{broken",
+    b'\xff\xfe{"id": 1}',
+    b"[" * 100_000,
+]
+
+
+def seeded_stream(seed, n):
+    """n draws from random() alone, 1 to 20 rows by 1 to 8 columns at any
+    density, so that zero rows and columns are common, with every tenth line
+    malformed and a blank line after every 50th."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(n):
+        if k % 10 == 9:
+            lines.append(MALFORMED_LINES[k // 10 % len(MALFORMED_LINES)])
+        else:
+            m, r, density = 1 + int(rng.random() * 20), 1 + int(rng.random() * 8), rng.random()
+            delta = [[int(rng.random() < density) for _ in range(r)] for _ in range(m)]
+            draw = {"id": k if k % 2 else f"draw{k}", "delta": delta}
+            lines.append(json.dumps(draw).encode())
+        if k % 50 == 49:
+            lines.append(b" ")
+    return b"\n".join(lines) + b"\n"
+
+
+# SHA-256 of the output file, stdout, stderr and exit code of
+# `filter --summary -` on seeded_stream(181, 700)
+FILTER_DIGEST = "e4ef4044afb247e41e47c06c7dec4bad78cd785f67b0cbe2af0fe77bd66f286e"
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_filter_output_is_pinned(runner, tmp_path, parallel):
+    inp = tmp_path / "in.jsonl"
+    inp.write_bytes(seeded_stream(181, 700))
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [
+        "filter", "--input", str(inp), "--output", str(out), "--summary", "-",
+        "--parallel", parallel,
+    ])
+    assert result.exit_code == 2
+    digest = hashlib.sha256()
+    for part in (out.read_bytes(), result.stdout_bytes, result.stderr_bytes, result.exit_code):
+        digest.update(repr(part).encode())
+    assert digest.hexdigest() == FILTER_DIGEST
 
 
 def test_import_leaves_numpy_unloaded():

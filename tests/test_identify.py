@@ -497,6 +497,61 @@ class TestBaseMatching:
         assert outcomes == {(s, holds) for s in range(4) for holds in (False, True)}
 
 
+def counting_rule_cases(seed, n):
+    """n + 2 patterns drawn from random() alone, trimmed, those with a column
+    kept: in turn r up to 8 on up to 3r+3 rows at any density, so that m <
+    2r+s is common; r up to 20 on 2r to 5r+3 rows at densities around 2r/m;
+    the same with q <= 3 columns confined to 2q to 2q+2 rows. The last two
+    are 1000x50 at density 0.05, the second with such a confined block."""
+    rng = random.Random(seed)
+
+    def below(k):
+        return int(rng.random() * k)
+
+    for case in range(n + 2):
+        if case >= n:
+            r, m, density = 50, 1000, 0.05
+        elif case % 3 == 0:
+            r = 1 + below(8)
+            m = 1 + below(3 * r + 4)
+            density = rng.random()
+        else:
+            r = 1 + below(20)
+            m = 2 * r + below(3 * r + 4)
+            density = min(1.0, (0.5 + 2 * rng.random()) * 2 * r / m)
+        cells = [[int(rng.random() < density) for _ in range(r)] for _ in range(m)]
+        if case % 3 == 2 or case == n + 1:
+            cols = sorted({below(r) for _ in range(1 + below(min(r, 3)))})
+            rows = {below(m) for _ in range(2 * len(cols) + below(3))}
+            for i, row in enumerate(cells):
+                for j in cols:
+                    row[j] = int(i in rows)
+        p, _ = trim(SparsityPattern(tuple(map(tuple, cells))))
+        if p.r:
+            yield p
+
+
+# SHA-256 of repr(counting_rule(p, s)) for s = 0..3 over
+# counting_rule_cases(191, 600), computed with separate s=0 and s >= 2 bodies
+COUNTING_RULE_DIGEST = "b668a8c13a306a7e097fccff0d72fec1cb7a6d7a086b755ec62fdcd5f79b07b5"
+
+
+def test_counting_rule_output_is_pinned():
+    """Verdicts, witnesses and notes at every s, failing ones and those of
+    the m < 2r+s shortcut included, stay what they were."""
+    digest = hashlib.sha256()
+    failing, short, large = [0] * 4, [0] * 4, 0
+    for p in counting_rule_cases(191, 600):
+        large += p.m >= 900 and p.r == 50
+        for s in range(4):
+            verdict = counting_rule(p, s)
+            failing[s] += not verdict.holds
+            short[s] += p.m < 2 * p.r + s
+            digest.update(repr(verdict).encode())
+    assert min(failing) >= 100 and min(short[2:]) >= 100 and large == 2
+    assert digest.hexdigest() == COUNTING_RULE_DIGEST
+
+
 class TestGraphReference:
     """s=0 and rcm_decomposition share the replica matching; the public graph
     functions on the column-duplicated graph are the reference."""
