@@ -8,8 +8,7 @@ stdout, diagnostics to stderr; --json switches stdout to machine form.
 import json
 import os
 import sys
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
 from itertools import islice
 
 import click
@@ -176,90 +175,42 @@ def _parse_row_spec(spec: str, m: int) -> frozenset[int]:
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
-@dataclass
-class DrawRecord:
-    """Verdict for one posterior draw; `error` is set for malformed lines."""
-
-    id: object = None
-    effective_r: int | None = None
-    identified: bool | None = None
-    mwvc_weight: int | None = None
-    error: str | None = None
-
-    def to_json_line(self) -> str:
-        payload = {
-            "id": self.id,
-            "effective_r": self.effective_r,
-            "identified": self.identified,
-            "mwvc_weight": self.mwvc_weight,
-            "error": self.error,
-        }
-        return _COMPACT.encode(payload)
+# the fields of a filter record, in output order
+_FIELDS = ("id", "effective_r", "identified", "mwvc_weight", "error")
 
 
-@dataclass
-class FilterSummary:
-    """Stream totals; histograms key effective_r, counts sum to the totals."""
-
-    total: int = 0
-    accepted: int = 0
-    errors: int = 0
-    histogram_effective_r: dict[int, int] = field(default_factory=dict)
-    histogram_effective_r_accepted: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def acceptance_fraction(self) -> float:
-        return (self.accepted / self.total) if self.total else 0.0
-
-    def add(self, record: DrawRecord) -> None:
-        if record.error is not None:
-            self.errors += 1
-            return
-        self.total += 1
-        eff = record.effective_r
-        self.histogram_effective_r[eff] = self.histogram_effective_r.get(eff, 0) + 1
-        if record.identified:
-            self.accepted += 1
-            self.histogram_effective_r_accepted[eff] = (
-                self.histogram_effective_r_accepted.get(eff, 0) + 1
-            )
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "total": self.total,
-            "accepted": self.accepted,
-            "acceptance_fraction": self.acceptance_fraction,
-            "histogram_effective_r": {
-                str(k): v for k, v in sorted(self.histogram_effective_r.items())
-            },
-            "histogram_effective_r_accepted": {
-                str(k): v
-                for k, v in sorted(self.histogram_effective_r_accepted.items())
-            },
-            "errors": self.errors,
-        })
-
-
-def _filter_record(line: bytes) -> DrawRecord:
-    record = DrawRecord()
+def _filter_record(line: bytes) -> tuple:
+    """One draw's verdict as the values of _FIELDS; a malformed line gets its
+    error and, if it was parsed that far, its id."""
+    rec_id = None
     try:
         rec_id, pattern = parse_jsonl_record(line)
-        record.id = rec_id
         verdict = variance_identified(pattern)
-        record.effective_r = verdict.effective_r
-        record.identified = verdict.identified
-        record.mwvc_weight = (
-            verdict.detail.mincut_value if verdict.detail is not None else None
-        )
     except FactorIdError as e:
-        record.error = str(e)
-    return record
+        return rec_id, None, None, None, str(e)
+    detail = verdict.detail
+    mwvc_weight = detail.mincut_value if detail is not None else None
+    return rec_id, verdict.effective_r, verdict.identified, mwvc_weight, None
+
+
+def _summary_json(seen: Counter, accepted: Counter, errors: int) -> str:
+    """Stream totals from the effective_r histograms of all parsed draws and
+    of the accepted ones, and the number of error records."""
+    total, n_accepted = seen.total(), accepted.total()
+    return json.dumps({
+        "total": total,
+        "accepted": n_accepted,
+        "acceptance_fraction": (n_accepted / total) if total else 0.0,
+        "histogram_effective_r": {str(k): v for k, v in sorted(seen.items())},
+        "histogram_effective_r_accepted": {str(k): v for k, v in sorted(accepted.items())},
+        "errors": errors,
+    })
 
 
 _CHUNK = 64  # lines per task sent to a filter worker
 
 
-def _filter_chunk(lines: list[bytes]) -> list[DrawRecord]:
+def _filter_chunk(lines: list[bytes]) -> list[tuple]:
     return [_filter_record(line) for line in lines]
 
 
@@ -309,27 +260,34 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
     except OSError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
-    summary = FilterSummary()
+    seen, accepted, errors = Counter(), Counter(), 0
     try:
         with fin, open(output_path, "w", encoding="utf-8") as fout:
             lines = (line for line in fin if line.strip())
             for record in _filter_records(lines, workers):
-                fout.write(record.to_json_line() + "\n")
-                summary.add(record)
+                fout.write(_COMPACT.encode(dict(zip(_FIELDS, record))) + "\n")
+                _, effective_r, identified, _, error = record
+                if error is not None:
+                    errors += 1
+                    continue
+                seen[effective_r] += 1
+                if identified:
+                    accepted[effective_r] += 1
     except OSError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if summary_path is not None:
+        summary = _summary_json(seen, accepted, errors)
         if summary_path == "-":
-            click.echo(summary.to_json())
+            click.echo(summary)
         else:
             try:
                 with open(summary_path, "w", encoding="utf-8") as f:
-                    f.write(summary.to_json() + "\n")
+                    f.write(summary + "\n")
             except OSError as e:
                 click.echo(f"error: {e}", err=True)
                 sys.exit(2)
-    sys.exit(2 if summary.errors else 0)
+    sys.exit(2 if errors else 0)
 
 
 if __name__ == "__main__":

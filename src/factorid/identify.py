@@ -7,7 +7,8 @@ brute force over all column subsets is the oracle (exponential in r):
 
 * s=0: two copies of every column must all be matched. The matching doubles
   as a constructive witness: it splits 2r rows into two groups whose square
-  submatrices both carry a reordered nonzero diagonal.
+  submatrices both carry a reordered nonzero diagonal. This is the s >= 2
+  loop below with no copy added, which needs one pass.
 * s=1: the same matching decides the paper's minimum weighted vertex cover
   (column weight 2r+1, row weight r). With d = 2r - |matching| (the largest
   2|S| - |N(S)| over column sets S, by Ore's deficiency form of Hall's
@@ -25,9 +26,11 @@ brute force over all column subsets is the oracle (exponential in r):
 Every route and `rcm_decomposition` read this one base matching, so a
 pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches,
 each O(r + m) operations on m-bit row masks. Both read the column masks.
-Where a copy stays free, s=0 and s >= 2 report König's (S, N(S)), the
-columns and rows that alternating paths from the free copies reach;
-`bipartite.alternating_reach` is both these walks and the searches.
+s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
+it reports König's (S, N(S)), the columns and rows that alternating paths
+from the free copies reach; `bipartite.alternating_reach` is both this walk
+and the searches. `rcm_decomposition` clears the deleted rows from the
+column masks and reads the base matching of what is left.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
@@ -59,6 +62,7 @@ from factorid.errors import (
 from factorid.pattern import (
     SparsityPattern,
     TrimReport,
+    _from_masks,
     _set_bits,
     nonzero_row_count,
     restrict_rows,
@@ -171,9 +175,11 @@ def counting_rule_bruteforce(
     The first violating subset (smallest size, lexicographic within a size)
     is reported. Refuses r > max_columns: 2^r - 1 subsets is the worst case.
     The sweep skips every subset that extends columns already touching 2q+s
-    rows, and usually visits far fewer.
+    rows, and usually visits far fewer. InvalidArgumentError unless s and
+    max_columns are non-negative integers.
     """
     s = _integer("s", s)
+    max_columns = _integer("max_columns", max_columns)
     if p.r > max_columns:
         raise TooManyColumnsError(f"r={p.r} exceeds the brute-force cap {max_columns}")
     holds, subset, count = _kernels.counting_sweep(p.r, s, list(p.col_masks))
@@ -235,41 +241,16 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
 
 
 def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
-    """s=0 check: the replica matching with two copies of every column
-    (copy j + r mirrors column j) must saturate all 2r copies.
-
-    The matching is the pass witness. On failure, the columns S reached by
-    König's walk from a free copy form a violating subset: q columns
-    touching at most 2q-1 rows.
-    """
-    p.require_trimmed()
-    r = p.r
-    size, match_l, match_r, free = _base_matching(p)
-    if size == 2 * r:
-        return CountingRuleVerdict(
-            r=r, s=0, holds=True,
-            witness_pass=PassWitness(
-                matching=Matching(frozenset(enumerate(match_l))),
-                note="matching saturates all columns and duplicates",
-            ),
-        )
-    copies, rows = alternating_reach(p.col_masks * 2, match_l, match_r, free)
-    if copies is None:
-        raise MatchingNotMaximumError("the base matching is not maximum")
-    cols = {u % r for u in copies}
-    count = rows.bit_count()
-    assert count <= 2 * len(cols) - 1
-    return CountingRuleVerdict(
-        r=r, s=0, holds=False,
-        witness_fail=FailWitness(columns=tuple(sorted(cols)), nonzero_rows=count),
-    )
+    """s=0 check: the replica matching must saturate all 2r copies; the
+    matching is the pass witness. Same as `counting_rule(p, 0)`."""
+    return counting_rule(p, 0)
 
 
 def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
-    """Dispatch on s: the replica matching for s=0 and s=1, or that matching
-    grown once per column (s >= 2).
+    """Check the rule at strength s on a trimmed pattern: the replica
+    matching grown once per column, or read off for s=1.
 
-    For s >= 2, column j gets 2+s copies and every other column 2. Hall's
+    For s != 1, column j gets 2+s copies and every other column 2. Hall's
     theorem on these replicas: the rule holds iff, for every j, a matching
     saturates all 2r+s copies. The base matching of the 2r copies is found
     once; for each j, a copy of it grows by one augmenting-path search per
@@ -277,33 +258,32 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     new copy, being free, can only end an augmenting path; a matching is
     maximum iff no augmenting path is left (Berge), so one search from it
     keeps the matching maximum. That is one Hopcroft-Karp run and at most
-    r*s searches whatever m. The pass note states the equivalent deletion
-    form of the paper, C(m, s-1) deletions of s-1 rows, and writes the count
-    as `C(m, s-1)` where it has more digits than int-to-str allows. On the
-    first j that fails, König's S from the free copies has |N(S)| < 2|S|+s.
-    `deleted_rows` are the s-1 lowest rows of N(S), padded with the lowest
-    rows outside N(S) when it is smaller; deleting them leaves S violating
-    the s=1 rule.
+    r*s searches whatever m. At s=0 nothing grows, so one pass decides and
+    the base matching is the pass witness; for s >= 2 the pass note states
+    the equivalent deletion form of the paper, C(m, s-1) deletions of s-1
+    rows, and writes the count as `C(m, s-1)` where it has more digits than
+    int-to-str allows. On the first pass that fails, König's S from the free
+    copies has |N(S)| < 2|S|+s. For s >= 2, `deleted_rows` are the s-1
+    lowest rows of N(S), padded with the lowest rows outside N(S) when it is
+    smaller; deleting them leaves S violating the s=1 rule.
 
     For s >= 2 and m < 2r+s the full column set is the witness, r columns on
     all m rows, without deleted rows: the rule's q = r case is the dimension
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
     s = _integer("s", s)
-    if s == 0:
-        return counting_rule_s0(p)
     if s == 1:
         return counting_rule_s1(p)
     p.require_trimmed()
     m, r = p.m, p.r
-    if m < 2 * r + s:
+    if s and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
     size, base_l, base_r, base_free = _base_matching(p)
     copies = p.col_masks * 2
-    for j in range(r):
+    for j in range(r if s else 1):
         # Grow the base matching by s copies of column j, one augmenting
         # search each. Once a copy finds no path, neither do its twins.
         grown = copies + (p.col_masks[j],) * s
@@ -323,24 +303,30 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
         cols = {u % r if u < 2 * r else j for u in reached}
         count = rows.bit_count()
         assert count < 2 * len(cols) + s
-        # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
-        # remainder fails the s=1 rule; pad from outside N(S) if it is short.
-        padded = _set_bits(rows, range(m)) + _set_bits(((1 << m) - 1) ^ rows, range(m))
+        deleted = None
+        if s:
+            # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
+            # remainder fails the s=1 rule; pad from outside N(S) if it is short.
+            padded = _set_bits(rows, m) + _set_bits(((1 << m) - 1) ^ rows, m)
+            deleted = tuple(sorted(padded[: s - 1]))
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(
-                columns=tuple(sorted(cols)), nonzero_rows=count,
-                deleted_rows=tuple(sorted(padded[: s - 1])),
+                columns=tuple(sorted(cols)), nonzero_rows=count, deleted_rows=deleted,
             ),
         )
-    try:
-        count = str(comb(m, s - 1))
-    except ValueError:  # more digits than int-to-str allows
-        count = f"C({m}, {s - 1})"
-    return CountingRuleVerdict(
-        r=r, s=s, holds=True,
-        witness_pass=PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule"),
-    )
+    if not s:
+        witness = PassWitness(
+            matching=Matching(frozenset(enumerate(base_l))),
+            note="matching saturates all columns and duplicates",
+        )
+    else:
+        try:
+            count = str(comb(m, s - 1))
+        except ValueError:  # more digits than int-to-str allows
+            count = f"C({m}, {s - 1})"
+        witness = PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule")
+    return CountingRuleVerdict(r=r, s=s, holds=True, witness_pass=witness)
 
 
 def rcm_decomposition(
@@ -349,9 +335,10 @@ def rcm_decomposition(
     """Split the remaining rows into two groups of r whose square submatrices
     each have a reordered nonzero diagonal, or None when impossible.
 
-    The groups come from the s=0 replica matching on the kept rows: group A
-    collects the rows matched to the first copies of the columns (ordered by
-    column), group B those matched to the second copies. All indices refer
+    The groups come from the s=0 replica matching on the kept rows (the
+    deleted rows' bits cleared from every column mask): group A collects the
+    rows matched to the first copies of the columns (ordered by column),
+    group B those matched to the second copies. All indices refer
     to the input pattern's coordinates. `deleted_rows` may hold any integer
     type (numpy's too); the result lists them as sorted ints.
     """
@@ -364,16 +351,19 @@ def rcm_decomposition(
     for i in deleted:
         if not (0 <= i < p.m):
             raise OutOfRangeError(f"row index {i} out of range for m={p.m}")
-    kept = [i for i in range(p.m) if i not in deleted]
     r = p.r
-    if len(kept) < 2 * r:
+    if p.m - len(deleted) < 2 * r:
         return None
-    size, match_l, _, _ = _base_matching(restrict_rows(p, kept))
+    # a row in no column mask is never matched, so clearing the deleted rows'
+    # bits matches the kept rows as if the pattern were restricted to them
+    gone = sum(map((1).__lshift__, deleted))
+    size, match_l, _, _ = _base_matching(
+        _from_masks(p.m, tuple(mask & ~gone for mask in p.col_masks))
+    )
     if size < 2 * r:
         return None
-    matched = [kept[i] for i in match_l]
-    rows_a = tuple(matched[:r])
-    rows_b = tuple(matched[r:])
+    rows_a = tuple(match_l[:r])
+    rows_b = tuple(match_l[r:])
     for rows in (rows_a, rows_b):
         ok, _ = is_rcm(restrict_rows(p, rows))
         assert ok, "matched row group lost its diagonal"
@@ -381,7 +371,7 @@ def rcm_decomposition(
         deleted_rows=tuple(sorted(deleted)),
         rows_a=rows_a,
         rows_b=rows_b,
-        matching=Matching(frozenset(enumerate(matched))),
+        matching=Matching(frozenset(enumerate(match_l))),
     )
 
 

@@ -45,10 +45,9 @@ def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
     return tuple(int(digits[j::width][::-1], 2) for j in range(width))
 
 
-def _set_bits(mask: int, positions: Sequence[int]) -> tuple[int, ...]:
-    """Ascending positions of the set bits of a mask, taken from positions,
-    which is range(n) for some n at least the mask's bit length."""
-    return tuple(compress(positions, bin(mask)[:1:-1].encode().translate(_CELLS)))
+def _set_bits(mask: int, n: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a mask below 2**n."""
+    return tuple(compress(range(n), bin(mask)[:1:-1].encode().translate(_CELLS)))
 
 
 @dataclass(frozen=True, init=False)
@@ -118,26 +117,30 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     run: its mask is written as m binary digits, the itemgetter cuts out the
     runs, and int() reads them back. Rows in ascending order with g gaps,
     as trim keeps them, make g + 1 runs; other orders make shorter runs, down
-    to one row each. Raises OutOfRangeError for a row outside 0..m-1.
+    to one row each. Raises OutOfRangeError for a row outside 0..m-1 and
+    InvalidArgumentError for one that is not an integer.
     """
     if not rows:
         return _from_masks(0, (0,) * p.r)
-    lo, hi = min(rows), max(rows)
-    if lo < 0 or hi >= p.m:
-        raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
-    # row i is digit m-1-i of the mask's digits and row k of the result is
-    # digit len(rows)-1-k of the picked ones
-    digits = [p.m - 1 - i for i in reversed(rows)]
-    # a run ends where the next digit is not the one right after it
-    ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
-            len(digits)]
-    starts = [0, *ends[:-1]]
-    pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
-    width = f"0{p.m}b"
-    # with one run, pick returns a str, which join() copies unchanged
-    return _from_masks(len(rows), tuple(
-        int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
-    ))
+    try:
+        lo, hi = min(rows), max(rows)
+        if lo < 0 or hi >= p.m:
+            raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
+        # row i is digit m-1-i of the mask's digits and row k of the result is
+        # digit len(rows)-1-k of the picked ones
+        digits = [p.m - 1 - i for i in reversed(rows)]
+        # a run ends where the next digit is not the one right after it
+        ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
+                len(digits)]
+        starts = [0, *ends[:-1]]
+        pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
+        width = f"0{p.m}b"
+        # with one run, pick returns a str, which join() copies unchanged
+        return _from_masks(len(rows), tuple(
+            int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
+        ))
+    except TypeError:  # a row index that is not an integer
+        raise InvalidArgumentError(f"row indices must be integers, got {rows!r}") from None
 
 
 def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
@@ -149,7 +152,7 @@ def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
     if removed and (removed[0] < 0 or removed[-1] >= n):
         bad = removed[0] if removed[0] < 0 else removed[-1]
         raise OutOfRangeError(f"{name} holds index {bad}, outside 0..{n - 1}")
-    return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), range(n))
+    return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
     """
     zero_cols = tuple(j for j, mask in enumerate(p.col_masks) if not mask)
-    zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0), range(p.m))
+    zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0), p.m)
     report = TrimReport(
         removed_zero_columns=zero_cols,
         removed_zero_rows=zero_rows,
@@ -204,16 +207,21 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
 
 
 def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
-    """Number of rows with at least one 1 within the selected columns."""
+    """Number of rows with at least one 1 within the selected columns.
+    InvalidArgumentError for no column or one that is not an integer,
+    OutOfRangeError for one outside 0..r-1."""
     cols = tuple(cols)
     if not cols:
         raise InvalidArgumentError("cols must be a nonempty set of column indices")
     masks = p.col_masks
     union = 0
-    for c in cols:
-        if c < 0 or c >= p.r:
-            raise OutOfRangeError(f"column index {c} out of range for r={p.r}")
-        union |= masks[c]
+    try:
+        for c in cols:
+            if c < 0 or c >= p.r:
+                raise OutOfRangeError(f"column index {c} out of range for r={p.r}")
+            union |= masks[c]
+    except TypeError:  # an index that is not an integer
+        raise InvalidArgumentError(f"column indices must be integers, got {cols!r}") from None
     return union.bit_count()
 
 
@@ -229,14 +237,17 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     must have the same number of cells.
     JSONL record: one object with fields `id` and `delta` (and optionally
     `m`, `r`, which are validated when present).
+    InvalidArgumentError unless text is a str or bytes-like.
     """
     if isinstance(text, str):
         try:
             data = text.encode("utf-8")
         except UnicodeEncodeError as e:  # a lone surrogate
             raise ParseError(f"text is not valid Unicode: {e}") from e
-    else:
+    elif isinstance(text, (bytes, bytearray, memoryview)):
         data = bytes(text)
+    else:  # bytes(n) would read n NUL bytes
+        raise InvalidArgumentError(f"text must be str or bytes, got {type(text).__name__}")
     if format == "dense_text":
         return _parse_dense(data)
     if format == "jsonl_record":
@@ -330,12 +341,17 @@ def _check_delta(delta: list) -> None:
 
 
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
-    """Parse one JSONL draw record (UTF-8 if bytes); returns (id, pattern)."""
+    """Parse one JSONL draw record (UTF-8 if bytes); returns (id, pattern).
+    InvalidArgumentError unless line is a str, bytes or bytearray."""
     try:
         obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
     except json.JSONDecodeError as e:
         # a record is one line; colno would restart after its trailing newline
         raise ParseError(f"invalid JSON: {e.msg}", column=e.pos + 1) from e
+    except TypeError:  # json.loads takes only str, bytes and bytearray
+        raise InvalidArgumentError(
+            f"line must be str or bytes, got {type(line).__name__}"
+        ) from None
     except (ValueError, RecursionError) as e:
         # bytes that are not UTF-8, nesting beyond the recursion limit, or an
         # integer beyond the int-to-str digit limit

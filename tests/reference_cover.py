@@ -70,7 +70,7 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
     if reached_c is None:
         raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
     cols = frozenset(c for c in range(p.r) if c not in reached_c)
-    rows = frozenset(_set_bits(reached_r, range(p.m)))
+    rows = frozenset(_set_bits(reached_r, p.m))
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
 

@@ -25,6 +25,7 @@ from factorid.pattern import (
     SparsityPattern,
     TrimReport,
     nonzero_row_count,
+    parse_jsonl_record,
     parse_pattern,
     restrict_rows,
 )
@@ -94,6 +95,19 @@ BAD_CALLS = {
     ),
     "trim_report_fractional_row": (
         ValueError, lambda: TrimReport((), (1.5,), 3, 2, 2, 2).kept_rows,
+    ),
+    "parse_pattern_int": (ValueError, lambda: parse_pattern(5)),
+    "parse_pattern_none": (ValueError, lambda: parse_pattern(None)),
+    "parse_pattern_float": (ValueError, lambda: parse_pattern(3.0)),
+    "parse_jsonl_record_int": (ValueError, lambda: parse_jsonl_record(5)),
+    "parse_jsonl_record_none": (ValueError, lambda: parse_jsonl_record(None)),
+    "parse_jsonl_record_float": (ValueError, lambda: parse_jsonl_record(3.0)),
+    "nonzero_row_count_fractional_column": (
+        ValueError, lambda: nonzero_row_count(P, (0.5,)),
+    ),
+    "restrict_rows_fractional_row": (ValueError, lambda: restrict_rows(P, [0.5])),
+    "bruteforce_str_max_columns": (
+        ValueError, lambda: counting_rule_bruteforce(P, 1, max_columns="a"),
     ),
     "trim_report_column_r": (IndexError, lambda: TrimReport((2,), (), 3, 2, 3, 1).kept_columns),
     "trim_report_repeated_column": (

@@ -3,6 +3,8 @@ import inspect
 import re
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import factorid
 from factorid.cli import main
 
@@ -66,3 +68,14 @@ def test_public_surface_is_pinned():
         "trim",
         "variance_identified",
     ]
+
+
+def test_filter_example_is_what_filter_writes(tmp_path):
+    section = README.split("### filter", 1)[1].split("\n## ", 1)[0]
+    line = re.search(r"Input lines look like\s+`([^`]*)`", section).group(1)
+    documented = re.search(r"```json\n(.*?)\n```", section, flags=re.S).group(1)
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    inp.write_text(line + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["filter", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code == 0
+    assert out.read_bytes() == documented.encode() + b"\n"
