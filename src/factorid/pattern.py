@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import itemgetter, lt, or_, sub
+from operator import index, itemgetter, lt, or_, sub
 from typing import Iterable, Literal, Sequence
 
 from factorid.errors import (
@@ -37,6 +37,12 @@ _RUNS = bytes.maketrans(b"0" + _BLANKS + b"\r\n", b"1" + b"0" * 6)
 # and back, so that compress() picks the positions of the ones
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _CELLS = bytes.maketrans(b"01", b"\x00\x01")
+# a draw record exactly as json.dumps writes {"id": <int>, "delta": <0/1 rows>},
+# with JSON whitespace around it; the id has at most 18 digits
+_DUMPS_RECORD = re.compile(
+    rb'[ \t\n\r]*\{"id": (-?(?:0|[1-9][0-9]{0,17})), '
+    rb'"delta": \[\[((?:[01], )*[01](?:\], \[(?:[01], )*[01])*)\]\]\}[ \t\n\r]*'
+)
 
 
 def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
@@ -120,27 +126,30 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     to one row each. Raises OutOfRangeError for a row outside 0..m-1 and
     InvalidArgumentError for one that is not an integer.
     """
-    if not rows:
-        return _from_masks(0, (0,) * p.r)
     try:
-        lo, hi = min(rows), max(rows)
-        if lo < 0 or hi >= p.m:
-            raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
-        # row i is digit m-1-i of the mask's digits and row k of the result is
-        # digit len(rows)-1-k of the picked ones
-        digits = [p.m - 1 - i for i in reversed(rows)]
-        # a run ends where the next digit is not the one right after it
-        ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
-                len(digits)]
-        starts = [0, *ends[:-1]]
-        pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
-        width = f"0{p.m}b"
-        # with one run, pick returns a str, which join() copies unchanged
-        return _from_masks(len(rows), tuple(
-            int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
-        ))
+        # as ints, numpy integer rows join into runs: (1).__ne__ of a numpy
+        # integer is NotImplemented, which is truthy
+        rows = list(map(index, rows))
     except TypeError:  # a row index that is not an integer
         raise InvalidArgumentError(f"row indices must be integers, got {rows!r}") from None
+    if not rows:
+        return _from_masks(0, (0,) * p.r)
+    lo, hi = min(rows), max(rows)
+    if lo < 0 or hi >= p.m:
+        raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
+    # row i is digit m-1-i of the mask's digits and row k of the result is
+    # digit len(rows)-1-k of the picked ones
+    digits = [p.m - 1 - i for i in reversed(rows)]
+    # a run ends where the next digit is not the one right after it
+    ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
+            len(digits)]
+    starts = [0, *ends[:-1]]
+    pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
+    width = f"0{p.m}b"
+    # with one run, pick returns a str, which join() copies unchanged
+    return _from_masks(len(rows), tuple(
+        int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
+    ))
 
 
 def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
@@ -341,10 +350,28 @@ def _check_delta(delta: list) -> None:
 
 
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
-    """Parse one JSONL draw record (UTF-8 if bytes); returns (id, pattern).
-    InvalidArgumentError unless line is a str, bytes or bytearray."""
+    """Parse one JSONL draw record (strict UTF-8 if bytes or bytearray);
+    returns (id, pattern). InvalidArgumentError unless line is a str, bytes
+    or bytearray.
+
+    A bytes or bytearray line in the form json.dumps writes for an integer
+    id of at most 18 digits and rows of equal length, `{"id": 7, "delta":
+    [[1, 0], [0, 1]]}` with optional JSON whitespace around it, is read by one
+    regex match at C speed. Every other line, str lines included, goes
+    through json.loads. Both paths give the same result; a line that fails
+    raises from the json.loads path, so errors are those of that path.
+    """
+    if isinstance(line, (bytes, bytearray)):
+        fast = _DUMPS_RECORD.fullmatch(line)
+        if fast:
+            rows = fast[2].split(b"], [")
+            if len(set(map(len, rows))) == 1:  # a row of w cells is 3w-2 bytes
+                digits = b"".join(rows).translate(None, b", ")
+                return int(fast[1]), _from_masks(
+                    len(rows), _column_masks(digits, (len(rows[0]) + 2) // 3)
+                )
     try:
-        obj = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+        obj = json.loads(line.decode("utf-8") if isinstance(line, (bytes, bytearray)) else line)
     except json.JSONDecodeError as e:
         # a record is one line; colno would restart after its trailing newline
         raise ParseError(f"invalid JSON: {e.msg}", column=e.pos + 1) from e

@@ -106,6 +106,13 @@ BAD_CALLS = {
         ValueError, lambda: nonzero_row_count(P, (0.5,)),
     ),
     "restrict_rows_fractional_row": (ValueError, lambda: restrict_rows(P, [0.5])),
+    "restrict_rows_fractional_row_no_columns": (
+        ValueError, lambda: restrict_rows(SparsityPattern(((),) * 3), [0.5]),
+    ),
+    "parse_jsonl_record_utf16_bytearray": (
+        ParseError,
+        lambda: parse_jsonl_record(bytearray('{"id": 1, "delta": [[1]]}'.encode("utf-16"))),
+    ),
     "bruteforce_str_max_columns": (
         ValueError, lambda: counting_rule_bruteforce(P, 1, max_columns="a"),
     ),

@@ -1,4 +1,5 @@
 
+import json
 import pickle
 import random
 import re
@@ -210,6 +211,101 @@ class TestParseJsonl:
             parse_pattern(text, "jsonl_record")
 
 
+class JsonLoadsCalled(Exception):
+    """Raised by a json.loads that a test forbids; no parser handler catches it."""
+
+
+def refuse_json_loads(*args, **kwargs):
+    raise JsonLoadsCalled
+
+
+# lines in and near the json.dumps form of a draw record, and whether the
+# regex path reads them; every other line goes through json.loads
+NEAR_MISSES = {
+    "dumps_form": (b'{"id": 7, "delta": [[1, 0, 1], [0, 1, 1]]}', True),
+    "zero_id": (b'{"id": 0, "delta": [[1]]}', True),
+    "minus_zero_id": (b'{"id": -0, "delta": [[0, 1]]}', True),
+    "leading_zeros_id": (b'{"id": 007, "delta": [[1]]}', False),
+    "id_18_digits": (b'{"id": 123456789012345678, "delta": [[1]]}', True),
+    "negative_id_18_digits": (b'{"id": -999999999999999999, "delta": [[1]]}', True),
+    "id_19_digits": (b'{"id": 1234567890123456789, "delta": [[1]]}', False),
+    "string_id": (b'{"id": "a", "delta": [[1]]}', False),
+    "escaped_string_id": (b'{"id": "\\u0061", "delta": [[1]]}', False),
+    "true_cell": (b'{"id": 1, "delta": [[1, true]]}', False),
+    "cell_2": (b'{"id": 1, "delta": [[1, 0], [2, 0]]}', False),
+    "empty_row": (b'{"id": 1, "delta": [[]]}', False),
+    "no_rows": (b'{"id": 1, "delta": []}', False),
+    "ragged_rows": (b'{"id": 1, "delta": [[1, 0], [1]]}', False),
+    "duplicate_id": (b'{"id": 1, "id": 2, "delta": [[1]]}', False),
+    "duplicate_delta": (b'{"id": 1, "delta": [[1]], "delta": [[0]]}', False),
+    "m_key": (b'{"id": 1, "delta": [[1], [0]], "m": 2}', False),
+    "keys_swapped": (b'{"delta": [[1]], "id": 1}', False),
+    "compact_spacing": (b'{"id": 1, "delta": [[1,0],[0,1]]}', False),
+    "trailing_bytes": (b'{"id": 1, "delta": [[1]]} 1', False),
+    "form_feed_after": (b'{"id": 1, "delta": [[1]]}\x0c', False),
+    "crlf_ending": (b'{"id": 1, "delta": [[1, 0], [0, 1]]}\r\n', True),
+    "json_whitespace_around": (b' \t\r{"id": 1, "delta": [[1]]} \n', True),
+}
+
+
+@pytest.mark.parametrize("line, fast", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_regex_path_agrees_with_json_loads(monkeypatch, line, fast):
+    expected = outcome(parse_jsonl_record, line.decode())  # a str line takes json.loads
+    assert outcome(parse_jsonl_record, line) == expected
+    assert outcome(parse_jsonl_record, bytearray(line)) == expected
+    monkeypatch.setattr(json, "loads", refuse_json_loads)
+    if fast:
+        assert parse_jsonl_record(line) == expected
+    else:
+        with pytest.raises(JsonLoadsCalled):
+            parse_jsonl_record(line)
+
+
+def test_dumps_form_lines_skip_json_loads(monkeypatch):
+    """The regex path stays live: a json.dumps record of int id parses, as
+    bytes and bytearray, with json.loads made to raise."""
+    delta = [[1, 0, 0, 1, 1, 0, 1, 0], [0, 1, 1, 0, 0, 1, 0, 0], [1, 1, 1, 1, 0, 0, 0, 1]]
+    line = json.dumps({"id": 12, "delta": delta}).encode() + b"\n"
+    monkeypatch.setattr(json, "loads", refuse_json_loads)
+    for data in (line, bytearray(line)):
+        assert parse_jsonl_record(data) == (12, SparsityPattern.from_rows(delta))
+
+
+# pieces inserted into a json.dumps record to make a near miss
+RECORD_PIECES = [b" ", b"\t", b"\r\n", b"\x0c", b"0", b"1", b"2", b"-", b",", b", ", b"[", b"]",
+                 b"[]", b"true", b'"', b"\\", b"}", b"{"]
+
+
+@st.composite
+def dumps_lines(draw):
+    """json.dumps lines of draw records with int ids of any size and rows
+    of 0/1, mostly of one width; some get JSON whitespace around them, and
+    some one piece inserted or one byte deleted."""
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width + draw(st.sampled_from([0, 1]))),
+        max_size=5,
+    ))
+    rec_id = draw(st.integers(-99, 99) | st.integers(-10**20, 10**20))
+    space = st.text(" \t\r\n", max_size=2).map(str.encode)
+    line = draw(space) + json.dumps({"id": rec_id, "delta": rows}).encode() + draw(space)
+    at = draw(st.integers(0, len(line)))
+    edit = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+    if edit == "insert":
+        line = line[:at] + draw(st.sampled_from(RECORD_PIECES)) + line[at:]
+    elif edit == "delete":
+        line = line[:at] + line[at + 1:]
+    return line
+
+
+@given(dumps_lines())
+@settings(max_examples=400, derandomize=True)
+def test_regex_path_agrees_with_json_loads_on_random_records(line):
+    expected = outcome(parse_jsonl_record, line.decode())
+    assert outcome(parse_jsonl_record, line) == expected
+    assert outcome(parse_jsonl_record, bytearray(line)) == expected
+
+
 class TestPattern:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -247,6 +343,16 @@ class TestPattern:
         rows = data.draw(st.lists(st.integers(0, p.m - 1), min_size=1, max_size=p.m + 2))
         assert restrict_rows(p, rows) == SparsityPattern(tuple(entries[i] for i in rows))
         assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_restrict_rows_reads_numpy_integer_rows():
+    p = SparsityPattern.from_rows(np.random.default_rng(5).random((40, 3)) < 0.5)
+    for k in (1, 2, 17, 40):
+        assert restrict_rows(p, np.arange(k)) == restrict_rows(p, list(range(k)))
+    assert restrict_rows(p, np.array([3, 1, 1, 2])) == restrict_rows(p, [3, 1, 1, 2])
+    for rows in ([0.5], np.array([0.5]), [1, 0.5]):
+        with pytest.raises(InvalidArgumentError):
+            restrict_rows(p, rows)
 
 
 def test_restrict_rows_and_trim_on_wide_masks():
