@@ -8,21 +8,18 @@ kept with the tests, as the reference for the s=1 route.
 """
 
 from factorid._kernels import active_backend
-from factorid.bipartite import Matching, maximum_matching
+from factorid.bipartite import Matching
 from factorid.errors import FactorIdError
 from factorid.identify import (
     CountingRuleVerdict,
     FailWitness,
-    GenericCheckReport,
     IdentificationVerdict,
     PassWitness,
-    RankFailure,
     RcmDecomposition,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
     counting_rule_s1,
-    generic_rank_check,
     rcm_decomposition,
     variance_identified,
 )
@@ -34,11 +31,9 @@ __all__ = [
     "CountingRuleVerdict",
     "FactorIdError",
     "FailWitness",
-    "GenericCheckReport",
     "IdentificationVerdict",
     "Matching",
     "PassWitness",
-    "RankFailure",
     "RcmDecomposition",
     "SparsityPattern",
     "TrimReport",
@@ -47,8 +42,6 @@ __all__ = [
     "counting_rule_bruteforce",
     "counting_rule_s0",
     "counting_rule_s1",
-    "generic_rank_check",
-    "maximum_matching",
     "parse_pattern",
     "rcm_decomposition",
     "trim",

@@ -1,21 +1,17 @@
 """Matchings of a sparsity pattern's bipartite graph.
 
 A pattern is the biadjacency matrix of its graph: column vertex j and row
-vertex i are adjacent iff bit i of `col_masks[j]` is set, so the graph
-functions here take the `SparsityPattern` itself, and matchings run on its
-column masks: the Hopcroft-Karp kernel takes the masks and the column that
-each left vertex copies, and `alternating_reach` one row mask per left
-vertex. `alternating_reach` is the one
-alternating-path walk: from a maximum matching it gives König's vertex
-cover, and from a free vertex it grows a matching by one augmenting path.
+vertex i are adjacent iff bit i of `col_masks[j]` is set. `Matching` holds
+a matching's (column, row) pairs, and `alternating_reach`, which reads one
+row mask per left vertex, is the one alternating-path walk: from a maximum
+matching it gives König's vertex cover, and from a free vertex it grows a
+matching by one augmenting path.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from factorid import _kernels
-from factorid.errors import InvalidArgumentError, NotSquareError
-from factorid.pattern import SparsityPattern
+from factorid.errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -25,23 +21,19 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        cols = {c for c, _ in self.pairs}
-        rows = {r for _, r in self.pairs}
+        try:
+            cols = {c for c, _ in self.pairs}
+            rows = {r for _, r in self.pairs}
+        except (TypeError, ValueError):  # not iterable, or a pair of other length
+            raise InvalidArgumentError(
+                f"matching must hold (column, row) pairs, got {self.pairs!r}"
+            ) from None
         if len(cols) != len(self.pairs) or len(rows) != len(self.pairs):
             raise InvalidArgumentError("matching reuses an endpoint")
 
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def column_to_row(self) -> dict[int, int]:
-        return {c: r for c, r in self.pairs}
-
-
-def maximum_matching(p: SparsityPattern) -> Matching:
-    """Maximum-cardinality matching of the pattern's columns into its rows."""
-    _, match_l, _ = _kernels.hopcroft_karp(p.r, p.m, p.col_masks, range(p.r))
-    return Matching(frozenset((c, r) for c, r in enumerate(match_l) if r != -1))
 
 
 def alternating_reach(
@@ -92,18 +84,3 @@ def alternating_reach(
             stack.append(w)
             new ^= low
     return reached, seen
-
-
-def is_rcm(p: SparsityPattern) -> tuple[bool, Matching | None]:
-    """Whether a square pattern has a column-saturating matching.
-
-    Equivalently: some reordering of the rows puts a 1 on every diagonal
-    cell, so a generic filling of the pattern is non-singular.
-    """
-    if p.m != p.r:
-        raise NotSquareError(f"pattern is {p.m}x{p.r}, need square")
-    mm = maximum_matching(p)
-    if mm.size == p.r:
-        return True, mm
-    return False, None
-

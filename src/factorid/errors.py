@@ -44,10 +44,6 @@ class EmptyInputError(FactorIdError):
     """Input contains no pattern cells at all."""
 
 
-class NotSquareError(FactorIdError):
-    """A square pattern was required but row and column counts differ."""
-
-
 class MatchingNotMaximumError(FactorIdError):
     """The supplied matching admits an augmenting path."""
 
@@ -62,11 +58,3 @@ class EmptyPatternError(FactorIdError):
 
 class TooManyColumnsError(FactorIdError):
     """Brute-force subset enumeration refused above the column cap."""
-
-
-class NoDecompositionError(FactorIdError):
-    """No pair of disjoint row groups with reordered nonzero diagonals exists."""
-
-
-class MissingDependencyError(FactorIdError, ImportError):
-    """An optional dependency that the call needs is not installed."""

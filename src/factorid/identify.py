@@ -44,18 +44,14 @@ necessary), which is what the `sufficient_only` flag on verdict records says.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from numbers import Real
 from operator import index
 
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach, is_rcm
+from factorid.bipartite import Matching, alternating_reach
 from factorid.errors import (
     InvalidArgumentError,
     MatchingNotMaximumError,
-    MissingDependencyError,
-    NoDecompositionError,
     OutOfRangeError,
     TooManyColumnsError,
 )
@@ -65,7 +61,6 @@ from factorid.pattern import (
     _from_masks,
     _set_bits,
     nonzero_row_count,
-    restrict_rows,
     trim,
 )
 
@@ -107,27 +102,6 @@ class RcmDecomposition:
 
 
 @dataclass(frozen=True)
-class RankFailure:
-    trial: int | None
-    deleted_rows: tuple[int, ...]
-    group: str
-    numerical_rank: int | None
-
-
-@dataclass(frozen=True)
-class GenericCheckReport:
-    trials: int
-    seed: int
-    tolerance: float
-    deletions_tested: int
-    failures: tuple[RankFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
 class IdentificationVerdict:
     """Top-level decision. `identified=False` means "not guaranteed by the
     sufficient condition", never "proven unidentifiable"."""
@@ -153,17 +127,15 @@ def _base_matching(p: SparsityPattern) -> tuple[int, list[int], list[int], int]:
     return size, match_l, match_r, (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)
 
 
-def _integer(name: str, value, least: int = 0) -> int:
+def _integer(name: str, value) -> int:
     """value as an int, from any integer type (numpy's too);
-    InvalidArgumentError unless it is an integer of at least `least`."""
+    InvalidArgumentError unless it is a non-negative integer."""
     try:
         value = index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise InvalidArgumentError(
-            f"{name} must be non-negative" if least == 0 else f"{name} must be at least {least}"
-        )
+    if value < 0:
+        raise InvalidArgumentError(f"{name} must be non-negative")
     return value
 
 
@@ -338,7 +310,9 @@ def rcm_decomposition(
     The groups come from the s=0 replica matching on the kept rows (the
     deleted rows' bits cleared from every column mask): group A collects the
     rows matched to the first copies of the columns (ordered by column),
-    group B those matched to the second copies. All indices refer
+    group B those matched to the second copies. Row k of a group is matched
+    to a copy of column k, so its cell in column k is a 1: the diagonal holds
+    by construction and needs no second matching. All indices refer
     to the input pattern's coordinates. `deleted_rows` may hold any integer
     type (numpy's too); the result lists them as sorted ints.
     """
@@ -362,122 +336,11 @@ def rcm_decomposition(
     )
     if size < 2 * r:
         return None
-    rows_a = tuple(match_l[:r])
-    rows_b = tuple(match_l[r:])
-    for rows in (rows_a, rows_b):
-        ok, _ = is_rcm(restrict_rows(p, rows))
-        assert ok, "matched row group lost its diagonal"
     return RcmDecomposition(
         deleted_rows=tuple(sorted(deleted)),
-        rows_a=rows_a,
-        rows_b=rows_b,
+        rows_a=tuple(match_l[:r]),
+        rows_b=tuple(match_l[r:]),
         matching=Matching(frozenset(enumerate(match_l))),
-    )
-
-
-def _sample_deletions(rng, m: int, s: int, cap: int) -> list[tuple[int, ...]]:
-    total = comb(m, s)
-    if total <= 4 * cap:
-        everything = list(combinations(range(m), s))
-        picked = rng.choice(total, size=cap, replace=False)
-        return [everything[i] for i in sorted(picked.tolist())]
-    seen: set[tuple[int, ...]] = set()
-    while len(seen) < cap:
-        seen.add(tuple(sorted(rng.choice(m, size=s, replace=False).tolist())))
-    return sorted(seen)
-
-
-def generic_rank_check(
-    p: SparsityPattern,
-    s: int,
-    trials: int = 100,
-    tolerance: float = 1e-8,
-    seed: int = 0,
-    deletion_cap: int = 200,
-    diagnose: bool = False,
-) -> GenericCheckReport:
-    """Numerically probe the row-deletion property with random fillings.
-
-    Each trial fills the 1-cells with independent standard normal draws and
-    checks, for every tested deletion of s rows, that both row groups of the
-    decomposition have numerical rank r (smallest singular value above
-    tolerance times the largest). Deletions are enumerated exhaustively up
-    to `deletion_cap`, else sampled per trial from the trial's own stream.
-
-    A missing decomposition signals that the counting rule fails for that
-    deletion; it raises NoDecompositionError unless diagnose=True, in which
-    case it is recorded and the deletion skipped. InvalidArgumentError unless
-    s, trials and seed are non-negative integers, deletion_cap a positive
-    one and tolerance a non-negative real number; MissingDependencyError
-    when numpy, the `rank` extra, is not installed.
-    """
-    s = _integer("s", s)
-    trials = _integer("trials", trials)
-    seed = _integer("seed", seed)
-    deletion_cap = _integer("deletion_cap", deletion_cap, least=1)
-    if not (isinstance(tolerance, Real) and tolerance >= 0):  # NaN fails too
-        raise InvalidArgumentError(
-            f"tolerance must be a non-negative real number, got {tolerance!r}"
-        )
-    try:
-        import numpy as np  # only this check needs numpy; `import factorid` stays light
-    except ImportError as e:
-        raise MissingDependencyError(
-            "generic_rank_check needs numpy: install factorid[rank]"
-        ) from e
-
-    m, r = p.m, p.r
-    if s > m:
-        raise InvalidArgumentError(f"cannot delete {s} of {m} rows")
-    rng_streams = np.random.SeedSequence(seed).spawn(trials)
-    nz = np.nonzero(np.array(p.entries, dtype=np.int64).reshape(m, r))
-    enumerable = comb(m, s) <= deletion_cap
-    fixed_deletions = list(combinations(range(m), s)) if enumerable else None
-    decompositions: dict[tuple[int, ...], RcmDecomposition | None] = {}
-    failures: list[RankFailure] = []
-    for trial in range(trials):
-        rng = np.random.default_rng(rng_streams[trial])
-        deletions = (
-            fixed_deletions
-            if enumerable
-            else _sample_deletions(rng, m, s, deletion_cap)
-        )
-        beta = np.zeros((m, r))
-        beta[nz] = rng.standard_normal(len(nz[0]))
-        for deletion in deletions:
-            if deletion not in decompositions:
-                decompositions[deletion] = rcm_decomposition(p, deletion)
-                if decompositions[deletion] is None:
-                    if not diagnose:
-                        raise NoDecompositionError(
-                            f"no row-group decomposition after deleting rows {deletion}"
-                        )
-                    failures.append(
-                        RankFailure(
-                            trial=None, deleted_rows=deletion,
-                            group="decomposition", numerical_rank=None,
-                        )
-                    )
-            dec = decompositions[deletion]
-            if dec is None:
-                continue
-            for group, rows in (("A", dec.rows_a), ("B", dec.rows_b)):
-                sv = np.linalg.svd(beta[list(rows), :], compute_uv=False)
-                # the empty 0x0 group of r = 0 has no singular values and rank 0 = r
-                rank = int(np.count_nonzero(sv > tolerance * sv.max(initial=0.0)))
-                if rank < r:
-                    failures.append(
-                        RankFailure(
-                            trial=trial, deleted_rows=deletion,
-                            group=group, numerical_rank=rank,
-                        )
-                    )
-    return GenericCheckReport(
-        trials=trials,
-        seed=seed,
-        tolerance=tolerance,
-        deletions_tested=len(decompositions),
-        failures=tuple(failures),
     )
 
 

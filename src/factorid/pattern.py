@@ -71,15 +71,18 @@ class SparsityPattern:
     col_masks: tuple[int, ...]
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        width = len(entries[0]) if entries else 0
         cells = bytearray()
-        for row in entries:
-            if len(row) != width:
-                raise DimensionError("rows have differing lengths")
-            for v in row:
-                if not (v == 0 or v == 1):
-                    raise InvalidArgumentError(f"pattern entries must be 0 or 1, got {v!r}")
-            cells += bytes(map(bool, row))
+        try:
+            width = len(entries[0]) if entries else 0
+            for row in entries:
+                if len(row) != width:
+                    raise DimensionError("rows have differing lengths")
+                for v in row:
+                    if not (v == 0 or v == 1):
+                        raise InvalidArgumentError(f"pattern entries must be 0 or 1, got {v!r}")
+                cells += bytes(map(bool, row))
+        except TypeError:  # entries or a row that is not a sequence
+            raise InvalidArgumentError("entries must be a tuple of row tuples") from None
         masks = _column_masks(cells.translate(_DIGITS), width)
         self.__dict__.update(m=len(entries), col_masks=masks)  # past the frozen __setattr__
 
@@ -87,7 +90,11 @@ class SparsityPattern:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SparsityPattern":
         """Pattern from any iterable of row iterables (lists, numpy arrays),
         validated like `SparsityPattern(entries)`."""
-        return cls(tuple(map(tuple, rows)))
+        try:
+            entries = tuple(map(tuple, rows))
+        except TypeError:  # rows or a row that is not iterable
+            raise InvalidArgumentError("rows must be an iterable of row iterables") from None
+        return cls(entries)
 
     @property
     def r(self) -> int:
@@ -219,17 +226,17 @@ def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
     """Number of rows with at least one 1 within the selected columns.
     InvalidArgumentError for no column or one that is not an integer,
     OutOfRangeError for one outside 0..r-1."""
-    cols = tuple(cols)
-    if not cols:
-        raise InvalidArgumentError("cols must be a nonempty set of column indices")
     masks = p.col_masks
     union = 0
     try:
+        cols = tuple(cols)
+        if not cols:
+            raise InvalidArgumentError("cols must be a nonempty set of column indices")
         for c in cols:
             if c < 0 or c >= p.r:
                 raise OutOfRangeError(f"column index {c} out of range for r={p.r}")
             union |= masks[c]
-    except TypeError:  # an index that is not an integer
+    except TypeError:  # cols not iterable, or an index that is not an integer
         raise InvalidArgumentError(f"column indices must be integers, got {cols!r}") from None
     return union.bit_count()
 

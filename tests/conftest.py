@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from factorid.identify import rcm_decomposition
 from factorid.pattern import SparsityPattern
 
 # 4x4 pattern whose graph has the unique perfect matching (u_i, v_i).
@@ -94,3 +95,24 @@ def counterexample_6x3():
 
 def random_pattern(rng: np.random.Generator, m: int, r: int, density: float) -> SparsityPattern:
     return SparsityPattern.from_rows((rng.random((m, r)) < density).astype(int).tolist())
+
+
+def group_ranks(p: SparsityPattern, seed: int) -> list[int]:
+    """Numerical ranks of both row groups of `rcm_decomposition` after each
+    deletion of one row, in 20 fills of p's ones with standard normal draws:
+    the paper's generic-rank claim at s=1, probed numerically. A rank counts
+    the singular values above 1e-8 times the largest; the empty group of
+    r = 0 has none, and rank 0."""
+    decompositions = [rcm_decomposition(p, {i}) for i in range(p.m)]
+    assert None not in decompositions
+    rng = np.random.default_rng(seed)
+    ones = np.nonzero(np.array(p.entries, dtype=bool).reshape(p.m, p.r))
+    ranks = []
+    for _ in range(20):
+        fill = np.zeros((p.m, p.r))
+        fill[ones] = rng.standard_normal(len(ones[0]))
+        for dec in decompositions:
+            for rows in (dec.rows_a, dec.rows_b):
+                sv = np.linalg.svd(fill[list(rows)], compute_uv=False)
+                ranks.append(int(np.count_nonzero(sv > 1e-8 * sv.max(initial=0.0))))
+    return ranks

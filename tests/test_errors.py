@@ -6,6 +6,7 @@ that catch ValueError or IndexError keep working.
 
 import ast
 import builtins
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from factorid.errors import FactorIdError, ParseError
 from factorid.identify import (
     counting_rule,
     counting_rule_bruteforce,
-    generic_rank_check,
     rcm_decomposition,
     variance_identified,
 )
@@ -42,34 +42,6 @@ BAD_CALLS = {
     "bruteforce_fractional_s": (ValueError, lambda: counting_rule_bruteforce(P, 1.5)),
     "variance_identified_fractional_s": (ValueError, lambda: variance_identified(P, 1.5)),
     "variance_identified_str_s": (ValueError, lambda: variance_identified(P, "1")),
-    "generic_rank_check_s_above_m": (ValueError, lambda: generic_rank_check(P, 4, trials=1)),
-    "generic_rank_check_fractional_s": (ValueError, lambda: generic_rank_check(P, 1.5, trials=1)),
-    "generic_rank_check_str_s": (ValueError, lambda: generic_rank_check(P, "1", trials=1)),
-    "generic_rank_check_negative_seed": (ValueError, lambda: generic_rank_check(P, 1, seed=-1)),
-    "generic_rank_check_negative_trials": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=-1),
-    ),
-    "generic_rank_check_fractional_trials": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1.5),
-    ),
-    "generic_rank_check_fractional_seed": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, seed=1.5),
-    ),
-    "generic_rank_check_negative_deletion_cap": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, deletion_cap=-3),
-    ),
-    "generic_rank_check_zero_deletion_cap": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, deletion_cap=0),
-    ),
-    "generic_rank_check_negative_tolerance": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance=-1e-8),
-    ),
-    "generic_rank_check_nan_tolerance": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance=float("nan")),
-    ),
-    "generic_rank_check_str_tolerance": (
-        ValueError, lambda: generic_rank_check(P, 1, trials=1, tolerance="1e-8"),
-    ),
     "rcm_decomposition_row_out_of_range": (IndexError, lambda: rcm_decomposition(P, {3})),
     "rcm_decomposition_float_row": (ValueError, lambda: rcm_decomposition(P, {1.0})),
     "rcm_decomposition_str_row": (ValueError, lambda: rcm_decomposition(P, {"a"})),
@@ -120,6 +92,14 @@ BAD_CALLS = {
     "trim_report_repeated_column": (
         ValueError, lambda: TrimReport((0, 0), (), 3, 2, 3, 1).kept_columns,
     ),
+    "matching_pair_of_one": (ValueError, lambda: Matching(frozenset({(0,)}))),
+    "matching_none": (ValueError, lambda: Matching(None)),
+    "pattern_none": (ValueError, lambda: SparsityPattern(None)),
+    "pattern_int": (ValueError, lambda: SparsityPattern(5)),
+    "pattern_none_row": (ValueError, lambda: SparsityPattern(((1,), None))),
+    "from_rows_int_row": (ValueError, lambda: SparsityPattern.from_rows([[1], 5])),
+    "nonzero_row_count_none_columns": (ValueError, lambda: nonzero_row_count(P, None)),
+    "nonzero_row_count_int_columns": (ValueError, lambda: nonzero_row_count(P, 5)),
 }
 
 
@@ -178,5 +158,30 @@ def test_s1_reference_shares_no_code_with_the_s1_route():
     shared = [
         name for name in _imported_modules(Path(__file__).with_name("reference_cover.py"))
         if name.startswith(("factorid.identify", "factorid._kernels"))
+    ]
+    assert shared == []
+
+
+def test_package_imports_only_stdlib_and_click():
+    found = [
+        f"{path.name} imports {name}"
+        for path in sorted(Path(factorid.__file__).parent.glob("*.py"))
+        for name in _imported_modules(path)
+        if name.split(".")[0] not in (*sys.stdlib_module_names, "click", "factorid")
+    ]
+    assert found == []
+
+
+RESULT_TYPES = {"Matching", "CountingRuleVerdict", "FailWitness", "PassWitness"}
+
+
+def test_oracles_take_only_result_types_from_the_routes():
+    """The references check the routes, so they import no kernel and, from
+    the route modules, only the dataclasses the routes return."""
+    shared = [
+        name for name in _imported_modules(Path(__file__).with_name("oracles.py"))
+        if name.startswith("factorid._kernels")
+        or name.startswith(("factorid.bipartite.", "factorid.identify."))
+        and name.rsplit(".", 1)[1] not in RESULT_TYPES
     ]
     assert shared == []

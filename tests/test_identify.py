@@ -1,7 +1,6 @@
 import hashlib
 import random
 import sys
-from math import comb
 
 import numpy as np
 import pytest
@@ -9,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_pattern
-from factorid.bipartite import is_rcm, maximum_matching
+from conftest import group_ranks, random_pattern
 from factorid.errors import (
     EmptyPatternError,
-    MissingDependencyError,
-    NoDecompositionError,
     TooManyColumnsError,
     UntrimmedPatternError,
 )
@@ -26,7 +22,6 @@ from factorid.identify import (
     counting_rule_bruteforce,
     counting_rule_s0,
     counting_rule_s1,
-    generic_rank_check,
     rcm_decomposition,
     variance_identified,
     verdict_in_original_coords,
@@ -146,7 +141,7 @@ class TestS1FreeCopies:
         seen = 0
         while seen < 150:
             p = trimmed_random(rng, 14, 8, density=float(rng.uniform(0.1, 0.5)))
-            if p.r == 0 or maximum_matching(oracles.duplicate_columns(p)).size == 2 * p.r:
+            if p.r == 0 or oracles.maximum_matching(oracles.duplicate_columns(p)).size == 2 * p.r:
                 continue
             seen += 1
             verdict = counting_rule_s1(p)
@@ -565,7 +560,7 @@ class TestGraphReference:
                 continue
             r = p.r
             doubled = oracles.duplicate_columns(p)
-            mm = maximum_matching(doubled)
+            mm = oracles.maximum_matching(doubled)
             verdict = counting_rule_s0(p)
             if verdict.holds:
                 seen["pass"] += 1
@@ -580,14 +575,14 @@ class TestGraphReference:
             deleted = frozenset(rng.choice(p.m, size=n_deleted, replace=False).tolist())
             kept = [i for i in range(p.m) if i not in deleted]
             remainder = SparsityPattern(tuple(p.entries[i] for i in kept))
-            ref = maximum_matching(oracles.duplicate_columns(remainder))
+            ref = oracles.maximum_matching(oracles.duplicate_columns(remainder))
             dec = rcm_decomposition(p, deleted)
             if len(kept) < 2 * r or ref.size < 2 * r:
                 seen["none"] += 1
                 assert dec is None
                 continue
             seen["split"] += 1
-            col_to_row = ref.column_to_row()
+            col_to_row = dict(ref.pairs)
             assert dec.rows_a == tuple(kept[col_to_row[j]] for j in range(r))
             assert dec.rows_b == tuple(kept[col_to_row[j + r]] for j in range(r))
             assert dec.matching.pairs == {(c, kept[i]) for c, i in ref.pairs}
@@ -685,10 +680,33 @@ class TestRcmDecomposition:
             dec = rcm_decomposition(p, deleted)
             found += dec is not None
             if dec is not None:
+                # row k of each group is a 1 of column k: the diagonal holds
+                assert all(
+                    mask >> a & mask >> b & 1
+                    for mask, a, b in zip(p.col_masks, dec.rows_a, dec.rows_b)
+                )
                 dec = dec.deleted_rows, dec.rows_a, dec.rows_b, sorted(dec.matching.pairs)
             digest.update(repr(dec).encode())
         assert found >= 100
         assert digest.hexdigest() == RCM_DIGEST
+
+    def test_one_kernel_run(self, monkeypatch, deletion_demo_8x3):
+        """The groups are read off one Hopcroft-Karp run, with no second
+        matching to check them; too few kept rows need none."""
+        calls = []
+        kernel = _kernels.hopcroft_karp
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "hopcroft_karp", counted)
+        found = 0
+        for p, deleted in [(deletion_demo_8x3, {0, 5}), *rcm_cases(151, 60)]:
+            calls.clear()
+            found += rcm_decomposition(p, deleted) is not None
+            assert calls == ([2 * p.r] if p.m - len(deleted) >= 2 * p.r else [])
+        assert found >= 10
 
     def test_deletion_demo(self, deletion_demo_8x3):
         dec = rcm_decomposition(deletion_demo_8x3, {0, 5})
@@ -697,7 +715,7 @@ class TestRcmDecomposition:
         assert not (set(dec.rows_a) | set(dec.rows_b)) & {0, 5}
         for rows in (dec.rows_a, dec.rows_b):
             block = SparsityPattern(tuple(deletion_demo_8x3.entries[i] for i in rows))
-            assert is_rcm(block)[0]
+            assert oracles.has_saturating_matching(block, "columns")
         # every matched cell is a 1 of the original pattern
         for c, i in dec.matching.pairs:
             assert deletion_demo_8x3.entries[i][c % deletion_demo_8x3.r] == 1
@@ -721,65 +739,32 @@ class TestRcmDecomposition:
 
     def test_group_order_follows_columns(self, deletion_demo_8x3):
         dec = rcm_decomposition(deletion_demo_8x3, {0, 5})
-        col_to_row = dec.matching.column_to_row()
+        col_to_row = dict(dec.matching.pairs)
         assert dec.rows_a == tuple(col_to_row[j] for j in range(3))
         assert dec.rows_b == tuple(col_to_row[j + 3] for j in range(3))
 
 
 class TestGenericRankCheck:
     def test_demo_pattern_clean(self, mincut_demo_8x3):
-        report = generic_rank_check(mincut_demo_8x3, s=1, trials=20, tolerance=1e-8, seed=7)
-        assert report.ok
-        assert report.deletions_tested == 8
-        assert report.trials == 20
+        assert group_ranks(mincut_demo_8x3, seed=7) == [3] * (20 * 2 * 8)
 
     def test_single_column_tower(self):
         p = SparsityPattern.from_rows([[1], [1], [1]])
-        report = generic_rank_check(p, s=1, trials=10, tolerance=1e-8, seed=3)
-        assert report.ok
+        assert group_ranks(p, seed=3) == [1] * (20 * 2 * 3)
 
     def test_identity_raises(self):
-        p = SparsityPattern.from_rows(np.eye(3, dtype=int).tolist())
-        with pytest.raises(NoDecompositionError):
-            generic_rank_check(p, s=0, trials=2, seed=1)
-
-    def test_identity_diagnose_records(self):
-        p = SparsityPattern.from_rows(np.eye(3, dtype=int).tolist())
-        report = generic_rank_check(p, s=0, trials=2, seed=1, diagnose=True)
-        assert not report.ok
-        assert report.failures[0].group == "decomposition"
-        assert report.failures[0].deleted_rows == ()
+        # no deletion of one row leaves 2r = 6 rows: the probe refuses
+        # rather than skip a deletion
+        with pytest.raises(AssertionError):
+            group_ranks(SparsityPattern.from_rows(np.eye(3, dtype=int).tolist()), seed=1)
 
     def test_no_factors(self):
         # r = 0: each row group is empty, of full rank 0
-        for p in (
-            SparsityPattern.from_rows([[], []]),
-            trim(SparsityPattern.from_rows([[0, 0], [0, 0]]))[0],
-        ):
-            report = generic_rank_check(p, s=0, trials=2, seed=1)
-            assert report.ok
-            assert report.deletions_tested == 1
-
-    @pytest.mark.parametrize("cap", [200, 50])
-    def test_sampled_deletions(self, cap):
-        # comb(30, 2) = 435 deletions: cap 200 picks from the list of all of
-        # them (435 <= 4 * cap), cap 50 draws them one by one (435 > 4 * cap)
-        p = SparsityPattern.from_rows([[1, 1]] * 30)
-        report = generic_rank_check(p, s=2, trials=3, seed=5, deletion_cap=cap)
-        assert report == generic_rank_check(p, s=2, trials=3, seed=5, deletion_cap=cap)
-        assert cap <= report.deletions_tested <= min(comb(30, 2), 3 * cap)
-        assert report.ok
-
-    def test_needs_numpy(self, monkeypatch, mincut_demo_8x3):
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-        with pytest.raises(MissingDependencyError, match=r"factorid\[rank\]") as info:
-            generic_rank_check(mincut_demo_8x3, s=1, trials=1)
-        assert isinstance(info.value, ImportError)
+        assert group_ranks(SparsityPattern.from_rows([[], []]), seed=1) == [0] * (20 * 2 * 2)
+        assert group_ranks(trim(SparsityPattern.from_rows([[0, 0], [0, 0]]))[0], seed=1) == []
 
     def test_deterministic(self, mincut_demo_8x3):
-        a = generic_rank_check(mincut_demo_8x3, s=1, trials=5, seed=42)
-        b = generic_rank_check(mincut_demo_8x3, s=1, trials=5, seed=42)
-        assert a == b
+        assert group_ranks(mincut_demo_8x3, seed=42) == group_ranks(mincut_demo_8x3, seed=42)
 
     def test_structural_rank_dichotomy(self):
         # square patterns: a reordered ones diagonal makes random fills
@@ -790,7 +775,7 @@ class TestGenericRankCheck:
             p = random_pattern(rng, n, n, float(rng.uniform(0.2, 0.8)))
             fill = rng.standard_normal((n, n)) * np.array(p.entries)
             structurally_regular = oracles.has_reordered_ones_diagonal(p)
-            assert is_rcm(p)[0] == structurally_regular
+            assert oracles.has_saturating_matching(p, "columns") == structurally_regular
             if structurally_regular:
                 assert abs(np.linalg.det(fill)) > 1e-12
             else:

@@ -48,11 +48,9 @@ def test_public_surface_is_pinned():
         "CountingRuleVerdict",
         "FactorIdError",
         "FailWitness",
-        "GenericCheckReport",
         "IdentificationVerdict",
         "Matching",
         "PassWitness",
-        "RankFailure",
         "RcmDecomposition",
         "SparsityPattern",
         "TrimReport",
@@ -61,8 +59,6 @@ def test_public_surface_is_pinned():
         "counting_rule_bruteforce",
         "counting_rule_s0",
         "counting_rule_s1",
-        "generic_rank_check",
-        "maximum_matching",
         "parse_pattern",
         "rcm_decomposition",
         "trim",
