@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -908,6 +909,82 @@ class TestOriginalCoordinates:
         verdict = counting_rule(trimmed, 1)
         assert verdict.holds and verdict.witness_fail is None and verdict.witness_pass is None
         assert verdict_in_original_coords(verdict, report) is verdict
+
+
+def variance_identified_cases(seed, n):
+    """n small patterns drawn from random() alone, r up to 6 on r to 2r+9
+    rows, every third with one column on a single row (so that s=3 pads its
+    deleted rows from outside N(S)), with up to three zero rows and two zero
+    columns inserted at random (a draw may bring its own); then two 1000x50
+    patterns at density 0.3 with 20 zero rows: one plain, one with 2 zero
+    columns and 3 columns confined to 5 rows."""
+    rng = random.Random(seed)
+
+    def below(k):
+        return int(rng.random() * k)
+
+    def padded(m, r, density, zero_rows, zero_cols, block=(0, 0)):
+        rows = sorted(rng.sample(range(m + zero_rows), m))
+        cols = sorted(rng.sample(range(r + zero_cols), r))
+        block_rows = rng.sample(range(m), block[1])
+        block = rng.sample(range(r), block[0])
+        cells = [[0] * (r + zero_cols) for _ in range(m + zero_rows)]
+        for i, row in zip(range(m), rows):
+            for j, col in enumerate(cols):
+                inside = i in block_rows if j in block else rng.random() < density
+                cells[row][col] = int(inside)
+        return SparsityPattern(tuple(map(tuple, cells)))
+
+    for case in range(n):
+        r = 1 + below(6)
+        block = (1, 1) if case % 3 == 2 else (0, 0)
+        yield padded(r + below(r + 10), r, 0.15 + 0.7 * rng.random(), below(4), below(3), block)
+    yield padded(980, 50, 0.3, 20, 0)
+    yield padded(980, 48, 0.3, 20, 2, block=(3, 5))
+
+
+def canonical(obj):
+    """A dataclass result as nested tuples, a frozenset as its sorted items:
+    the order in which a frozenset iterates is not part of the result."""
+    if dataclasses.is_dataclass(obj):
+        fields = dataclasses.fields(obj)
+        return (type(obj).__name__, *(canonical(getattr(obj, f.name)) for f in fields))
+    if isinstance(obj, frozenset):
+        return ("frozenset", *sorted(obj))
+    return obj
+
+
+# SHA-256 of repr(canonical(variance_identified(p, s))) for s = 0..3 over
+# variance_identified_cases(223, 560), computed when the rule ran on a copy
+# of the pattern without its zero rows and mapped the rows back
+VARIANCE_IDENTIFIED_DIGEST = "ec0d78214761aaa29d64dbebd09ad5017a973f448143b4667c7cb1659f1ad887"
+
+
+def test_variance_identified_output_is_pinned():
+    """Verdicts, trim reports and witnesses in the caller's coordinates at
+    every s, on patterns with zero rows and columns, stay what they were."""
+    digest = hashlib.sha256()
+    kinds = dict.fromkeys(("degenerate", "matching", "short", "deleted_rows", "padded"), 0)
+    for p in variance_identified_cases(223, 560):
+        for s in range(4):
+            verdict = variance_identified(p, s)
+            digest.update(repr(canonical(verdict)).encode())
+            kinds["degenerate"] += verdict.degenerate
+            if verdict.degenerate or not verdict.trim.removed_zero_rows:
+                continue
+            wp, wf = verdict.detail.witness_pass, verdict.detail.witness_fail
+            kinds["matching"] += wp is not None and wp.matching is not None
+            if wf is None or s < 2:
+                continue
+            if wf.deleted_rows is None:
+                kinds["short"] += 1
+                continue
+            kinds["deleted_rows"] += 1
+            touched = nonzero_row_count(p, wf.columns)
+            kinds["padded"] += len(set(wf.deleted_rows)) > touched
+    # on patterns with zero rows, every kind of witness that names rows
+    assert min(kinds.values()) >= 20, kinds
+    assert digest.hexdigest() == VARIANCE_IDENTIFIED_DIGEST
 
 
 class TestDegenerateEdges:
