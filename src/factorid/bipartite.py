@@ -9,6 +9,7 @@ matching by one augmenting path.
 """
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from factorid.errors import InvalidArgumentError
@@ -22,11 +23,14 @@ class Matching:
 
     def __post_init__(self):
         try:
-            cols = {c for c, _ in self.pairs}
-            rows = {r for _, r in self.pairs}
+            # dict() unpacks each pair at C speed and index() refuses an
+            # endpoint that is not an integer, such as the "a" of "ab"
+            row_of = dict(self.pairs)
+            cols = set(map(index, row_of))
+            rows = set(map(index, row_of.values()))
         except (TypeError, ValueError):  # not iterable, or a pair of other length
             raise InvalidArgumentError(
-                f"matching must hold (column, row) pairs, got {self.pairs!r}"
+                f"matching must hold (column, row) pairs of integers, got {self.pairs!r}"
             ) from None
         if len(cols) != len(self.pairs) or len(rows) != len(self.pairs):
             raise InvalidArgumentError("matching reuses an endpoint")

@@ -34,9 +34,11 @@ column masks and reads the base matching of what is left.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
-with. `variance_identified` trims, runs the rule at any s and maps the
-verdict back to the caller's coordinates; every CLI command that decides the
-rule goes through it.
+with. `variance_identified` drops only the zero columns, without a copy when
+there are none, and runs the rule at any s on the caller's rows: a zero row
+lies in no column mask, so no matching, walk or count ever meets it, and
+only the columns of the verdict are mapped back to the caller's coordinates.
+Every CLI command that decides the rule goes through it.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -44,8 +46,9 @@ necessary), which is what the `sufficient_only` flag on verdict records says.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
-from operator import index
+from operator import index, or_
 
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach
@@ -60,8 +63,8 @@ from factorid.pattern import (
     TrimReport,
     _from_masks,
     _set_bits,
+    _trim_report,
     nonzero_row_count,
-    trim,
 )
 
 
@@ -184,6 +187,12 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     are matched to. A reached copy that is free would end an augmenting path.
     """
     p.require_trimmed()
+    return _rule_s1(p)
+
+
+def _rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
+    """`counting_rule_s1` on a pattern with no zero column; a zero row is a
+    free row in no column mask, so the closure never reaches it."""
     r = p.r
     size, match_l, _, reached = _base_matching(p)  # reached starts as the free rows
     excluded = range(r)
@@ -244,10 +253,19 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
     s = _integer("s", s)
-    if s == 1:
-        return counting_rule_s1(p)
     p.require_trimmed()
-    m, r = p.m, p.r
+    return _rule(p, s, p.m)
+
+
+def _rule(p: SparsityPattern, s: int, m: int) -> CountingRuleVerdict:
+    """`counting_rule` at s >= 0 on a pattern with no zero column, in the
+    pattern's row coordinates; m is the number of rows its columns touch. A
+    zero row lies in no column mask, so no matching, walk or count meets it,
+    and `deleted_rows` are padded from the rows the columns touch. On a
+    trimmed pattern (m = p.m) this is `counting_rule` itself."""
+    if s == 1:
+        return _rule_s1(p)
+    r = p.r
     if s and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
@@ -278,8 +296,10 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
         deleted = None
         if s:
             # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
-            # remainder fails the s=1 rule; pad from outside N(S) if it is short.
-            padded = _set_bits(rows, m) + _set_bits(((1 << m) - 1) ^ rows, m)
+            # remainder fails the s=1 rule; if N(S) is short, pad it with the
+            # other rows the columns touch.
+            outside = reduce(or_, p.col_masks) ^ rows
+            padded = _set_bits(rows, p.m) + _set_bits(outside, p.m)
             deleted = tuple(sorted(padded[: s - 1]))
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
@@ -347,31 +367,27 @@ def rcm_decomposition(
 def verdict_in_original_coords(
     verdict: CountingRuleVerdict, report: TrimReport
 ) -> CountingRuleVerdict:
-    """Map a verdict computed on a trimmed pattern back to original indices.
-    The verdict itself comes back when no index needs mapping: nothing was
-    trimmed, or it carries neither a violating subset nor a matching."""
+    """Map the columns of a verdict computed on the caller's pattern without
+    its zero columns back to the caller's indices; its rows are the caller's
+    already. The verdict itself comes back when no index needs mapping: no
+    column was dropped, or it carries neither a violating subset nor a
+    matching."""
     wf, wp = verdict.witness_fail, verdict.witness_pass
     matching = wp.matching if wp is not None else None
-    if (
-        not (report.removed_zero_columns or report.removed_zero_rows)
-        or (wf is None and matching is None)
-    ):
+    if not report.removed_zero_columns or (wf is None and matching is None):
         return verdict
-    rows, cols = report.kept_rows, report.kept_columns
+    cols = report.kept_columns
     if wf is not None:
         wf = FailWitness(
             columns=tuple(map(cols.__getitem__, wf.columns)),
             nonzero_rows=wf.nonzero_rows,
-            deleted_rows=(
-                None if wf.deleted_rows is None
-                else tuple(map(rows.__getitem__, wf.deleted_rows))
-            ),
+            deleted_rows=wf.deleted_rows,
         )
     if matching is not None:
         r_eff, r_orig = report.effective_r, report.original_r
         wp = PassWitness(
             matching=Matching(frozenset(
-                (cols[c] if c < r_eff else r_orig + cols[c - r_eff], rows[i])
+                (cols[c] if c < r_eff else r_orig + cols[c - r_eff], i)
                 for c, i in matching.pairs
             )),
             note=wp.note,
@@ -385,16 +401,18 @@ def verdict_in_original_coords(
 def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVerdict:
     """Decide whether the pattern guarantees generic variance identification.
 
-    Trims zero rows/columns first. A factor-free pattern after trimming is
-    trivially identified (the covariance is purely idiosyncratic). Otherwise
-    `counting_rule` at strength s on the trimmed pattern decides (s=1, the
-    default, is the paper's sufficient condition); witnesses are reported in
-    the caller's original coordinates, for every s >= 0 (InvalidArgumentError
-    otherwise, raised before trimming).
+    A pattern whose columns are all zero is trivially identified (the
+    covariance is purely idiosyncratic). Otherwise `counting_rule` at
+    strength s decides (s=1, the default, is the paper's sufficient
+    condition) on the pattern without its zero columns, copied only when it
+    has some. Zero rows stay: they lie in no column mask, so the rule never
+    meets them, and its rows are the caller's. `trim` reports what trimming
+    would remove, and witnesses are reported in the caller's coordinates,
+    for every s >= 0 (InvalidArgumentError otherwise, raised first).
     """
     s = _integer("s", s)
-    trimmed, report = trim(p_raw)
-    if trimmed.r == 0:
+    report = _trim_report(p_raw)
+    if report.effective_r == 0:
         return IdentificationVerdict(
             identified=True,
             effective_r=0,
@@ -402,7 +420,10 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
             detail=None,
             degenerate=True,
         )
-    verdict = verdict_in_original_coords(counting_rule(trimmed, s), report)
+    p = p_raw
+    if report.removed_zero_columns:
+        p = _from_masks(p.m, tuple(filter(None, p.col_masks)))
+    verdict = verdict_in_original_coords(_rule(p, s, report.effective_m), report)
     return IdentificationVerdict(
         identified=verdict.holds,
         effective_r=report.effective_r,

@@ -19,6 +19,7 @@ from factorid.errors import (
     DimensionError,
     EmptyInputError,
     EmptyPatternError,
+    FactorIdError,
     InvalidArgumentError,
     OutOfRangeError,
     ParseError,
@@ -73,7 +74,8 @@ class SparsityPattern:
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         cells = bytearray()
         try:
-            width = len(entries[0]) if entries else 0
+            # len(), not truth: a 2-D numpy array has no truth value
+            width = len(entries[0]) if len(entries) else 0
             for row in entries:
                 if len(row) != width:
                     raise DimensionError("rows have differing lengths")
@@ -81,8 +83,12 @@ class SparsityPattern:
                     if not (v == 0 or v == 1):
                         raise InvalidArgumentError(f"pattern entries must be 0 or 1, got {v!r}")
                 cells += bytes(map(bool, row))
+        except FactorIdError:
+            raise
         except TypeError:  # entries or a row that is not a sequence
             raise InvalidArgumentError("entries must be a tuple of row tuples") from None
+        except ValueError:  # a cell with no truth value, such as a numpy array
+            raise InvalidArgumentError("pattern entries must be 0 or 1") from None
         masks = _column_masks(cells.translate(_DIGITS), width)
         self.__dict__.update(m=len(entries), col_masks=masks)  # past the frozen __setattr__
 
@@ -198,15 +204,11 @@ class TrimReport:
         return _kept(self.removed_zero_columns, self.original_r, "removed_zero_columns")
 
 
-def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
-    """Remove all-zero rows and all-zero columns.
-
-    Removing a zero column never creates a new zero row (and vice versa), so
-    one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
-    """
+def _trim_report(p: SparsityPattern) -> TrimReport:
+    """What `trim` removes from p, without building the trimmed pattern."""
     zero_cols = tuple(j for j, mask in enumerate(p.col_masks) if not mask)
     zero_rows = _set_bits(((1 << p.m) - 1) & ~reduce(or_, p.col_masks, 0), p.m)
-    report = TrimReport(
+    return TrimReport(
         removed_zero_columns=zero_cols,
         removed_zero_rows=zero_rows,
         original_m=p.m,
@@ -214,6 +216,16 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
         effective_m=p.m - len(zero_rows),
         effective_r=p.r - len(zero_cols),
     )
+
+
+def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
+    """Remove all-zero rows and all-zero columns.
+
+    Removing a zero column never creates a new zero row (and vice versa), so
+    one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
+    """
+    report = _trim_report(p)
+    zero_cols, zero_rows = report.removed_zero_columns, report.removed_zero_rows
     if not zero_cols and not zero_rows:
         return p, report
     trimmed = _from_masks(p.m, tuple(filter(None, p.col_masks)))

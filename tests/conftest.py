@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from factorid import pattern
 from factorid.identify import rcm_decomposition
 from factorid.pattern import SparsityPattern
 
@@ -91,6 +92,14 @@ def mincut_demo_8x3():
 @pytest.fixture
 def counterexample_6x3():
     return SparsityPattern.from_rows(COUNTEREXAMPLE_6X3)
+
+
+@pytest.fixture
+def no_row_copies(monkeypatch):
+    """`restrict_rows`, the one function that copies rows, raises."""
+    def refuse(*args):
+        raise AssertionError("rows were copied")
+    monkeypatch.setattr(pattern, "restrict_rows", refuse)
 
 
 def random_pattern(rng: np.random.Generator, m: int, r: int, density: float) -> SparsityPattern:

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MINCUT_DEMO_TEXT, COUNTEREXAMPLE_6X3
-from factorid import cli
+from factorid import FactorIdError, cli
 from factorid.cli import main
+from factorid.pattern import nonzero_row_count, parse_jsonl_record
 
 COUNTEREXAMPLE_TEXT = "\n".join(" ".join(str(v) for v in row) for row in COUNTEREXAMPLE_6X3) + "\n"
 
@@ -404,6 +405,30 @@ def test_filter_output_is_pinned(runner, tmp_path, parallel):
         "--parallel", parallel,
     ])
     assert result.exit_code == 2
+    digest = hashlib.sha256()
+    for part in (out.read_bytes(), result.stdout_bytes, result.stderr_bytes, result.exit_code):
+        digest.update(repr(part).encode())
+    assert digest.hexdigest() == FILTER_DIGEST
+
+
+def test_serial_filter_copies_no_row(runner, tmp_path, no_row_copies):
+    """filter decides on the caller's rows: with row copies refused, the
+    pinned output comes back unchanged on a stream with zero-row draws."""
+    stream = seeded_stream(181, 700)
+    zero_rows = 0
+    for line in stream.splitlines():
+        try:
+            p = parse_jsonl_record(line)[1]
+        except FactorIdError:  # a malformed or blank line
+            continue
+        zero_rows += nonzero_row_count(p, range(p.r)) < p.m
+    assert zero_rows >= 100
+    inp = tmp_path / "in.jsonl"
+    inp.write_bytes(stream)
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, [
+        "filter", "--input", str(inp), "--output", str(out), "--summary", "-",
+    ])
     digest = hashlib.sha256()
     for part in (out.read_bytes(), result.stdout_bytes, result.stderr_bytes, result.exit_code):
         digest.update(repr(part).encode())

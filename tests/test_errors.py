@@ -9,6 +9,7 @@ import builtins
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import factorid
@@ -93,10 +94,13 @@ BAD_CALLS = {
         ValueError, lambda: TrimReport((0, 0), (), 3, 2, 3, 1).kept_columns,
     ),
     "matching_pair_of_one": (ValueError, lambda: Matching(frozenset({(0,)}))),
+    "matching_str_pair": (ValueError, lambda: Matching(frozenset({"ab"}))),
+    "matching_fractional_column": (ValueError, lambda: Matching(frozenset({(0.5, 1)}))),
     "matching_none": (ValueError, lambda: Matching(None)),
     "pattern_none": (ValueError, lambda: SparsityPattern(None)),
     "pattern_int": (ValueError, lambda: SparsityPattern(5)),
     "pattern_none_row": (ValueError, lambda: SparsityPattern(((1,), None))),
+    "pattern_array_cell": (ValueError, lambda: SparsityPattern(((np.array([1, 0]),),))),
     "from_rows_int_row": (ValueError, lambda: SparsityPattern.from_rows([[1], 5])),
     "nonzero_row_count_none_columns": (ValueError, lambda: nonzero_row_count(P, None)),
     "nonzero_row_count_int_columns": (ValueError, lambda: nonzero_row_count(P, 5)),

@@ -869,8 +869,9 @@ class TestVarianceIdentified:
 
 
 class TestOriginalCoordinates:
-    """The mapping back to the caller's coordinates against the reference
-    in oracles, which maps every witness through `dataclasses.replace`."""
+    """The verdict in the caller's coordinates against the reference in
+    oracles, which maps every witness of the verdict on the trimmed pattern
+    through `dataclasses.replace`."""
 
     def test_equals_reference(self):
         # s=0 passes carry a matching, failures a subset, s >= 2 failures
@@ -883,13 +884,14 @@ class TestOriginalCoordinates:
             p, _ = trim(random_pattern(rng, m, r, float(rng.uniform(0.2, 0.8))))
             if p.r == 0:
                 continue
-            trimmed, report = trim(pad_with_zeros(rng, p))
+            padded = pad_with_zeros(rng, p)
+            trimmed, report = trim(padded)
             assert trimmed == p
             for s in range(4):
                 verdict = counting_rule(trimmed, s)
-                mapped = verdict_in_original_coords(verdict, report)
-                assert mapped == oracles.verdict_in_original_coords(verdict, report)
-                if mapped is verdict:
+                expected = oracles.verdict_in_original_coords(verdict, report)
+                assert variance_identified(padded, s).detail == expected
+                if not (report.removed_zero_rows or report.removed_zero_columns):
                     continue
                 wp, wf = verdict.witness_pass, verdict.witness_fail
                 mapped_kinds["matching"] += wp is not None and wp.matching is not None
@@ -985,6 +987,18 @@ def test_variance_identified_output_is_pinned():
     # on patterns with zero rows, every kind of witness that names rows
     assert min(kinds.values()) >= 20, kinds
     assert digest.hexdigest() == VARIANCE_IDENTIFIED_DIGEST
+
+
+def test_variance_identified_copies_no_row(no_row_copies):
+    """The rule runs on the caller's rows: with row copies refused, the
+    pinned results come back unchanged, while `trim` itself would copy."""
+    digest = hashlib.sha256()
+    for p in variance_identified_cases(223, 560):
+        for s in range(4):
+            digest.update(repr(canonical(variance_identified(p, s))).encode())
+    assert digest.hexdigest() == VARIANCE_IDENTIFIED_DIGEST
+    with pytest.raises(AssertionError, match="rows were copied"):
+        trim(SparsityPattern(((1,), (0,))))
 
 
 class TestDegenerateEdges:

@@ -324,6 +324,18 @@ class TestPattern:
         assert SparsityPattern.from_rows(rows) == SparsityPattern(((1, 0), (1, 1)))
         assert SparsityPattern.from_rows(np.eye(2, dtype=int)) == SparsityPattern(((1, 0), (0, 1)))
 
+    def test_numpy_array_entries(self):
+        """A 2-D array is taken row by row, as by from_rows; the constructor's
+        own errors pass through unchanged."""
+        mat = np.random.default_rng(3).random((7, 4)) < 0.5
+        assert SparsityPattern(mat) == SparsityPattern.from_rows(mat)
+        assert SparsityPattern(np.eye(2, dtype=int)) == SparsityPattern(((1, 0), (0, 1)))
+        assert SparsityPattern(np.zeros((0, 3), dtype=int)) == SparsityPattern(())
+        with pytest.raises(DimensionError):
+            SparsityPattern((np.array([1, 0]), np.array([1])))
+        with pytest.raises(InvalidArgumentError, match="must be 0 or 1, got"):
+            SparsityPattern(np.array([[1, 2]]))
+
     def test_masks(self, mincut_demo_8x3):
         assert mincut_demo_8x3.col_masks[2] == sum(
             1 << i for i, row in enumerate(MINCUT_DEMO_8X3) if row[2]
