@@ -402,13 +402,14 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     """Decide whether the pattern guarantees generic variance identification.
 
     A pattern whose columns are all zero is trivially identified (the
-    covariance is purely idiosyncratic). Otherwise `counting_rule` at
-    strength s decides (s=1, the default, is the paper's sufficient
-    condition) on the pattern without its zero columns, copied only when it
-    has some. Zero rows stay: they lie in no column mask, so the rule never
-    meets them, and its rows are the caller's. `trim` reports what trimming
-    would remove, and witnesses are reported in the caller's coordinates,
-    for every s >= 0 (InvalidArgumentError otherwise, raised first).
+    covariance is purely idiosyncratic). Otherwise the rule decides at
+    strength s as `counting_rule` does (s=1, the default, is the paper's
+    sufficient condition), on the pattern without its zero columns, copied
+    only when it has some. Zero rows stay: they lie in no column mask, so
+    the rule never meets them, and its rows are the caller's. `trim` reports
+    what trimming would remove, and witnesses are reported in the caller's
+    coordinates, for every s >= 0 (InvalidArgumentError otherwise, raised
+    first).
     """
     s = _integer("s", s)
     report = _trim_report(p_raw)

@@ -74,8 +74,8 @@ class SparsityPattern:
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         cells = bytearray()
         try:
-            # len(), not truth: a 2-D numpy array has no truth value
-            width = len(entries[0]) if len(entries) else 0
+            m = len(entries)  # not truth: a 2-D numpy array has none
+            width = len(entries[0]) if m else 0
             for row in entries:
                 if len(row) != width:
                     raise DimensionError("rows have differing lengths")
@@ -90,7 +90,7 @@ class SparsityPattern:
         except ValueError:  # a cell with no truth value, such as a numpy array
             raise InvalidArgumentError("pattern entries must be 0 or 1") from None
         masks = _column_masks(cells.translate(_DIGITS), width)
-        self.__dict__.update(m=len(entries), col_masks=masks)  # past the frozen __setattr__
+        self.__dict__.update(m=m, col_masks=masks)  # past the frozen __setattr__
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SparsityPattern":
