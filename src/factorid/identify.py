@@ -62,6 +62,7 @@ from factorid.pattern import (
     SparsityPattern,
     TrimReport,
     _from_masks,
+    _require_pattern,
     _set_bits,
     _trim_report,
     nonzero_row_count,
@@ -155,6 +156,7 @@ def counting_rule_bruteforce(
     """
     s = _integer("s", s)
     max_columns = _integer("max_columns", max_columns)
+    _require_pattern(p)
     if p.r > max_columns:
         raise TooManyColumnsError(f"r={p.r} exceeds the brute-force cap {max_columns}")
     holds, subset, count = _kernels.counting_sweep(p.r, s, list(p.col_masks))
@@ -186,6 +188,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     enters the other by a non-matching edge), and then the rows those copies
     are matched to. A reached copy that is free would end an augmenting path.
     """
+    _require_pattern(p)
     p.require_trimmed()
     return _rule_s1(p)
 
@@ -253,6 +256,7 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     bound m >= 2r+s. Testing it first also bounds the copies for huge s.
     """
     s = _integer("s", s)
+    _require_pattern(p)
     p.require_trimmed()
     return _rule(p, s, p.m)
 
@@ -336,6 +340,7 @@ def rcm_decomposition(
     to the input pattern's coordinates. `deleted_rows` may hold any integer
     type (numpy's too); the result lists them as sorted ints.
     """
+    _require_pattern(p)
     try:
         deleted = frozenset(map(index, deleted_rows))
     except TypeError:
@@ -412,6 +417,7 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
     first).
     """
     s = _integer("s", s)
+    _require_pattern(p_raw)
     report = _trim_report(p_raw)
     if report.effective_r == 0:
         return IdentificationVerdict(

@@ -48,8 +48,10 @@ _DUMPS_RECORD = re.compile(
 
 def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
     """Column masks of a row-major string of ASCII '0'/'1' cells."""
-    # column j is every width-th cell from j; reversed, row 0 is the low bit
-    return tuple(int(digits[j::width][::-1], 2) for j in range(width))
+    # reversed once, the cells run from the last row to row 0, so column j is
+    # every width-th cell from width-1-j with row 0 as the low bit
+    rev = digits[::-1]
+    return tuple(int(rev[width - 1 - j::width], 2) for j in range(width))
 
 
 def _set_bits(mask: int, n: int) -> tuple[int, ...]:
@@ -119,6 +121,13 @@ class SparsityPattern:
             raise UntrimmedPatternError("pattern has an all-zero row or column")
 
 
+def _require_pattern(p: object) -> None:
+    """Raise InvalidArgumentError unless p is a SparsityPattern; every public
+    function that takes a pattern calls this before reading it."""
+    if not isinstance(p, SparsityPattern):
+        raise InvalidArgumentError(f"pattern must be a SparsityPattern, got {type(p).__name__}")
+
+
 def _from_masks(m: int, col_masks: tuple[int, ...]) -> SparsityPattern:
     """Pattern over masks that are already valid for m rows; no checks."""
     p = object.__new__(SparsityPattern)
@@ -139,6 +148,7 @@ def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
     to one row each. Raises OutOfRangeError for a row outside 0..m-1 and
     InvalidArgumentError for one that is not an integer.
     """
+    _require_pattern(p)
     try:
         # as ints, numpy integer rows join into runs: (1).__ne__ of a numpy
         # integer is NotImplemented, which is truthy
@@ -224,6 +234,7 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     Removing a zero column never creates a new zero row (and vice versa), so
     one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
     """
+    _require_pattern(p)
     report = _trim_report(p)
     zero_cols, zero_rows = report.removed_zero_columns, report.removed_zero_rows
     if not zero_cols and not zero_rows:
@@ -238,6 +249,7 @@ def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
     """Number of rows with at least one 1 within the selected columns.
     InvalidArgumentError for no column or one that is not an integer,
     OutOfRangeError for one outside 0..r-1."""
+    _require_pattern(p)
     masks = p.col_masks
     union = 0
     try:
@@ -262,7 +274,11 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     trail a line. A line ends at '\\n', '\\r' or '\\r\\n'. A line holding only
     those separators is blank, and a line whose first byte after them is
     '#' is a comment, whatever follows; both are ignored. All other rows
-    must have the same number of cells.
+    must have the same number of cells. The form numpy.savetxt(path, mat,
+    fmt="%d") writes, every cell one digit and then one space, or '\\n' at
+    the end of its row, is read by three strided checks at C speed; every
+    other valid form parses to the same pattern, only more slowly, and every
+    error is raised by that slower path.
     JSONL record: one object with fields `id` and `delta` (and optionally
     `m`, `r`, which are validated when present).
     InvalidArgumentError unless text is a str or bytes-like.
@@ -327,6 +343,16 @@ def _check_dense(data: bytes) -> None:
 
 
 def _parse_dense(data: bytes) -> SparsityPattern:
+    # the form numpy.savetxt(fmt="%d") writes: every cell one digit and one
+    # byte after it, a space within a row and \n at its end; the three
+    # strided checks accept nothing else, so the width guessed from the first
+    # line needs no check of its own
+    width = (data.find(b"\n") + 1) // 2
+    if width and not len(data) % (2 * width):
+        m = len(data) // (2 * width)
+        digits = data[::2]
+        if data[1::2] == (b" " * (width - 1) + b"\n") * m and not digits.translate(None, b"01"):
+            return _from_masks(m, _column_masks(digits, width))
     rows = _dense_rows(data)
     if rows is None:
         _check_dense(data)  # raises, naming the first bad token or ragged row

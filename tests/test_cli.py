@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -190,6 +191,34 @@ class TestCheck:
             "pattern 8x3 (effective 8x3 after trimming)\n"
             "HOLDS (s=2): all 8 deletions of 1 rows pass the s=1 rule\n"
         )
+
+
+def test_check_reads_savetxt_and_other_dense_forms_alike(runner, tmp_path):
+    """check gives the same bytes and exit code on a 1000x50 pattern as
+    numpy.savetxt writes it and with tabs, CRLF and a comment line; its 20
+    zero rows are planted and three columns confined to seven rows, so the
+    rule holds at s=0 and s=1 and fails at s=2."""
+    rng = np.random.default_rng(24)
+    mat = (rng.random((1000, 50)) < 0.3).astype(int)
+    mat[rng.choice(1000, 20, replace=False)] = 0
+    block = rng.choice(50, 3, replace=False)
+    mat[:, block] = 0
+    mat[np.ix_(np.flatnonzero(mat.any(axis=1))[:7], block)] = 1
+    savetxt = tmp_path / "savetxt.txt"
+    np.savetxt(savetxt, mat, fmt="%d")
+    other = tmp_path / "other.txt"
+    other.write_bytes(b"# tabs, CRLF and a comment\r\n" + b"".join(
+        "\t".join(map(str, row)).encode() + b"\r\n" for row in mat
+    ))
+    codes = []
+    for s in ("0", "1", "2"):
+        for flags in ([], ["--json"]):
+            a, b = (runner.invoke(main, ["check", "--input", str(path), "--s", s, *flags])
+                    for path in (savetxt, other))
+            assert (a.stdout_bytes, a.stderr_bytes, a.exit_code) == (
+                b.stdout_bytes, b.stderr_bytes, b.exit_code)
+            codes.append(a.exit_code)
+    assert codes == [0, 0, 0, 0, 1, 1]
 
 
 class TestWitness:

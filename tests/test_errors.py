@@ -15,10 +15,11 @@ import pytest
 import factorid
 from factorid import cli
 from factorid.bipartite import Matching
-from factorid.errors import FactorIdError, ParseError
+from factorid.errors import FactorIdError, InvalidArgumentError, ParseError
 from factorid.identify import (
     counting_rule,
     counting_rule_bruteforce,
+    counting_rule_s1,
     rcm_decomposition,
     variance_identified,
 )
@@ -29,6 +30,7 @@ from factorid.pattern import (
     parse_jsonl_record,
     parse_pattern,
     restrict_rows,
+    trim,
 )
 
 P = SparsityPattern.from_rows([[1, 0], [0, 1], [1, 1]])
@@ -104,6 +106,14 @@ BAD_CALLS = {
     "from_rows_int_row": (ValueError, lambda: SparsityPattern.from_rows([[1], 5])),
     "nonzero_row_count_none_columns": (ValueError, lambda: nonzero_row_count(P, None)),
     "nonzero_row_count_int_columns": (ValueError, lambda: nonzero_row_count(P, 5)),
+    "variance_identified_list_pattern": (ValueError, lambda: variance_identified([[1]])),
+    "counting_rule_list_pattern": (ValueError, lambda: counting_rule([[1]], 1)),
+    "counting_rule_s1_none_pattern": (ValueError, lambda: counting_rule_s1(None)),
+    "bruteforce_list_pattern": (ValueError, lambda: counting_rule_bruteforce([[1]], 1)),
+    "trim_none_pattern": (ValueError, lambda: trim(None)),
+    "rcm_decomposition_list_pattern": (ValueError, lambda: rcm_decomposition([[1]])),
+    "nonzero_row_count_none_pattern": (ValueError, lambda: nonzero_row_count(None, [0])),
+    "restrict_rows_none_pattern": (ValueError, lambda: restrict_rows(None, [0])),
 }
 
 
@@ -112,6 +122,13 @@ def test_bad_argument_raises_factorid_error_and_its_builtin(builtin, call):
     with pytest.raises(builtin) as info:
         call()
     assert isinstance(info.value, FactorIdError)
+
+
+def test_non_pattern_error_names_its_type():
+    with pytest.raises(InvalidArgumentError, match="^pattern must be a SparsityPattern, got list$"):
+        variance_identified([[1]])
+    with pytest.raises(InvalidArgumentError, match="^pattern must be a SparsityPattern, got NoneType$"):
+        trim(None)
 
 
 BUILTIN_EXCEPTIONS = {

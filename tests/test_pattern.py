@@ -1,4 +1,5 @@
 
+import io
 import json
 import pickle
 import random
@@ -133,6 +134,97 @@ class TestParseDense:
         assert (p.m, p.r) == mat.shape
         assert np.array_equal(np.array(p.entries, dtype=bool), mat)
         assert (p.m, p.col_masks) == oracles.parse_dense_per_line(text.encode())
+
+
+def parse_masks(data):
+    """(m, col_masks) of the pattern that `parse_pattern` reads from data."""
+    p = parse_pattern(data)
+    return p.m, p.col_masks
+
+
+class DenseRowsCalled(Exception):
+    """Raised by a _dense_rows that a test forbids; no parser handler catches it."""
+
+
+def refuse_dense_rows(data):
+    raise DenseRowsCalled
+
+
+# texts in and near the form numpy.savetxt(fmt="%d") writes, and whether the
+# strided path reads them; every other text goes through _dense_rows
+SAVETXT_NEAR_MISSES = {
+    "savetxt_form": (b"1 0 1\n0 1 1\n", True),
+    "width_1": (b"1\n0\n", True),
+    "one_row": (b"0 1 1 0\n", True),
+    "no_final_newline": (b"1 0\n0 1", False),
+    "one_cell_no_newline": (b"1", False),
+    "cell_after_last_newline": (b"1 0\n1", False),  # a half row: len % 2w catches it
+    "trailing_space": (b"1 0 \n0 1 \n", False),
+    "two_spaces": (b"1  0\n0  1\n", False),
+    "tab": (b"1\t0\n0 1\n", False),
+    "crlf": (b"1 0\r\n0 1\r\n", False),
+    "leading_blank_line": (b"\n1 0\n0 1\n", False),
+    "comment_line": (b"# 1\n1 0\n", False),  # separators in place, '#' in a cell slot
+    "cell_2": (b"1 0\n2 1\n", False),
+    "hash_in_cell_slot": (b"1 0\n0 #\n", False),
+    "ragged_row_length_multiple_of_2w": (b"1 0\n1 0 1 1\n", False),
+    "only_newline": (b"\n", False),
+    "empty": (b"", False),
+}
+
+
+@pytest.mark.parametrize("data, fast", SAVETXT_NEAR_MISSES.values(), ids=SAVETXT_NEAR_MISSES.keys())
+def test_strided_path_agrees_with_per_line_reference(monkeypatch, data, fast):
+    expected = outcome(oracles.parse_dense_per_line, data)
+    assert outcome(parse_masks, data) == expected
+    monkeypatch.setattr("factorid.pattern._dense_rows", refuse_dense_rows)
+    if fast:
+        assert parse_masks(data) == expected
+    else:
+        with pytest.raises(DenseRowsCalled):
+            parse_pattern(data)
+
+
+def test_savetxt_text_skips_dense_rows(monkeypatch):
+    """The strided path stays live: the 1000x50 pattern of
+    test_large_pattern_against_numpy, as numpy.savetxt writes it, parses
+    with _dense_rows made to raise."""
+    mat = np.random.default_rng(15).random((1000, 50)) < 0.3
+    buf = io.BytesIO()
+    np.savetxt(buf, mat.astype(int), fmt="%d")
+    data = buf.getvalue()
+    monkeypatch.setattr("factorid.pattern._dense_rows", refuse_dense_rows)
+    assert parse_masks(data) == oracles.parse_dense_per_line(data)
+
+
+# bytes that a one-byte edit puts into a savetxt-form text
+EDIT_BYTES = [b"0", b"1", b" ", b"\t", b"\r", b"\n", b"#", b"2"]
+
+
+@st.composite
+def edited_savetxt_texts(draw):
+    """numpy.savetxt(fmt="%d") texts of grids up to 5x4, most with one byte
+    inserted, deleted or replaced."""
+    m, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.sampled_from([b"0", b"1"]), min_size=m * width,
+                          max_size=m * width))
+    data = b"".join(b" ".join(cells[i:i + width]) + b"\n" for i in range(0, m * width, width))
+    at = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit == "insert":
+        data = data[:at] + draw(st.sampled_from(EDIT_BYTES)) + data[at:]
+    elif edit == "delete":
+        data = data[:at] + data[at + 1:]
+    elif edit == "replace":
+        data = data[:at] + draw(st.sampled_from(EDIT_BYTES)) + data[at + 1:]
+    return data
+
+
+@given(edited_savetxt_texts())
+@example(b"1 0\n0 1\n1")  # a half row: strides agree, the length does not
+@settings(max_examples=400, derandomize=True)
+def test_strided_path_agrees_with_per_line_reference_on_edited_texts(data):
+    assert outcome(parse_masks, data) == outcome(oracles.parse_dense_per_line, data)
 
 
 class TestParseJsonl:
