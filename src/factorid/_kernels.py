@@ -5,11 +5,13 @@ the contract: vertices are processed in ascending index order. Hopcroft-Karp
 finds the base matching that every counting-rule route reads (bipartite.py's
 alternating walk grows it by one augmenting path at a time where s >= 2). It
 reads the pattern's column bitmasks, so a step at a left vertex is a few
-operations on row masks at C speed, and each phase's breadth-first layering
-stops at the first free right vertex it meets; its output is the
-edge-by-edge kernel's on ascending rows (see its docstring). The sweep, a
-plain recursive walk over column subsets that skips the extensions of any
-prefix already touching enough rows, serves the brute-force oracle.
+operations on row masks at C speed. Its first phase is a greedy pass, each
+left vertex taking its lowest free right vertex, and each later phase's
+breadth-first layering stops at the first free right vertex it meets; its
+output is the edge-by-edge kernel's on ascending rows (see its docstring).
+The sweep, a plain recursive walk over column subsets that skips the
+extensions of any prefix already touching enough rows, serves the
+brute-force oracle.
 """
 
 
@@ -24,9 +26,11 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
     neighbours are the set bits of col_masks[owner[u]].
 
     Phases of breadth-first layering followed by depth-first augmentation
-    along shortest alternating paths, O(E * sqrt(V)) worst case. Sets of
-    right vertices are ints, so each step at a vertex is a few mask
-    operations at C speed instead of one Python step per edge.
+    along shortest alternating paths, O(E * sqrt(V)) worst case. The first
+    phase, whose shortest augmenting paths are single edges, is the greedy
+    pass `_greedy_matching`; the phase loop starts from the matching it
+    leaves. Sets of right vertices are ints, so each step at a vertex is a
+    few mask operations at C speed instead of one Python step per edge.
 
     The layering runs one layer of left vertices at a time. A vertex whose
     mask meets `free` (the free right vertices) fixes `found`, the shortest
@@ -48,10 +52,7 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
     Returns (size, match_left, match_right) with -1 for unmatched vertices.
     """
     masks = [col_masks[j] for j in owner]
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    free = (1 << n_right) - 1
-    size = 0
+    size, match_l, match_r, free = _greedy_matching(masks, n_right)
     while True:
         # BFS: rows_at[d + 1] collects the rows met from layer d, that is the
         # rows whose partners form layer d + 1.
@@ -112,6 +113,28 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
                     match_r[match_l[u]] = u
                 size += 1
                 break
+
+
+def _greedy_matching(masks, n_right):
+    """Hopcroft-Karp's first phase: each left vertex u in ascending order
+    takes the lowest free right vertex of masks[u], if there is one. That
+    phase's layering stops at distance 1 and its depth-first step, at depth
+    0 only, makes exactly these choices. Returns (size, match_l, match_r,
+    free), free as the mask of the right vertices left free."""
+    match_l = [-1] * len(masks)
+    match_r = [-1] * n_right
+    free = (1 << n_right) - 1
+    size = 0
+    for u, mask in enumerate(masks):
+        cand = mask & free
+        if cand:
+            low = cand & -cand
+            free ^= low
+            v = low.bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
+            size += 1
+    return size, match_l, match_r, free
 
 
 def counting_sweep(r, s, col_masks):

@@ -24,8 +24,10 @@ brute force over all column subsets is the oracle (exponential in r):
   deletion of s-1 rows.
 
 Every route and `rcm_decomposition` read this one base matching, so a
-pattern costs one Hopcroft-Karp run plus, for s >= 2, at most r*s searches,
-each O(r + m) operations on m-bit row masks. Both read the column masks.
+pattern costs one Hopcroft-Karp run plus, for s >= 2, searches only for the
+columns with fewer than s free rows when the base matching is perfect (at
+most r*s), each O(r + m) operations on m-bit row masks. Both read the
+column masks.
 s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
 it reports König's (S, N(S)), the columns and rows that alternating paths
 from the free copies reach; `bipartite.alternating_reach` is both this walk
@@ -241,8 +243,12 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     added copy of j. Before a copy is added the matching is maximum, and the
     new copy, being free, can only end an augmenting path; a matching is
     maximum iff no augmenting path is left (Berge), so one search from it
-    keeps the matching maximum. That is one Hopcroft-Karp run and at most
-    r*s searches whatever m. At s=0 nothing grows, so one pass decides and
+    keeps the matching maximum. When the base matching is perfect and at
+    least s of column j's rows are free in it, every search would match its
+    copy to one of them at its first step, so j passes without a search.
+    That is one Hopcroft-Karp run and, with a perfect base matching,
+    searches only for the columns with fewer than s free rows: at most r*s
+    whatever m. At s=0 nothing grows, so one pass decides and
     the base matching is the pass witness; for s >= 2 the pass note states
     the equivalent deletion form of the paper, C(m, s-1) deletions of s-1
     rows, and writes the count as `C(m, s-1)` where it has more digits than
@@ -278,6 +284,10 @@ def _rule(p: SparsityPattern, s: int, m: int) -> CountingRuleVerdict:
     size, base_l, base_r, base_free = _base_matching(p)
     copies = p.col_masks * 2
     for j in range(r if s else 1):
+        if s and size == 2 * r and (p.col_masks[j] & base_free).bit_count() >= s:
+            # Each search would match its copy to a free row of column j at
+            # its first step, and the grown matching would saturate.
+            continue
         # Grow the base matching by s copies of column j, one augmenting
         # search each. Once a copy finds no path, neither do its twins.
         grown = copies + (p.col_masks[j],) * s

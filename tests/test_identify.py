@@ -17,7 +17,9 @@ from factorid.errors import (
 )
 from factorid import _kernels
 from factorid.identify import (
+    CountingRuleVerdict,
     FailWitness,
+    PassWitness,
     _base_matching,
     counting_rule,
     counting_rule_bruteforce,
@@ -355,6 +357,45 @@ class TestCanonicalWitness:
                     failing[s] += 1
                     assert verdict.witness_fail.columns == expected
         assert min(failing.values()) >= 200, failing
+
+
+def columns_on(m, cols):
+    """The m-row pattern whose column k loads on the rows in cols[k]."""
+    return SparsityPattern.from_rows([[int(i in c) for c in cols] for i in range(m)])
+
+
+class TestColumnsWithFreeRows:
+    """Given a perfect base matching, a column with at least s free rows
+    passes without an augmenting search: each search would match its copy
+    to one of those rows at its first step."""
+
+    def test_no_search_when_every_column_has_s_free_rows(self, monkeypatch):
+        # the base matching takes rows 0, 1 for column 0 and rows 5, 6 for
+        # column 1, which leaves each column at least three free rows
+        p = columns_on(12, [range(0, 7), range(5, 12)])
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("augmenting search run")
+
+        monkeypatch.setattr("factorid.identify.alternating_reach", no_search)
+        for s, deletions in ((2, "all 12 deletions of 1 rows"), (3, "all 66 deletions of 2 rows")):
+            assert counting_rule(p, s) == CountingRuleVerdict(
+                r=2, s=s, holds=True,
+                witness_pass=PassWitness(note=f"{deletions} pass the s=1 rule"),
+            )
+            assert counting_rule_bruteforce(p, s).holds
+
+    def test_short_base_matching_keeps_the_first_column(self):
+        """Columns 2 and 3 share three rows, so the base matching is short,
+        and column 0 still has four free rows. Column 0 fails first and
+        names {2, 3}; grown by copies of column 1 instead, whose three rows
+        are its own, the witness would be {1, 2, 3}."""
+        p = columns_on(12, [range(0, 6), range(9, 12), range(6, 9), range(6, 9)])
+        assert _base_matching(p)[0] == 7
+        for s, deleted in ((2, (6,)), (3, (6, 7))):
+            assert counting_rule(p, s).witness_fail == FailWitness(
+                columns=(2, 3), nonzero_rows=3, deleted_rows=deleted,
+            )
 
 
 class TestPerColumnReference:

@@ -1,13 +1,15 @@
 """The counting sweep against the naive scan that defines its contract,
 Hopcroft-Karp on column masks against the edge-by-edge reference kernel in
 oracles.py (whose exact output a digest pins) and its size against scipy,
-and the alternating walk's augmenting search, which grows a Hopcroft-Karp
-matching, against the reference on the grown graph."""
+its greedy first phase against the definition of that phase, and the
+alternating walk's augmenting search, which grows a Hopcroft-Karp matching,
+against the reference on the grown graph."""
 
 import hashlib
 import random
 
 import numpy as np
+import pytest
 
 import oracles
 from factorid import _kernels
@@ -195,3 +197,53 @@ def test_hopcroft_karp_size_matches_scipy():
         graph = csr_matrix(([1] * len(indices), indices, indptr), shape=(n_left, n_right))
         graph.sum_duplicates()
         assert size == int((maximum_bipartite_matching(graph, perm_type="column") != -1).sum())
+
+
+def csr_of_masks(masks):
+    """The CSR graph (indptr, indices) whose left vertex u has the ascending
+    set bits of masks[u] as its neighbours."""
+    indptr, indices = [0], []
+    for mask in masks:
+        indices += [v for v in range(mask.bit_length()) if mask >> v & 1]
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+# (n_right, col_masks, owner) on which the greedy first phase leaves the
+# matching short, so a later phase must augment
+GREEDY_SHORT = {
+    "second vertex needs the first one's row": (2, [0b11, 0b01], range(2)),
+    "augmenting path of length five": (3, [0b011, 0b110, 0b001], range(3)),
+    "phases of length three and five": (5, [0b11, 0b01, 0b01100, 0b11000, 0b00100], range(5)),
+    "replica copies sharing two rows": (4, [0b1111, 0b0011], (0, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("n_right, col_masks, owner", GREEDY_SHORT.values(), ids=GREEDY_SHORT)
+def test_later_phases_augment_the_greedy_matching(n_right, col_masks, owner):
+    masks = [col_masks[j] for j in owner]
+    greedy = _kernels._greedy_matching(masks, n_right)[0]
+    result = _kernels.hopcroft_karp(len(masks), n_right, col_masks, owner)
+    assert result[0] > greedy
+    assert result == oracles.hopcroft_karp_csr(len(masks), n_right, *csr_of_masks(masks))
+
+
+def test_greedy_matching_is_maximal():
+    """Each left vertex in ascending order takes the lowest right vertex of
+    its mask that no earlier one took, so no free left vertex keeps a free
+    right vertex in its mask, and `free` masks exactly the free ones."""
+    for graph in matching_graphs(97, 2400):
+        masks = sorted_and_masks(graph)[1]
+        n_right = graph[1]
+        size, match_l, match_r, free = _kernels._greedy_matching(masks, n_right)
+        taken = 0
+        for u, mask in enumerate(masks):
+            cand = mask & ~taken
+            assert match_l[u] == (cand & -cand).bit_length() - 1
+            if cand:
+                assert match_r[match_l[u]] == u
+                taken |= cand & -cand
+            else:
+                assert not mask & free
+        assert free == (1 << n_right) - 1 - taken
+        assert size == taken.bit_count() == sum(u != -1 for u in match_r)
