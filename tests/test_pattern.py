@@ -1,4 +1,5 @@
 
+import hashlib
 import io
 import json
 import pickle
@@ -491,6 +492,63 @@ def test_restrict_rows_and_trim_on_wide_masks():
     trimmed, report = trim(SparsityPattern.from_rows(mat))
     assert (report.effective_m, report.effective_r) == (len(keep_rows), len(keep_cols)) == (980, 48)
     assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
+
+
+def zero_row_layouts(rng, m):
+    """Zero-row sets of an m-row pattern, ascending: scattered, half the
+    rows, one block, both ends, and every row but one."""
+    yield np.sort(rng.choice(m, max(1, m // 50), replace=False))
+    yield np.sort(rng.choice(m, m // 2, replace=False))
+    yield np.arange(m // 3, m // 3 + m // 4 + 1)
+    yield np.array([*range(m // 10 + 1), *range(m - m // 7 - 1, m)])
+    yield np.delete(np.arange(m), int(rng.integers(0, m)))
+
+
+def padded_mats(seed):
+    """Seeded 0/1 matrices with planted zero rows and, in some, zero columns:
+    1000x50 ones with 20 scattered zero rows, a 2,000-row one with half its
+    rows zero, and each layout of `zero_row_layouts` on 300 and 1,100 rows.
+    Exactly the planted rows and columns are zero."""
+    rng = np.random.default_rng(seed)
+
+    def planted(m, r, zero_rows, zero_cols=()):
+        mat = rng.random((m, r)) < 0.3
+        mat[:, list(zero_cols)] = False
+        mat[~mat.any(axis=1), r - 1] = True  # the last column is never planted zero
+        mat[zero_rows, :] = False
+        return mat
+
+    for k in range(4):
+        yield planted(1000, 50, rng.choice(1000, 20, replace=False), range(k))
+    yield planted(2000, 8, rng.choice(2000, 1000, replace=False))
+    for m in (300, 1100):
+        for zero_rows in zero_row_layouts(rng, m):
+            yield planted(m, 5, zero_rows, (2,) if m == 300 else ())
+
+
+TRIM_DIGEST = "545641dd53507e16bd8a0b1b7ee6e3330286ae90e0af1dbe96320c0bb3d88eb3"
+
+
+def test_trim_output_is_pinned():
+    """SHA-256 of trim's pattern (m and masks) and report on the padded
+    patterns, two degenerate ones and two with no zero row."""
+    digest = hashlib.sha256()
+
+    def update(p):
+        trimmed, report = trim(p)
+        digest.update(repr((trimmed.m, trimmed.col_masks, report)).encode())
+        return trimmed
+
+    for mat in padded_mats(223):
+        update(SparsityPattern.from_rows(mat))
+    for p in (SparsityPattern(((0, 0, 0),) * 5), SparsityPattern(((),) * 3)):
+        trimmed = update(p)
+        assert (trimmed.m, trimmed.col_masks) == (0, ())
+    full = SparsityPattern.from_rows(np.eye(6, dtype=int) | np.eye(6, k=1, dtype=int))
+    assert update(full) is full
+    zero_column = SparsityPattern(((1, 0), (1, 0), (1, 0)))
+    assert update(zero_column) == SparsityPattern(((1,), (1,), (1,)))
+    assert digest.hexdigest() == TRIM_DIGEST
 
 
 class TestTrim:
