@@ -49,7 +49,9 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
     end there. So on ascending neighbours both try the vertices that lead on
     in the same order, and return the same matching.
 
-    Returns (size, match_left, match_right) with -1 for unmatched vertices.
+    Returns (size, match_left, match_right, free): -1 in match_left and
+    match_right for unmatched vertices, and bit v of free set iff right
+    vertex v is unmatched.
     """
     masks = [col_masks[j] for j in owner]
     size, match_l, match_r, free = _greedy_matching(masks, n_right)
@@ -79,7 +81,7 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
             rows_at.append(met)
             layer = nxt
         if not found:
-            return size, match_l, match_r
+            return size, match_l, match_r, free
         # DFS: augment along layered paths of length exactly `found`; the
         # vertex at depth d of the stack lies in layer d.
         last = found - 1

@@ -127,10 +127,7 @@ def _base_matching(p: SparsityPattern) -> tuple[int, list[int], list[int], int]:
     Returns (size, match_l, match_r, free): match_l/match_r pair copies and
     rows, -1 for free, and bit i of `free` is set iff row i is free.
     """
-    size, match_l, match_r = _kernels.hopcroft_karp(
-        2 * p.r, p.m, p.col_masks, (*range(p.r), *range(p.r))
-    )
-    return size, match_l, match_r, (1 << p.m) - 1 - sum(1 << i for i in match_l if i != -1)
+    return _kernels.hopcroft_karp(2 * p.r, p.m, p.col_masks, (*range(p.r), *range(p.r)))
 
 
 def _integer(name: str, value) -> int:

@@ -4,7 +4,9 @@ A pattern records which entries of an m x r loading matrix are structurally
 nonzero. Rows index observed variables, columns index factors. A pattern
 is stored as one bitmask per column, which the parsers build directly and
 trimming and the matchings read; the row tuples are derived from the masks
-on first use.
+on first use. `trim` drops the zero rows by cutting the runs of kept rows
+out of each column's binary digits, in O(r * (m + g)) for g gaps between
+zero rows.
 """
 
 import json
@@ -12,8 +14,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import index, itemgetter, lt, or_, sub
-from typing import Iterable, Literal, Sequence
+from operator import itemgetter, lt, or_
+from typing import Iterable, Literal
 
 from factorid.errors import (
     DimensionError,
@@ -135,46 +137,6 @@ def _from_masks(m: int, col_masks: tuple[int, ...]) -> SparsityPattern:
     return p
 
 
-def restrict_rows(p: SparsityPattern, rows: Sequence[int]) -> SparsityPattern:
-    """The pattern made of the given rows of p, in the given order: row k of
-    the result is row rows[k] of p. All r columns are kept; rows may repeat.
-
-    The wanted digit positions are grouped once into maximal runs of
-    consecutive positions, and one itemgetter of their slices picks them.
-    Each column then costs O(m + len(rows)) work at C speed plus O(1) per
-    run: its mask is written as m binary digits, the itemgetter cuts out the
-    runs, and int() reads them back. Rows in ascending order with g gaps,
-    as trim keeps them, make g + 1 runs; other orders make shorter runs, down
-    to one row each. Raises OutOfRangeError for a row outside 0..m-1 and
-    InvalidArgumentError for one that is not an integer.
-    """
-    _require_pattern(p)
-    try:
-        # as ints, numpy integer rows join into runs: (1).__ne__ of a numpy
-        # integer is NotImplemented, which is truthy
-        rows = list(map(index, rows))
-    except TypeError:  # a row index that is not an integer
-        raise InvalidArgumentError(f"row indices must be integers, got {rows!r}") from None
-    if not rows:
-        return _from_masks(0, (0,) * p.r)
-    lo, hi = min(rows), max(rows)
-    if lo < 0 or hi >= p.m:
-        raise OutOfRangeError(f"row index {lo if lo < 0 else hi} out of range for m={p.m}")
-    # row i is digit m-1-i of the mask's digits and row k of the result is
-    # digit len(rows)-1-k of the picked ones
-    digits = [p.m - 1 - i for i in reversed(rows)]
-    # a run ends where the next digit is not the one right after it
-    ends = [*compress(range(1, len(digits)), map((1).__ne__, map(sub, digits[1:], digits))),
-            len(digits)]
-    starts = [0, *ends[:-1]]
-    pick = itemgetter(*[slice(digits[a], digits[b - 1] + 1) for a, b in zip(starts, ends)])
-    width = f"0{p.m}b"
-    # with one run, pick returns a str, which join() copies unchanged
-    return _from_masks(len(rows), tuple(
-        int("".join(pick(format(mask, width))), 2) for mask in p.col_masks
-    ))
-
-
 def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
     """The indices 0..n-1 not in removed. Raises InvalidArgumentError unless
     removed holds ints in strictly increasing order, and then OutOfRangeError
@@ -228,21 +190,36 @@ def _trim_report(p: SparsityPattern) -> TrimReport:
     )
 
 
+def _drop_rows(masks: tuple[int, ...], m: int, zero_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of m rows with the ascending zero_rows taken out, which
+    leaves at least one row. Row i is digit m-1-i of a mask's m binary
+    digits, so the kept rows are the runs of digits between those of
+    consecutive zero rows; one itemgetter cuts them out of each column."""
+    cuts = [-1, *(m - 1 - i for i in reversed(zero_rows)), m]
+    # with one run, pick returns a str, which join() copies unchanged
+    pick = itemgetter(*[slice(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b > a + 1])
+    width = f"0{m}b"
+    return tuple(int("".join(pick(format(mask, width))), 2) for mask in masks)
+
+
 def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     """Remove all-zero rows and all-zero columns.
 
     Removing a zero column never creates a new zero row (and vice versa), so
-    one pass suffices. An all-zero input degenerates to a 0 x 0 pattern.
+    one pass suffices. An all-zero input degenerates to a 0 x 0 pattern, and
+    p itself comes back when nothing is removed. `_drop_rows` copies the
+    kept rows in O(r * (m + g)) for g gaps between zero rows.
     """
     _require_pattern(p)
     report = _trim_report(p)
-    zero_cols, zero_rows = report.removed_zero_columns, report.removed_zero_rows
-    if not zero_cols and not zero_rows:
+    zero_rows = report.removed_zero_rows
+    if not zero_rows and not report.removed_zero_columns:
         return p, report
-    trimmed = _from_masks(p.m, tuple(filter(None, p.col_masks)))
-    if zero_rows:
-        trimmed = restrict_rows(trimmed, report.kept_rows)
-    return trimmed, report
+    masks = tuple(filter(None, p.col_masks))
+    # no mask is left when every row is zero, nor any run to cut
+    if masks and zero_rows:
+        masks = _drop_rows(masks, p.m, zero_rows)
+    return _from_masks(report.effective_m, masks), report
 
 
 def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:

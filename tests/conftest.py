@@ -96,10 +96,10 @@ def counterexample_6x3():
 
 @pytest.fixture
 def no_row_copies(monkeypatch):
-    """`restrict_rows`, the one function that copies rows, raises."""
+    """`_drop_rows`, the one function that copies rows, raises."""
     def refuse(*args):
         raise AssertionError("rows were copied")
-    monkeypatch.setattr(pattern, "restrict_rows", refuse)
+    monkeypatch.setattr(pattern, "_drop_rows", refuse)
 
 
 def random_pattern(rng: np.random.Generator, m: int, r: int, density: float) -> SparsityPattern:

@@ -169,8 +169,12 @@ class TestAlternatingReach:
                 for _ in range(n_left)
             ]
             masks = [sum(1 << v for v in vs) for vs in adjacency]
-            size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
-            free = sum(1 << v for v, u in enumerate(match_r) if u == -1)
+            size, match_l, match_r, free = _kernels.hopcroft_karp(
+                n_left, n_right, masks, range(n_left)
+            )
+            ascending = [sorted(vs) for vs in adjacency]
+            assert (size, match_l, match_r) == oracles.match_adjacency(ascending, n_right)
+            assert free == sum(1 << v for v, u in enumerate(match_r) if u == -1)
             reached_l, reached_r = alternating_reach(masks, match_l, match_r, free)
             reached_r = {v for v in range(n_right) if reached_r >> v & 1}
             cover_l = set(range(n_left)) - reached_l

@@ -29,7 +29,6 @@ from factorid.pattern import (
     nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
-    restrict_rows,
     trim,
 )
 
@@ -60,8 +59,6 @@ BAD_CALLS = {
     "matching_reuses_endpoint": (ValueError, lambda: Matching(frozenset({(0, 0), (1, 0)}))),
     "row_spec_bad_label": (ValueError, lambda: cli._parse_row_spec("vx", 3)),
     "row_spec_out_of_range": (IndexError, lambda: cli._parse_row_spec("v4", 3)),
-    "restrict_rows_row_m": (IndexError, lambda: restrict_rows(P, [3])),
-    "restrict_rows_negative_row": (IndexError, lambda: restrict_rows(P, [-1])),
     "trim_report_negative_row": (IndexError, lambda: TrimReport((), (-1,), 3, 2, 2, 2).kept_rows),
     "trim_report_row_m": (IndexError, lambda: TrimReport((), (5,), 3, 2, 2, 2).kept_rows),
     "trim_report_repeated_row": (ValueError, lambda: TrimReport((), (1, 1), 3, 2, 1, 2).kept_rows),
@@ -79,10 +76,6 @@ BAD_CALLS = {
     "parse_jsonl_record_float": (ValueError, lambda: parse_jsonl_record(3.0)),
     "nonzero_row_count_fractional_column": (
         ValueError, lambda: nonzero_row_count(P, (0.5,)),
-    ),
-    "restrict_rows_fractional_row": (ValueError, lambda: restrict_rows(P, [0.5])),
-    "restrict_rows_fractional_row_no_columns": (
-        ValueError, lambda: restrict_rows(SparsityPattern(((),) * 3), [0.5]),
     ),
     "parse_jsonl_record_utf16_bytearray": (
         ParseError,
@@ -113,7 +106,6 @@ BAD_CALLS = {
     "trim_none_pattern": (ValueError, lambda: trim(None)),
     "rcm_decomposition_list_pattern": (ValueError, lambda: rcm_decomposition([[1]])),
     "nonzero_row_count_none_pattern": (ValueError, lambda: nonzero_row_count(None, [0])),
-    "restrict_rows_none_pattern": (ValueError, lambda: restrict_rows(None, [0])),
 }
 
 

@@ -709,8 +709,9 @@ def rcm_cases(seed, n):
         yield p, deleted
 
 
-# SHA-256 of the decompositions of rcm_cases(151, 300), computed with the
-# restrict_rows that picked every kept digit by its own index
+# SHA-256 of the decompositions of rcm_cases(151, 300), first computed when
+# the kept rows were copied into a new pattern one digit at a time; the
+# deleted rows' bits are now cleared in place instead
 RCM_DIGEST = "5a85fbe35949f421f51365cb6c6105855381f1fcc6aa58ca006ed3cfeb094b4f"
 
 

@@ -80,9 +80,11 @@ def test_augment_grows_a_maximum_matching():
             for _ in range(n_left + k)
         ]
         masks = [sum(1 << v for v in adj) for adj in rows]
-        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+        size, match_l, match_r, free = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+        ascending = [sorted(adj) for adj in rows[:n_left]]
+        assert (size, match_l, match_r) == oracles.match_adjacency(ascending, n_right)
+        assert free == unmatched(match_r)
         match_l += [-1] * k
-        free = sum(1 << v for v, u in enumerate(match_r) if u == -1)
         for u in range(n_left, n_left + k):
             reached, row = alternating_reach(masks, match_l, match_r, free, starts=(u,))
             found = reached is None
@@ -92,7 +94,7 @@ def test_augment_grows_a_maximum_matching():
                 free ^= row
             size += found
             grew += found
-        assert free == sum(1 << v for v, u in enumerate(match_r) if u == -1)
+        assert free == unmatched(match_r)
         assert size == oracles.match_adjacency(rows, n_right)[0]
         pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
         assert len(pairs) == size
@@ -141,6 +143,11 @@ def matching_graphs(seed, n):
         yield len(rows), n_right, indptr, [v for adj in rows for v in adj]
 
 
+def unmatched(match_r):
+    """Mask of the right vertices that match_r leaves unmatched."""
+    return sum(1 << v for v, u in enumerate(match_r) if u == -1)
+
+
 def sorted_and_masks(graph):
     """A CSR graph with each neighbour list in ascending order, and its left
     vertices' neighbour sets as masks."""
@@ -175,8 +182,9 @@ def test_mask_kernel_equals_reference():
     for graph in matching_graphs(97, 2400):
         ascending, masks = sorted_and_masks(graph)
         n_left, n_right = graph[:2]
-        expected = oracles.hopcroft_karp_csr(*ascending)
-        assert _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left)) == expected
+        size, match_l, match_r, free = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+        assert (size, match_l, match_r) == oracles.hopcroft_karp_csr(*ascending)
+        assert free == unmatched(match_r)
 
 
 def test_hopcroft_karp_size_matches_scipy():
@@ -186,8 +194,10 @@ def test_hopcroft_karp_size_matches_scipy():
 
     for graph in matching_graphs(101, 600):
         n_left, n_right, indptr, indices = graph
-        masks = sorted_and_masks(graph)[1]
-        size, match_l, match_r = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+        ascending, masks = sorted_and_masks(graph)
+        size, match_l, match_r, free = _kernels.hopcroft_karp(n_left, n_right, masks, range(n_left))
+        assert (size, match_l, match_r) == oracles.hopcroft_karp_csr(*ascending)
+        assert free == unmatched(match_r)
         pairs = [(u, v) for u, v in enumerate(match_l) if v != -1]
         assert len(pairs) == size and all(match_r[v] == u for u, v in pairs)
         assert all(v in indices[indptr[u]:indptr[u + 1]] for u, v in pairs)
@@ -223,9 +233,11 @@ GREEDY_SHORT = {
 def test_later_phases_augment_the_greedy_matching(n_right, col_masks, owner):
     masks = [col_masks[j] for j in owner]
     greedy = _kernels._greedy_matching(masks, n_right)[0]
-    result = _kernels.hopcroft_karp(len(masks), n_right, col_masks, owner)
-    assert result[0] > greedy
-    assert result == oracles.hopcroft_karp_csr(len(masks), n_right, *csr_of_masks(masks))
+    size, match_l, match_r, free = _kernels.hopcroft_karp(len(masks), n_right, col_masks, owner)
+    assert size > greedy
+    expected = oracles.hopcroft_karp_csr(len(masks), n_right, *csr_of_masks(masks))
+    assert (size, match_l, match_r) == expected
+    assert free == unmatched(match_r)
 
 
 def test_greedy_matching_is_maximal():

@@ -20,7 +20,6 @@ from factorid.pattern import (
     nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
-    restrict_rows,
     trim,
 )
 
@@ -434,64 +433,18 @@ class TestPattern:
             1 << i for i, row in enumerate(MINCUT_DEMO_8X3) if row[2]
         )
 
-    @given(patterns(), st.data())
+    @given(patterns())
     @settings(max_examples=150)
-    def test_mask_views_agree_with_entries(self, p, data):
+    def test_mask_views_agree_with_entries(self, p):
         entries = p.entries
         assert SparsityPattern(entries) == p and SparsityPattern(entries).entries == entries
-        # trim and restrict_rows against the same operations on row tuples
+        # trim against the same operations on row tuples
         keep_rows = [i for i, row in enumerate(entries) if any(row)]
         keep_cols = [j for j in range(p.r) if any(row[j] for row in entries)]
         assert trim(p)[0] == SparsityPattern(
             tuple(tuple(entries[i][j] for j in keep_cols) for i in keep_rows)
         )
-        rows = data.draw(st.lists(st.integers(0, p.m - 1), min_size=1, max_size=p.m + 2))
-        assert restrict_rows(p, rows) == SparsityPattern(tuple(entries[i] for i in rows))
         assert pickle.loads(pickle.dumps(p)) == p
-
-
-def test_restrict_rows_reads_numpy_integer_rows():
-    p = SparsityPattern.from_rows(np.random.default_rng(5).random((40, 3)) < 0.5)
-    for k in (1, 2, 17, 40):
-        assert restrict_rows(p, np.arange(k)) == restrict_rows(p, list(range(k)))
-    assert restrict_rows(p, np.array([3, 1, 1, 2])) == restrict_rows(p, [3, 1, 1, 2])
-    for rows in ([0.5], np.array([0.5]), [1, 0.5]):
-        with pytest.raises(InvalidArgumentError):
-            restrict_rows(p, rows)
-
-
-def test_restrict_rows_and_trim_on_wide_masks():
-    """restrict_rows and trim against row tuples on up to 1,200 rows, where
-    masks are far wider than 64 bits: rows in any order and repeated, a
-    sorted subset, one run of all rows, runs with gaps at both ends, rows in
-    descending order, a single row, no row, and a 1000x50 pattern with
-    planted zero rows and columns."""
-    rng = np.random.default_rng(107)
-    for _ in range(60):
-        m = int(rng.integers(1, 1201))
-        r = int(rng.integers(1, 6))
-        p = SparsityPattern.from_rows(rng.random((m, r)) < rng.random())
-        entries = p.entries
-        for rows in (
-            rng.integers(0, m, size=int(rng.integers(1, m + 3))).tolist(),
-            sorted(set(rng.integers(0, m, size=m // 2 + 1).tolist())),
-            list(range(m)),
-            [*range(1, m // 3), *range(m // 2, m - 1)] or [0],
-            list(range(m - 1, -1, -1)),
-            [int(rng.integers(0, m))],
-            [m - 1, 0],
-        ):
-            assert restrict_rows(p, rows) == SparsityPattern(tuple(entries[i] for i in rows))
-        empty = restrict_rows(p, ())
-        assert (empty.m, empty.col_masks) == (0, (0,) * r)
-
-    mat = rng.random((1000, 50)) < 0.2
-    mat[rng.choice(1000, 20, replace=False), :] = False
-    mat[:, rng.choice(50, 2, replace=False)] = False
-    keep_rows, keep_cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
-    trimmed, report = trim(SparsityPattern.from_rows(mat))
-    assert (report.effective_m, report.effective_r) == (len(keep_rows), len(keep_cols)) == (980, 48)
-    assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
 
 
 def zero_row_layouts(rng, m):
@@ -549,6 +502,32 @@ def test_trim_output_is_pinned():
     zero_column = SparsityPattern(((1, 0), (1, 0), (1, 0)))
     assert update(zero_column) == SparsityPattern(((1,), (1,), (1,)))
     assert digest.hexdigest() == TRIM_DIGEST
+
+
+def test_trim_on_wide_masks():
+    """trim against numpy slicing on up to 2,000 rows, where masks are far
+    wider than 64 bits: every layout of `zero_row_layouts`, a random subset
+    of the rows and no zero row, some with zero columns, and a 1000x50
+    pattern with planted zero rows and columns."""
+    rng = np.random.default_rng(107)
+    for m in (*rng.integers(1, 2001, size=14).tolist(), 1, 2, 2000):
+        r = int(rng.integers(1, 6))
+        full = rng.random((m, r)) < rng.random()
+        for zero_rows in (*zero_row_layouts(rng, m), rng.random(m) < rng.random(), []):
+            mat = full.copy()
+            mat[zero_rows, :] = False
+            keep_rows, keep_cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
+            trimmed, report = trim(SparsityPattern.from_rows(mat))
+            assert report.kept_rows == tuple(keep_rows) and report.kept_columns == tuple(keep_cols)
+            assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
+
+    mat = rng.random((1000, 50)) < 0.2
+    mat[rng.choice(1000, 20, replace=False), :] = False
+    mat[:, rng.choice(50, 2, replace=False)] = False
+    keep_rows, keep_cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
+    trimmed, report = trim(SparsityPattern.from_rows(mat))
+    assert (report.effective_m, report.effective_r) == (len(keep_rows), len(keep_cols)) == (980, 48)
+    assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
 
 
 class TestTrim:
