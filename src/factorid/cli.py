@@ -8,12 +8,12 @@ stdout, diagnostics to stderr; --json switches stdout to machine form.
 import json
 import os
 import sys
-from collections import Counter, deque
+from collections import Counter
 from itertools import islice
 
 import click
 
-from factorid.errors import FactorIdError, InvalidArgumentError, OutOfRangeError
+from factorid.errors import FactorIdError, InvalidArgumentError, OutOfRangeError, WorkerError
 from factorid.identify import rcm_decomposition, variance_identified
 from factorid.pattern import SparsityPattern, parse_jsonl_record, parse_pattern
 
@@ -207,36 +207,107 @@ def _summary_json(seen: Counter, accepted: Counter, errors: int) -> str:
     })
 
 
-_CHUNK = 64  # lines per task sent to a filter worker
+_CHUNK = 64  # lines per chunk sent to a filter worker
 
 
 def _filter_chunk(lines: list[bytes]) -> list[tuple]:
     return [_filter_record(line) for line in lines]
 
 
+def _fork_worker() -> tuple:
+    """Fork a filter worker and return its pid and the parent's ends of its
+    two pipes: chunks of lines go down one, their records come back up the
+    other, each pickled. The worker exits once the parent has closed both
+    ends. Workers forked later hold copies of them, so it takes closing the
+    ends of every worker to end them all."""
+    import pickle
+
+    lines_r, lines_w = os.pipe()
+    records_r, records_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (lines_r, lines_w, records_r, records_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # leave only through os._exit: never flush the parent's inherited
+        # output buffers or run its atexit hooks
+        code = 1
+        try:
+            os.close(lines_w)
+            os.close(records_r)
+            with open(lines_r, "rb") as chunks, open(records_w, "wb") as records:
+                while True:
+                    try:
+                        lines = pickle.load(chunks)
+                    except EOFError:  # the parent is done
+                        break
+                    pickle.dump(_filter_chunk(lines), records)
+                    records.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(lines_r)
+    os.close(records_w)
+    return pid, open(lines_w, "wb"), open(records_r, "rb")
+
+
 def _filter_records(lines, workers: int):
-    """Records for the lines, in input order. With several workers, lines go
-    out in chunks of _CHUNK, and at most two chunks per worker are read ahead
-    of the record being yielded, so memory stays bounded on any stream."""
+    """Records for the lines, in input order.
+
+    With several workers, workers - 1 children are forked and the work runs
+    in rounds of one _CHUNK per process: the parent sends each child the next
+    chunk, decides the round's first chunk itself and then reads each child's
+    records in order. A child holds at most one chunk, so at most `workers`
+    chunks are in memory on any stream, and the parent writes to a child only
+    while that child waits to read, so the pipes cannot deadlock. A child that
+    dies ends the run with WorkerError, and every child is reaped before
+    this generator finishes, however it finishes.
+    """
     if workers == 1:
         yield from map(_filter_record, lines)
         return
-    # the pool's import pulls in multiprocessing, which a serial run never uses
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle  # a serial run never needs it
 
     lines = iter(lines)
-    pending = deque()
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        while batch := list(islice(lines, _CHUNK)):
-            pending.append(executor.submit(_filter_chunk, batch))
-            if len(pending) == 2 * workers:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
+    children = []
+    try:
+        for _ in range(workers - 1):
+            children.append(_fork_worker())
+        while own := list(islice(lines, _CHUNK)):
+            busy = []
+            for pid, chunks, records in children:
+                if not (chunk := list(islice(lines, _CHUNK))):
+                    break
+                try:
+                    pickle.dump(chunk, chunks)
+                    chunks.flush()
+                except BrokenPipeError:
+                    raise WorkerError(f"filter worker {pid} exited early") from None
+                busy.append((pid, records))
+            yield from map(_filter_record, own)
+            for pid, records in busy:
+                try:
+                    chunk_records = pickle.load(records)
+                except (EOFError, pickle.UnpicklingError):
+                    raise WorkerError(f"filter worker {pid} exited early") from None
+                yield from chunk_records
+    finally:
+        for _, chunks, records in children:
+            records.close()
+            try:
+                chunks.close()
+            except BrokenPipeError:  # the bytes of a cut-short chunk are unsendable
+                pass
+        for pid, _, _ in children:
+            os.waitpid(pid, 0)
 
 
 def _worker_count(parallel: int) -> int:
-    """--parallel clamped to [1, number of CPUs]."""
+    """--parallel clamped to [1, number of CPUs]; 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(parallel, os.cpu_count() or 1))
 
 
@@ -246,7 +317,7 @@ def _worker_count(parallel: int) -> int:
 @click.option("--summary", "summary_path", default=None,
               help="Write a JSON summary to this path ('-' for stdout).")
 @click.option("--parallel", type=int, default=1, show_default=True,
-              help="Worker processes for the per-draw checks (at most one per CPU).")
+              help="Processes deciding draws, this one included (at most one per CPU).")
 def cmd_filter(input_path, output_path, summary_path, parallel):
     """Filter a posterior-draw stream, keeping order; one verdict per line.
 
@@ -273,7 +344,7 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
                 seen[effective_r] += 1
                 if identified:
                     accepted[effective_r] += 1
-    except OSError as e:
+    except (OSError, WorkerError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if summary_path is not None:

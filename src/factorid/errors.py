@@ -58,3 +58,7 @@ class EmptyPatternError(FactorIdError):
 
 class TooManyColumnsError(FactorIdError):
     """Brute-force subset enumeration refused above the column cap."""
+
+
+class WorkerError(FactorIdError):
+    """A filter worker process exited before sending back all its records."""

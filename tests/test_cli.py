@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import MINCUT_DEMO_TEXT, COUNTEREXAMPLE_6X3
 from factorid import FactorIdError, cli
 from factorid.cli import main
+from factorid.errors import WorkerError
 from factorid.pattern import nonzero_row_count, parse_jsonl_record
 
 COUNTEREXAMPLE_TEXT = "\n".join(" ".join(str(v) for v in row) for row in COUNTEREXAMPLE_6X3) + "\n"
@@ -489,8 +492,8 @@ def run(out, *extra):
 
 pool = ("concurrent.futures.process", "multiprocessing")
 serial = run(sys.argv[2])
-print(*(name in sys.modules for name in pool))
-os.cpu_count = lambda: 2  # so that --parallel 2 starts two workers anywhere
+print(*(name in sys.modules for name in (*pool, "pickle")))
+os.cpu_count = lambda: 2  # so that --parallel 2 forks a worker anywhere
 same = run(sys.argv[3], "--parallel", "2") == serial
 print(*(name in sys.modules for name in pool), same)
 """
@@ -505,7 +508,7 @@ def test_serial_filter_leaves_the_process_pool_unloaded(tmp_path):
         [sys.executable, "-c", POOL_PROBE, str(stream), str(tmp_path / "a"), str(tmp_path / "b")],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.splitlines() == ["False False", "True True True"]
+    assert out.stdout.splitlines() == ["False False False", "False False True"]
 
 
 def test_worker_count_clamped(monkeypatch):
@@ -513,6 +516,106 @@ def test_worker_count_clamped(monkeypatch):
     assert [cli._worker_count(n) for n in (-5, 0, 1, 3, 4, 10**9)] == [1, 1, 1, 3, 4, 4]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._worker_count(8) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert [cli._worker_count(n) for n in (-5, 0, 1, 3, 4, 10**9)] == [1] * 6
+
+
+class ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(3)
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--parallel runs serially without fork")
+@pytest.mark.parametrize(
+    "case", ["complete", "output_error", "dead_worker", "short_pickle", "second_fork_fails"]
+)
+def test_parallel_filter_reaps_every_worker(runner, tmp_path, monkeypatch, case):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    inp = write(tmp_path, "in.jsonl", STREAM * 50)
+    out = str(tmp_path / "out.jsonl")
+    if case == "output_error":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        out = "/dev/full"  # the first flush, mid-stream, fails
+    if case in ("dead_worker", "short_pickle"):
+        parent, filter_chunk = os.getpid(), cli._filter_chunk
+
+        def fail_in_worker(lines):
+            if os.getpid() == parent:
+                return filter_chunk(lines)
+            if case == "dead_worker":
+                os._exit(3)
+            # a str longer than a pickle frame reaches the pipe before the
+            # worker dies pickling the item after it
+            return [*filter_chunk(lines), "x" * 100_000, ExitWhenPickled()]
+
+        monkeypatch.setattr(cli, "_filter_chunk", fail_in_worker)
+    if case == "second_fork_fails":
+        fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+    fds = open_fds()
+    result = runner.invoke(main, ["filter", "--input", inp, "--output", out, "--parallel", "3"])
+    assert open_fds() == fds
+    assert no_traceback(result)
+    assert "Traceback" not in result.stderr
+    if case == "complete":
+        assert result.exit_code == 0
+    else:
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_chunk_for_a_dead_worker_is_an_error(monkeypatch):
+    fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    lines = [line.encode() for line in STREAM.splitlines()] * 100
+    records = cli._filter_records(iter(lines), 2)
+    for _ in range(2 * cli._CHUNK):  # the first round; the worker waits for the next
+        next(records)
+    os.kill(pids[0], signal.SIGKILL)
+    os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    with pytest.raises(WorkerError, match="exited early"):
+        next(records)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--parallel runs serially without fork")
+def test_parallel_input_error_reaps_every_worker():
+    def stream():
+        yield from [line.encode() for line in STREAM.splitlines()] * 100
+        raise OSError("input gone")
+
+    fds = open_fds()
+    with pytest.raises(OSError, match="input gone"):
+        for _ in cli._filter_records(stream(), 3):
+            pass
+    assert open_fds() == fds
+    assert_no_child_left()
 
 
 # Each of these used to escape the CLI as a traceback.
