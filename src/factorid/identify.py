@@ -36,11 +36,11 @@ column masks and reads the base matching of what is left.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
-with. `variance_identified` drops only the zero columns, without a copy when
-there are none, and runs the rule at any s on the caller's rows: a zero row
-lies in no column mask, so no matching, walk or count ever meets it, and
-only the columns of the verdict are mapped back to the caller's coordinates.
-Every CLI command that decides the rule goes through it.
+with. `variance_identified` runs the rule at any s on the caller's pattern,
+over its nonzero columns: the kernel's `owner` maps each copy to a caller
+column, and a zero row lies in no column mask, so no matching, walk or count
+ever meets a zero row or column, and every index of the verdict is the
+caller's. Every CLI command that decides the rule goes through it.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -49,8 +49,10 @@ necessary), which is what the `sufficient_only` flag on verdict records says.
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import comb
 from operator import index, or_
+from typing import Sequence
 
 from factorid import _kernels
 from factorid.bipartite import Matching, alternating_reach
@@ -66,6 +68,7 @@ from factorid.pattern import (
     _from_masks,
     _require_pattern,
     _set_bits,
+    _shown,
     _trim_report,
     nonzero_row_count,
 )
@@ -120,14 +123,18 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _base_matching(p: SparsityPattern) -> tuple[int, list[int], list[int], int]:
-    """The replica matching: Hopcroft-Karp on two copies of every column,
-    copy j + r mirroring column j, into the rows of p.
+def _base_matching(
+    p: SparsityPattern, cols: Sequence[int] | None = None
+) -> tuple[int, list[int], list[int], int]:
+    """The replica matching: Hopcroft-Karp on two copies of the columns cols
+    of p (all of them by default), copies k and k + len(cols) both of column
+    cols[k], into the rows of p.
 
     Returns (size, match_l, match_r, free): match_l/match_r pair copies and
     rows, -1 for free, and bit i of `free` is set iff row i is free.
     """
-    return _kernels.hopcroft_karp(2 * p.r, p.m, p.col_masks, (*range(p.r), *range(p.r)))
+    owner = (*range(p.r),) * 2 if cols is None else (*cols, *cols)
+    return _kernels.hopcroft_karp(len(owner), p.m, p.col_masks, owner)
 
 
 def _integer(name: str, value) -> int:
@@ -189,28 +196,30 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     """
     _require_pattern(p)
     p.require_trimmed()
-    return _rule_s1(p)
+    return _rule_s1(p, range(p.r))
 
 
-def _rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
-    """`counting_rule_s1` on a pattern with no zero column; a zero row is a
-    free row in no column mask, so the closure never reaches it."""
-    r = p.r
-    size, match_l, _, reached = _base_matching(p)  # reached starts as the free rows
+def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
+    """`counting_rule_s1` on the ascending nonzero columns cols of p; a zero
+    row is a free row in no column mask, so the closure never reaches it."""
+    r = len(cols)
+    size, match_l, _, reached = _base_matching(p, cols)  # reached starts as the free rows
     excluded = range(r)
     grew = True
     while grew:
         rest = []
-        for j in excluded:
-            if not p.col_masks[j] & reached:
-                rest.append(j)
-            elif -1 in (match_l[j], match_l[j + r]):
-                raise MatchingNotMaximumError(f"augmenting path ends at a copy of column {j}")
+        for k in excluded:
+            if not p.col_masks[cols[k]] & reached:
+                rest.append(k)
+            elif -1 in (match_l[k], match_l[k + r]):
+                raise MatchingNotMaximumError(
+                    f"augmenting path ends at a copy of column {cols[k]}"
+                )
             else:
-                reached |= 1 << match_l[j] | 1 << match_l[j + r]
+                reached |= 1 << match_l[k] | 1 << match_l[k + r]
         grew = len(rest) < len(excluded)
         excluded = rest
-    excluded = tuple(excluded)
+    excluded = tuple(map(cols.__getitem__, excluded))
     value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
     if not excluded:
         return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=value)
@@ -261,33 +270,32 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     s = _integer("s", s)
     _require_pattern(p)
     p.require_trimmed()
-    return _rule(p, s, p.m)
+    return _rule(p, s, range(p.r), p.m)
 
 
-def _rule(p: SparsityPattern, s: int, m: int) -> CountingRuleVerdict:
-    """`counting_rule` at s >= 0 on a pattern with no zero column, in the
-    pattern's row coordinates; m is the number of rows its columns touch. A
-    zero row lies in no column mask, so no matching, walk or count meets it,
-    and `deleted_rows` are padded from the rows the columns touch. On a
-    trimmed pattern (m = p.m) this is `counting_rule` itself."""
+def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRuleVerdict:
+    """`counting_rule` at s >= 0 on the ascending nonzero columns cols of p,
+    in p's coordinates; m is the number of rows they touch. A zero row lies
+    in no column mask, so no matching, walk or count meets it, and
+    `deleted_rows` are padded from the rows the columns touch. On a trimmed
+    pattern (all its columns, m = p.m) this is `counting_rule` itself."""
     if s == 1:
-        return _rule_s1(p)
-    r = p.r
+        return _rule_s1(p, cols)
+    r = len(cols)
     if s and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
-            witness_fail=FailWitness(columns=tuple(range(r)), nonzero_rows=m),
+            witness_fail=FailWitness(columns=tuple(cols), nonzero_rows=m),
         )
-    size, base_l, base_r, base_free = _base_matching(p)
-    copies = p.col_masks * 2
-    for j in range(r if s else 1):
+    size, base_l, base_r, base_free = _base_matching(p, cols)
+    for j in cols if s else cols[:1]:
         if s and size == 2 * r and (p.col_masks[j] & base_free).bit_count() >= s:
             # Each search would match its copy to a free row of column j at
             # its first step, and the grown matching would saturate.
             continue
         # Grow the base matching by s copies of column j, one augmenting
         # search each. Once a copy finds no path, neither do its twins.
-        grown = copies + (p.col_masks[j],) * s
+        grown = [*map(p.col_masks.__getitem__, cols)] * 2 + [p.col_masks[j]] * s
         match_l, match_r, free = base_l + [-1] * s, base_r.copy(), base_free
         matched = size
         for u in range(2 * r, 2 * r + s):
@@ -301,9 +309,9 @@ def _rule(p: SparsityPattern, s: int, m: int) -> CountingRuleVerdict:
         reached, rows = alternating_reach(grown, match_l, match_r, free)
         if reached is None:
             raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
-        cols = {u % r if u < 2 * r else j for u in reached}
+        failing = {cols[u % r] if u < 2 * r else j for u in reached}
         count = rows.bit_count()
-        assert count < 2 * len(cols) + s
+        assert count < 2 * len(failing) + s
         deleted = None
         if s:
             # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
@@ -315,12 +323,12 @@ def _rule(p: SparsityPattern, s: int, m: int) -> CountingRuleVerdict:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(
-                columns=tuple(sorted(cols)), nonzero_rows=count, deleted_rows=deleted,
+                columns=tuple(sorted(failing)), nonzero_rows=count, deleted_rows=deleted,
             ),
         )
     if not s:
         witness = PassWitness(
-            matching=Matching(frozenset(enumerate(base_l))),
+            matching=Matching(frozenset(zip((*cols, *(p.r + c for c in cols)), base_l))),
             note="matching saturates all columns and duplicates",
         )
     else:
@@ -356,7 +364,7 @@ def rcm_decomposition(
         ) from None
     for i in deleted:
         if not (0 <= i < p.m):
-            raise OutOfRangeError(f"row index {i} out of range for m={p.m}")
+            raise OutOfRangeError(f"row index {_shown(i)} out of range for m={p.m}")
     r = p.r
     if p.m - len(deleted) < 2 * r:
         return None
@@ -376,52 +384,17 @@ def rcm_decomposition(
     )
 
 
-def verdict_in_original_coords(
-    verdict: CountingRuleVerdict, report: TrimReport
-) -> CountingRuleVerdict:
-    """Map the columns of a verdict computed on the caller's pattern without
-    its zero columns back to the caller's indices; its rows are the caller's
-    already. The verdict itself comes back when no index needs mapping: no
-    column was dropped, or it carries neither a violating subset nor a
-    matching."""
-    wf, wp = verdict.witness_fail, verdict.witness_pass
-    matching = wp.matching if wp is not None else None
-    if not report.removed_zero_columns or (wf is None and matching is None):
-        return verdict
-    cols = report.kept_columns
-    if wf is not None:
-        wf = FailWitness(
-            columns=tuple(map(cols.__getitem__, wf.columns)),
-            nonzero_rows=wf.nonzero_rows,
-            deleted_rows=wf.deleted_rows,
-        )
-    if matching is not None:
-        r_eff, r_orig = report.effective_r, report.original_r
-        wp = PassWitness(
-            matching=Matching(frozenset(
-                (cols[c] if c < r_eff else r_orig + cols[c - r_eff], i)
-                for c, i in matching.pairs
-            )),
-            note=wp.note,
-        )
-    return CountingRuleVerdict(
-        r=verdict.r, s=verdict.s, holds=verdict.holds, witness_fail=wf,
-        witness_pass=wp, mincut_value=verdict.mincut_value,
-    )
-
-
 def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVerdict:
     """Decide whether the pattern guarantees generic variance identification.
 
     A pattern whose columns are all zero is trivially identified (the
     covariance is purely idiosyncratic). Otherwise the rule decides at
     strength s as `counting_rule` does (s=1, the default, is the paper's
-    sufficient condition), on the pattern without its zero columns, copied
-    only when it has some. Zero rows stay: they lie in no column mask, so
-    the rule never meets them, and its rows are the caller's. `trim` reports
-    what trimming would remove, and witnesses are reported in the caller's
-    coordinates, for every s >= 0 (InvalidArgumentError otherwise, raised
-    first).
+    sufficient condition), on the caller's pattern over its nonzero columns;
+    nothing is copied. A zero column is left out of the rule, and a zero row
+    lies in no column mask, so the rule never meets it. `trim` reports what
+    trimming would remove, and witnesses are in the caller's coordinates,
+    for every s >= 0 (InvalidArgumentError otherwise, raised first).
     """
     s = _integer("s", s)
     _require_pattern(p_raw)
@@ -434,10 +407,8 @@ def variance_identified(p_raw: SparsityPattern, s: int = 1) -> IdentificationVer
             detail=None,
             degenerate=True,
         )
-    p = p_raw
-    if report.removed_zero_columns:
-        p = _from_masks(p.m, tuple(filter(None, p.col_masks)))
-    verdict = verdict_in_original_coords(_rule(p, s, report.effective_m), report)
+    cols = tuple(compress(range(p_raw.r), p_raw.col_masks))
+    verdict = _rule(p_raw, s, cols, report.effective_m)
     return IdentificationVerdict(
         identified=verdict.holds,
         effective_r=report.effective_r,

@@ -137,6 +137,14 @@ def _from_masks(m: int, col_masks: tuple[int, ...]) -> SparsityPattern:
     return p
 
 
+def _shown(i) -> str:
+    """str(i), or the size of an int with more digits than int-to-str allows."""
+    try:
+        return str(i)
+    except ValueError:
+        return f"of {i.bit_length()} bits"
+
+
 def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
     """The indices 0..n-1 not in removed. Raises InvalidArgumentError unless
     removed holds ints in strictly increasing order, and then OutOfRangeError
@@ -145,7 +153,7 @@ def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
         raise InvalidArgumentError(f"{name} must hold strictly increasing ints")
     if removed and (removed[0] < 0 or removed[-1] >= n):
         bad = removed[0] if removed[0] < 0 else removed[-1]
-        raise OutOfRangeError(f"{name} holds index {bad}, outside 0..{n - 1}")
+        raise OutOfRangeError(f"{name} holds index {_shown(bad)}, outside 0..{n - 1}")
     return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), n)
 
 
@@ -235,7 +243,7 @@ def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
             raise InvalidArgumentError("cols must be a nonempty set of column indices")
         for c in cols:
             if c < 0 or c >= p.r:
-                raise OutOfRangeError(f"column index {c} out of range for r={p.r}")
+                raise OutOfRangeError(f"column index {_shown(c)} out of range for r={p.r}")
             union |= masks[c]
     except TypeError:  # cols not iterable, or an index that is not an integer
         raise InvalidArgumentError(f"column indices must be integers, got {cols!r}") from None

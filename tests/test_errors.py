@@ -106,6 +106,12 @@ BAD_CALLS = {
     "trim_none_pattern": (ValueError, lambda: trim(None)),
     "rcm_decomposition_list_pattern": (ValueError, lambda: rcm_decomposition([[1]])),
     "nonzero_row_count_none_pattern": (ValueError, lambda: nonzero_row_count(None, [0])),
+    # range errors on indices with more digits than int-to-str allows
+    "rcm_decomposition_huge_row": (IndexError, lambda: rcm_decomposition(P, [10**5000])),
+    "nonzero_row_count_huge_column": (IndexError, lambda: nonzero_row_count(P, [10**5000])),
+    "trim_report_huge_column": (
+        IndexError, lambda: TrimReport((10**5000,), (), 3, 2, 3, 1).kept_columns,
+    ),
 }
 
 

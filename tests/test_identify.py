@@ -27,7 +27,6 @@ from factorid.identify import (
     counting_rule_s1,
     rcm_decomposition,
     variance_identified,
-    verdict_in_original_coords,
 )
 from factorid.pattern import SparsityPattern, nonzero_row_count, trim
 from reference_cover import minimum_vertex_cover
@@ -941,18 +940,15 @@ class TestOriginalCoordinates:
                 mapped_kinds["deleted_rows"] += wf is not None and wf.deleted_rows is not None
         assert min(mapped_kinds.values()) >= 40, mapped_kinds
 
-    def test_unmapped_verdict_is_returned_as_it_is(self, deletion_demo_8x3):
-        trimmed, report = trim(deletion_demo_8x3)
-        assert trimmed is deletion_demo_8x3
-        for s in range(4):
-            verdict = counting_rule(trimmed, s)
-            assert verdict_in_original_coords(verdict, report) is verdict
-        # a passing s=1 verdict carries no index, whatever was trimmed
-        _, report = trim(pad_with_zeros(np.random.default_rng(5), deletion_demo_8x3))
-        assert report.removed_zero_rows or report.removed_zero_columns
-        verdict = counting_rule(trimmed, 1)
-        assert verdict.holds and verdict.witness_fail is None and verdict.witness_pass is None
-        assert verdict_in_original_coords(verdict, report) is verdict
+    def test_passing_s1_verdict_carries_no_index(self, deletion_demo_8x3):
+        """Whatever the caller's zero rows and columns, a passing s=1 verdict
+        names no row or column, only its cover weight."""
+        padded = pad_with_zeros(np.random.default_rng(5), deletion_demo_8x3)
+        verdict = variance_identified(padded)
+        assert verdict.trim.removed_zero_rows and verdict.trim.removed_zero_columns
+        assert verdict.detail == counting_rule(deletion_demo_8x3, 1)
+        detail = verdict.detail
+        assert detail.holds and detail.witness_fail is None and detail.witness_pass is None
 
 
 def variance_identified_cases(seed, n):
@@ -1031,9 +1027,15 @@ def test_variance_identified_output_is_pinned():
     assert digest.hexdigest() == VARIANCE_IDENTIFIED_DIGEST
 
 
-def test_variance_identified_copies_no_row(no_row_copies):
-    """The rule runs on the caller's rows: with row copies refused, the
-    pinned results come back unchanged, while `trim` itself would copy."""
+def test_variance_identified_copies_no_row(no_row_copies, monkeypatch):
+    """The rule runs on the caller's pattern: with row copies and patterns
+    built from masks refused, the pinned results come back unchanged, while
+    `trim` itself would copy."""
+
+    def refuse(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr("factorid.identify._from_masks", refuse)
     digest = hashlib.sha256()
     for p in variance_identified_cases(223, 560):
         for s in range(4):
