@@ -24,10 +24,13 @@ brute force over all column subsets is the oracle (exponential in r):
   deletion of s-1 rows.
 
 Every route and `rcm_decomposition` read this one base matching, so a
-pattern costs one Hopcroft-Karp run plus, for s >= 2, searches only for the
-columns with fewer than s free rows when the base matching is perfect (at
-most r*s), each O(r + m) operations on m-bit row masks. Both read the
-column masks.
+pattern costs at most one Hopcroft-Karp run plus, for s >= 2, searches only
+for the columns with fewer than s free rows when the base matching is
+perfect (at most r*s), each O(r + m) operations on m-bit row masks. Both
+read the column masks. For s >= 1 a pass needs no matching when the sorted
+column degrees d_1 <= ... <= d_r have d_q >= 2q+s for every q (any q
+columns include one of degree at least d_q), so such a pattern costs r
+popcounts and a sort.
 s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
 it reports König's (S, N(S)), the columns and rows that alternating paths
 from the free copies reach; `bipartite.alternating_reach` is both this walk
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from math import comb
-from operator import index, or_
+from operator import index, le, or_
 from typing import Sequence
 
 from factorid import _kernels
@@ -193,10 +196,12 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     both its copies (they share their rows, and a row matched to one copy
     enters the other by a non-matching edge), and then the rows those copies
     are matched to. A reached copy that is free would end an augmenting path.
+    Sorted column degrees with d_q >= 2q+1 for every q settle a pass, of
+    weight r(2r+1), before any matching, as in `counting_rule`.
     """
     _require_pattern(p)
     p.require_trimmed()
-    return _rule_s1(p, range(p.r))
+    return _rule(p, 1, range(p.r), p.m)
 
 
 def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
@@ -254,8 +259,10 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     copy to one of them at its first step, so j passes without a search.
     That is one Hopcroft-Karp run and, with a perfect base matching,
     searches only for the columns with fewer than s free rows: at most r*s
-    whatever m. At s=0 nothing grows, so one pass decides and
-    the base matching is the pass witness; for s >= 2 the pass note states
+    whatever m. For s >= 1 no matching runs at all when the sorted column
+    degrees have d_q >= 2q+s for every q: any q columns include one on
+    2q+s rows, so the rule holds. At s=0 nothing grows, so one pass decides
+    and the base matching is the pass witness; for s >= 2 the pass note states
     the equivalent deletion form of the paper, C(m, s-1) deletions of s-1
     rows, and writes the count as `C(m, s-1)` where it has more digits than
     int-to-str allows. On the first pass that fails, König's S from the free
@@ -278,10 +285,18 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
     in p's coordinates; m is the number of rows they touch. A zero row lies
     in no column mask, so no matching, walk or count meets it, and
     `deleted_rows` are padded from the rows the columns touch. On a trimmed
-    pattern (all its columns, m = p.m) this is `counting_rule` itself."""
+    pattern (all its columns, m = p.m) this is `counting_rule` itself.
+
+    For s >= 1 the sorted column degrees d_1 <= ... <= d_r settle a pass
+    first: any q columns include one of degree at least d_q, so if d_q >=
+    2q+s for every q, every q columns touch 2q+s rows. Neither pass verdict
+    reads the matching, so none is run; at s=0 the matching is the witness."""
+    r = len(cols)
+    if s and all(map(le, range(2 + s, 2 * r + s + 1, 2),
+                     sorted(map(int.bit_count, map(p.col_masks.__getitem__, cols))))):
+        return _passed(r, s, m)
     if s == 1:
         return _rule_s1(p, cols)
-    r = len(cols)
     if s and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
@@ -316,27 +331,38 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
         if s:
             # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
             # remainder fails the s=1 rule; if N(S) is short, pad it with the
-            # other rows the columns touch.
-            outside = reduce(or_, p.col_masks) ^ rows
-            padded = _set_bits(rows, p.m) + _set_bits(outside, p.m)
-            deleted = tuple(sorted(padded[: s - 1]))
+            # lowest other rows the columns touch.
+            deleted = _set_bits(rows, p.m)[: s - 1]
+            if count < s - 1:
+                outside = reduce(or_, p.col_masks) ^ rows
+                deleted = tuple(sorted(deleted + _set_bits(outside, p.m)[: s - 1 - count]))
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(
                 columns=tuple(sorted(failing)), nonzero_rows=count, deleted_rows=deleted,
             ),
         )
-    if not s:
-        witness = PassWitness(
-            matching=Matching(frozenset(zip((*cols, *(p.r + c for c in cols)), base_l))),
-            note="matching saturates all columns and duplicates",
-        )
-    else:
-        try:
-            count = str(comb(m, s - 1))
-        except ValueError:  # more digits than int-to-str allows
-            count = f"C({m}, {s - 1})"
-        witness = PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule")
+    if s:
+        return _passed(r, s, m)
+    witness = PassWitness(
+        matching=Matching(frozenset(zip((*cols, *(p.r + c for c in cols)), base_l))),
+        note="matching saturates all columns and duplicates",
+    )
+    return CountingRuleVerdict(r=r, s=0, holds=True, witness_pass=witness)
+
+
+def _passed(r: int, s: int, m: int) -> CountingRuleVerdict:
+    """The passing verdict at s >= 1 on r columns touching m rows. At s=1 a
+    pass means a saturated replica matching and an empty S*, so the cover
+    weighs r(2r+1) and there is no witness; for s >= 2 the note counts the
+    C(m, s-1) deletions of the paper's form."""
+    if s == 1:
+        return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=r * (2 * r + 1))
+    try:
+        count = str(comb(m, s - 1))
+    except ValueError:  # more digits than int-to-str allows
+        count = f"C({m}, {s - 1})"
+    witness = PassWitness(note=f"all {count} deletions of {s - 1} rows pass the s=1 rule")
     return CountingRuleVerdict(r=r, s=s, holds=True, witness_pass=witness)
 
 

@@ -50,10 +50,10 @@ _DUMPS_RECORD = re.compile(
 
 def _column_masks(digits: bytes, width: int) -> tuple[int, ...]:
     """Column masks of a row-major string of ASCII '0'/'1' cells."""
-    # reversed once, the cells run from the last row to row 0, so column j is
-    # every width-th cell from width-1-j with row 0 as the low bit
-    rev = digits[::-1]
-    return tuple(int(rev[width - 1 - j::width], 2) for j in range(width))
+    # column j read backwards, from its cell in the last row to row 0, puts
+    # row 0 in the low bit
+    last = len(digits) - width
+    return tuple(int(digits[last + j::-width], 2) for j in range(width))
 
 
 def _set_bits(mask: int, n: int) -> tuple[int, ...]:
@@ -142,19 +142,24 @@ def _shown(i) -> str:
     try:
         return str(i)
     except ValueError:
-        return f"of {i.bit_length()} bits"
+        return f"<an int of {i.bit_length()} bits>"
 
 
 def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
     """The indices 0..n-1 not in removed. Raises InvalidArgumentError unless
-    removed holds ints in strictly increasing order, and then OutOfRangeError
-    unless its first and last index lie in 0..n-1; the checks run at C speed."""
+    removed holds ints in strictly increasing order, then OutOfRangeError
+    unless its first and last index lie in 0..n-1, and InvalidArgumentError
+    for an n that no mask of n bits holds; the checks run at C speed."""
     if not set(map(type, removed)) <= {int} or not all(map(lt, removed, removed[1:])):
         raise InvalidArgumentError(f"{name} must hold strictly increasing ints")
     if removed and (removed[0] < 0 or removed[-1] >= n):
         bad = removed[0] if removed[0] < 0 else removed[-1]
-        raise OutOfRangeError(f"{name} holds index {_shown(bad)}, outside 0..{n - 1}")
-    return _set_bits(((1 << n) - 1) ^ sum(map((1).__lshift__, removed)), n)
+        raise OutOfRangeError(f"{name} holds index {_shown(bad)}, outside 0..{_shown(n - 1)}")
+    try:
+        every = (1 << n) - 1
+    except (OverflowError, ValueError):  # too many bits, or a negative count
+        raise InvalidArgumentError(f"{name}: no bitmask holds {_shown(n)} indices") from None
+    return _set_bits(every ^ sum(map((1).__lshift__, removed)), n)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,11 @@ BAD_CALLS = {
     "trim_report_huge_column": (
         IndexError, lambda: TrimReport((10**5000,), (), 3, 2, 3, 1).kept_columns,
     ),
+    # a row count with more digits than int-to-str allows or a mask can hold
+    "trim_report_negative_row_huge_m": (
+        IndexError, lambda: TrimReport((), (-1,), 10**5000, 2, 3, 1).kept_rows,
+    ),
+    "trim_report_huge_m": (ValueError, lambda: TrimReport((), (), 10**5000, 2, 3, 1).kept_rows),
 }
 
 

@@ -21,6 +21,7 @@ from factorid.identify import (
     FailWitness,
     PassWitness,
     _base_matching,
+    _rule_s1,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
@@ -396,6 +397,127 @@ class TestColumnsWithFreeRows:
                 columns=(2, 3), nonzero_rows=3, deleted_rows=deleted,
             )
 
+    def test_free_rows_settle_what_the_degrees_leave_open(self, monkeypatch):
+        # degrees 5 and 5 miss d_2 >= 6, but each column keeps three free rows
+        p = columns_on(10, [range(0, 5), range(5, 10)])
+        assert not degree_bound(p, 2)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("augmenting search run")
+
+        monkeypatch.setattr("factorid.identify.alternating_reach", no_search)
+        assert counting_rule(p, 2) == CountingRuleVerdict(
+            r=2, s=2, holds=True,
+            witness_pass=PassWitness(note="all 10 deletions of 1 rows pass the s=1 rule"),
+        )
+
+
+def degree_bound(p, s):
+    """Whether the sorted column degrees d_1 <= ... <= d_r of p have d_q >=
+    2q+s for every q: any q columns then include one on 2q+s rows."""
+    degrees = sorted(mask.bit_count() for mask in p.col_masks)
+    return all(d >= 2 * q + s for q, d in enumerate(degrees, 1))
+
+
+def boundary_pattern(rng, q, s, dense):
+    """q columns that together load on exactly 2q+s-1 rows, all of them,
+    beside `dense` all-ones columns on 2(q+dense)+s+2 rows, shuffled: the
+    rule fails at s, and d_k >= 2k+s-1 holds for every k."""
+    r = q + dense
+    m = 2 * r + s + 2
+    block = set(rng.sample(range(m), 2 * q + s - 1))
+    cols = [block] * q + [range(m)] * dense
+    rng.shuffle(cols)
+    return columns_on(m, cols)
+
+
+def nested_pattern(rng, r, s):
+    """r columns whose k-th smallest loads on 2k+s of 2r+s rows, the sets
+    nested: the degree bound holds with equality at every q."""
+    m = 2 * r + s
+    order = rng.sample(range(m), m)
+    cols = [order[: 2 * k + s] for k in range(1, r + 1)]
+    rng.shuffle(cols)
+    return columns_on(m, cols)
+
+
+class TestDegreeBound:
+    """At s >= 1, sorted column degrees with d_q >= 2q+s settle a pass
+    before any matching; wherever they do, the verdict is the one brute
+    force and the matching route give."""
+
+    def matching_route(self, p, s):
+        return _rule_s1(p, range(p.r)) if s == 1 else oracles.counting_rule_per_column(p, s)
+
+    def test_agrees_wherever_it_fires(self):
+        rng = random.Random(331)
+        fired = {1: 0, 2: 0, 3: 0}
+        patterns = []
+        for _ in range(300):
+            r = 1 + rng.randrange(8)
+            m = 2 * r + 3 + rng.randrange(2 * r + 4)
+            density = 0.3 + 0.7 * rng.random()
+            cells = [[int(rng.random() < density) for _ in range(r)] for _ in range(m)]
+            p, _ = trim(SparsityPattern.from_rows(cells))
+            if p.r:
+                patterns.append(p)
+        for s in (1, 2, 3):
+            for _ in range(30):
+                q = 1 + rng.randrange(3)
+                patterns.append(boundary_pattern(rng, q, s, 1 + rng.randrange(4)))
+                patterns.append(nested_pattern(rng, 1 + rng.randrange(6), s))
+        for p in patterns:
+            for s in (1, 2, 3):
+                verdict = counting_rule(p, s)
+                assert verdict.holds == counting_rule_bruteforce(p, s).holds
+                if degree_bound(p, s):
+                    fired[s] += 1
+                    assert verdict.holds
+                    assert verdict == self.matching_route(p, s)
+                    if s == 1:
+                        oracles.assert_s1_matches_mincut(p, verdict)
+        assert min(fired.values()) >= 100, fired
+
+    def test_boundary_blocks_fail(self):
+        """q columns on 2q+s-1 rows meet d_k >= 2k+s-1 at every k but miss
+        d_q >= 2q+s: the rule fails and names the block."""
+        rng = random.Random(337)
+        for s in (1, 2, 3):
+            for q in (1, 2, 3):
+                for dense in (1, 3):
+                    p = boundary_pattern(rng, q, s, dense)
+                    assert not degree_bound(p, s)
+                    verdict = counting_rule(p, s)
+                    assert not verdict.holds
+                    assert not counting_rule_bruteforce(p, s).holds
+                    assert verdict.witness_fail.nonzero_rows == 2 * q + s - 1
+                    assert verdict.witness_fail.columns == tuple(
+                        j for j, mask in enumerate(p.col_masks) if mask != (1 << p.m) - 1
+                    )
+
+    def test_dense_patterns_pass_without_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Hopcroft-Karp run")
+
+        monkeypatch.setattr(_kernels, "hopcroft_karp", refuse)
+        # degrees 5, 7, 10 meet d_q >= 2q+3, and 2q+1, 2q+2 below it
+        p = columns_on(10, [range(0, 5), range(3, 10), range(10)])
+        padded = SparsityPattern.from_rows([[0, 0, 0, 0], *([0, *row] for row in p.entries)])
+        ones = SparsityPattern.from_rows([[1, 1, 1]] * 9)
+        for pattern, m, trimmed in ((p, 10, p), (padded, 10, p), (ones, 9, ones)):
+            assert counting_rule_s1(trimmed) == CountingRuleVerdict(
+                r=3, s=1, holds=True, mincut_value=21,
+            )
+            for s, deletions in ((1, None), (2, f"all {m} deletions of 1 rows"),
+                                 (3, f"all {m * (m - 1) // 2} deletions of 2 rows")):
+                expected = CountingRuleVerdict(
+                    r=3, s=s, holds=True,
+                    witness_pass=deletions and PassWitness(note=f"{deletions} pass the s=1 rule"),
+                    mincut_value=21 if s == 1 else None,
+                )
+                assert counting_rule(trimmed, s) == expected
+                assert variance_identified(pattern, s).detail == expected
+
 
 class TestPerColumnReference:
     """Beyond brute force's reach: the base matching grown by augmenting
@@ -506,7 +628,8 @@ class TestBaseMatching:
 
     def test_one_kernel_run_per_decision(self, monkeypatch, deletion_demo_8x3, mincut_demo_8x3):
         """counting_rule and variance_identified run Hopcroft-Karp once at
-        every s, passing or failing."""
+        every s, passing or failing, except at s >= 1 where the sorted
+        column degrees d_q >= 2q+s settle a pass and it runs not at all."""
         calls = []
         kernel = _kernels.hopcroft_karp
 
@@ -519,18 +642,23 @@ class TestBaseMatching:
         patterns = [deletion_demo_8x3, mincut_demo_8x3]
         patterns += [trimmed_random(rng, 16, 5, density=0.3) for _ in range(30)]
         outcomes = set()
+        runs = set()
         for p in filter(lambda p: p.r, patterns):
             rcm_decomposition(p, {0})
+            degrees = sorted(mask.bit_count() for mask in p.col_masks)
             for s in range(4):
                 if p.m < 2 * p.r + s:
                     continue
+                bound = s >= 1 and all(d >= 2 * q + s for q, d in enumerate(degrees, 1))
                 for decide in (counting_rule, variance_identified):
                     calls.clear()
                     verdict = decide(p, s)
-                    assert calls == [2 * p.r], (decide, s)
+                    assert calls == ([] if bound else [2 * p.r]), (decide, s)
                     holds = verdict.holds if decide is counting_rule else verdict.identified
                     outcomes.add((s, holds))
+                    runs.add(bound)
         assert outcomes == {(s, holds) for s in range(4) for holds in (False, True)}
+        assert runs == {False, True}
 
 
 def counting_rule_cases(seed, n):
