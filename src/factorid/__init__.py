@@ -8,12 +8,12 @@ kept with the tests, as the reference for the s=1 route.
 """
 
 from factorid._kernels import active_backend
-from factorid.bipartite import Matching
 from factorid.errors import FactorIdError
 from factorid.identify import (
     CountingRuleVerdict,
     FailWitness,
     IdentificationVerdict,
+    Matching,
     PassWitness,
     RcmDecomposition,
     counting_rule,

@@ -2,15 +2,15 @@
 
 Outputs are deterministic, so iteration order and tie-breaking are part of
 the contract: vertices are processed in ascending index order. Hopcroft-Karp
-finds the base matching that every counting-rule route reads (bipartite.py's
-alternating walk grows it by one augmenting path at a time where s >= 2). It
-reads the pattern's column bitmasks, so a step at a left vertex is a few
-operations on row masks at C speed. Its first phase is a greedy pass, each
-left vertex taking its lowest free right vertex, and each later phase's
-breadth-first layering stops at the first free right vertex it meets; its
-output is the edge-by-edge kernel's on ascending rows (see its docstring).
-The sweep, a plain recursive walk over column subsets that skips the
-extensions of any prefix already touching enough rows, serves the
+finds the base matching that every counting-rule route reads, and
+`alternating_reach` grows it by one augmenting path at a time where s >= 2.
+Both read one row bitmask per left vertex, so a step at a left vertex is a
+few operations on row masks at C speed. Hopcroft-Karp's first phase is a
+greedy pass, each left vertex taking its lowest free right vertex, and each
+later phase's breadth-first layering stops at the first free right vertex it
+meets; its output is the edge-by-edge kernel's on ascending rows (see its
+docstring). The sweep, a plain recursive walk over column subsets that skips
+the extensions of any prefix already touching enough rows, serves the
 brute-force oracle.
 """
 
@@ -137,6 +137,50 @@ def _greedy_matching(masks, n_right):
             match_r[v] = u
             size += 1
     return size, match_l, match_r, free
+
+
+def alternating_reach(masks, match_l, match_r, free, starts=None):
+    """Walk alternating paths from the free left vertices `starts` (default:
+    all of them): augment on the first free right vertex met, else return the
+    reached left vertices and the mask of reached right vertices (König's
+    construction).
+
+    Bit v of `masks[u]` is set iff left vertex u and right vertex v are
+    adjacent; `match_l` and `match_r` give each vertex's partner, -1 when
+    free, and bit v of `free` is set iff right vertex v is free. Each step
+    takes the right vertices of the popped left vertex not yet reached as
+    one mask, so a walk costs O(|left| + |right|) mask operations of
+    O(|right| / 64) words each. If they include a free one, it flips the
+    augmenting path to the lowest such vertex in place (the matching grows
+    by one) and returns (None, the mask of that right vertex), which the
+    caller clears from its `free`; callers that need a maximum matching
+    check for None.
+    """
+    stack = [u for u, v in enumerate(match_l) if v == -1] if starts is None else [*starts]
+    reached = set(stack)
+    before = {}  # reached matched left vertex -> left vertex before it
+    seen = 0
+    while stack:
+        u = stack.pop()
+        new = masks[u] & ~seen  # a matched u was reached by its own row, already seen
+        hit = new & free
+        if hit:
+            hit &= -hit
+            v = hit.bit_length() - 1
+            while u != -1:  # flip the path back to its start
+                match_r[v] = u
+                match_l[u], v = v, match_l[u]
+                u = before.get(u, -1)
+            return None, hit
+        seen |= new
+        while new:
+            low = new & -new
+            w = match_r[low.bit_length() - 1]
+            before[w] = u
+            reached.add(w)
+            stack.append(w)
+            new ^= low
+    return reached, seen
 
 
 def counting_sweep(r, s, col_masks):

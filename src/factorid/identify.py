@@ -33,7 +33,7 @@ columns include one of degree at least d_q), so such a pattern costs r
 popcounts and a sort.
 s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
 it reports König's (S, N(S)), the columns and rows that alternating paths
-from the free copies reach; `bipartite.alternating_reach` is both this walk
+from the free copies reach; `_kernels.alternating_reach` is both this walk
 and the searches. `rcm_decomposition` clears the deleted rows from the
 column masks and reads the base matching of what is left.
 S is the smallest column set that maximizes its number of copies minus
@@ -58,7 +58,6 @@ from operator import index, le, or_
 from typing import Sequence
 
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach
 from factorid.errors import (
     InvalidArgumentError,
     MatchingNotMaximumError,
@@ -75,6 +74,31 @@ from factorid.pattern import (
     _trim_report,
     nonzero_row_count,
 )
+
+
+@dataclass(frozen=True)
+class Matching:
+    """Set of (column, row) edges with pairwise distinct endpoints."""
+
+    pairs: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        try:
+            # dict() unpacks each pair at C speed and index() refuses an
+            # endpoint that is not an integer, such as the "a" of "ab"
+            row_of = dict(self.pairs)
+            cols = set(map(index, row_of))
+            rows = set(map(index, row_of.values()))
+        except (TypeError, ValueError):  # not iterable, or a pair of other length
+            raise InvalidArgumentError(
+                f"matching must hold (column, row) pairs of integers, got {self.pairs!r}"
+            ) from None
+        if len(cols) != len(self.pairs) or len(rows) != len(self.pairs):
+            raise InvalidArgumentError("matching reuses an endpoint")
+
+    @property
+    def size(self) -> int:
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -199,9 +223,7 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     Sorted column degrees with d_q >= 2q+1 for every q settle a pass, of
     weight r(2r+1), before any matching, as in `counting_rule`.
     """
-    _require_pattern(p)
-    p.require_trimmed()
-    return _rule(p, 1, range(p.r), p.m)
+    return counting_rule(p, 1)
 
 
 def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
@@ -225,15 +247,14 @@ def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
         grew = len(rest) < len(excluded)
         excluded = rest
     excluded = tuple(map(cols.__getitem__, excluded))
-    value = r * (2 * r + 1) - r * (2 * r - size) - len(excluded)
     if not excluded:
-        return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=value)
+        return _passed(r, 1, p.m)
     count = nonzero_row_count(p, excluded)
     assert count <= 2 * len(excluded)
     return CountingRuleVerdict(
         r=r, s=1, holds=False,
         witness_fail=FailWitness(columns=excluded, nonzero_rows=count),
-        mincut_value=value,
+        mincut_value=r * (2 * r + 1) - r * (2 * r - size) - len(excluded),
     )
 
 
@@ -314,14 +335,14 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
         match_l, match_r, free = base_l + [-1] * s, base_r.copy(), base_free
         matched = size
         for u in range(2 * r, 2 * r + s):
-            reached, row = alternating_reach(grown, match_l, match_r, free, starts=(u,))
+            reached, row = _kernels.alternating_reach(grown, match_l, match_r, free, starts=(u,))
             if reached is not None:
                 break
             free ^= row
             matched += 1
         if matched == 2 * r + s:
             continue
-        reached, rows = alternating_reach(grown, match_l, match_r, free)
+        reached, rows = _kernels.alternating_reach(grown, match_l, match_r, free)
         if reached is None:
             raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
         failing = {cols[u % r] if u < 2 * r else j for u in reached}

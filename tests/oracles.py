@@ -18,7 +18,7 @@ columns into its rows, and `has_saturating_matching` asks whether one side
 is covered (for a square pattern: whether a row reordering puts a 1 on every
 diagonal cell). With `duplicate_columns` they are the textbook form of the
 replica matching. This module imports only result dataclasses from
-`factorid.bipartite` and `factorid.identify`. A graph is given as the pattern
+`factorid.identify`. A graph is given as the pattern
 that is its biadjacency matrix: `pattern_from_edges` builds it from
 (column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
 is the dense-text parser that splits every line into one token per cell, the
@@ -34,9 +34,8 @@ from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
-from factorid.bipartite import Matching
 from factorid.errors import DimensionError, EmptyInputError, ParseError
-from factorid.identify import CountingRuleVerdict, FailWitness, PassWitness
+from factorid.identify import CountingRuleVerdict, FailWitness, Matching, PassWitness
 from factorid.pattern import SparsityPattern
 from reference_cover import build_identification_network, max_flow_min_cut, mwvc_from_cut
 

@@ -13,15 +13,15 @@ The package decides s=1 from a replica matching instead (see
 min-cut computed here. This module imports nothing from `factorid.identify`
 or `factorid._kernels`, so the reference shares no code with the route it
 checks. `minimum_vertex_cover` is König's cover read off a maximum matching
-by the package's alternating walk, the reference for the matching/cover
-duality tests.
+by its own edge-by-edge breadth-first walk, the reference for the
+matching/cover duality tests.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from factorid.bipartite import Matching, alternating_reach
+from factorid import Matching
 from factorid.errors import InvalidArgumentError, MatchingNotMaximumError
 from factorid.pattern import SparsityPattern, _set_bits
 
@@ -52,11 +52,12 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
     """Minimum vertex cover of the pattern's graph, built from a maximum
     matching of it.
 
-    Follows alternating paths from the unmatched column vertices: reached
-    rows enter the cover, reached columns leave it. Cover size then equals
-    the matching size. Raises InvalidArgumentError if a pair of `mm` is not
-    a 1-entry of p, and MatchingNotMaximumError if the walk finds an
-    augmenting path (i.e. `mm` was not maximum).
+    Follows alternating paths breadth-first, one edge at a time, from the
+    unmatched column vertices: reached rows enter the cover, reached columns
+    leave it. Cover size then equals the matching size. Raises
+    InvalidArgumentError if a pair of `mm` is not a 1-entry of p, and
+    MatchingNotMaximumError if the walk reaches an unmatched row, the end of
+    an augmenting path (i.e. `mm` was not maximum).
     """
     match_l = [-1] * p.r
     match_r = [-1] * p.m
@@ -65,12 +66,20 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
             raise InvalidArgumentError(f"matching pair ({c}, {r}) is not an edge of the pattern")
         match_l[c] = r
         match_r[r] = c
-    free = (1 << p.m) - 1 - sum(1 << r for r in match_l if r != -1)
-    reached_c, reached_r = alternating_reach(p.col_masks, match_l, match_r, free)
-    if reached_c is None:
-        raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
+    queue = [c for c in range(p.r) if match_l[c] == -1]
+    reached_c = set(queue)
+    reached_r = set()
+    for c in queue:  # the loop reaches the columns appended during it
+        for r in _set_bits(p.col_masks[c], p.m):
+            if r in reached_r:
+                continue
+            if match_r[r] == -1:
+                raise MatchingNotMaximumError("matching is not maximum: an augmenting path exists")
+            reached_r.add(r)
+            reached_c.add(match_r[r])
+            queue.append(match_r[r])
     cols = frozenset(c for c in range(p.r) if c not in reached_c)
-    rows = frozenset(_set_bits(reached_r, p.m))
+    rows = frozenset(reached_r)
     return VertexCover(cols=cols, rows=rows, weight=len(cols) + len(rows))
 
 

@@ -14,9 +14,9 @@ import pytest
 
 import oracles
 from conftest import group_ranks, random_pattern
-from factorid.bipartite import Matching
 from factorid.cli import main as cli_main
 from factorid.identify import (
+    Matching,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,

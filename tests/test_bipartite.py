@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_pattern
 from factorid import _kernels
-from factorid.bipartite import Matching, alternating_reach
 from factorid.errors import MatchingNotMaximumError
+from factorid.identify import Matching
 from factorid.pattern import SparsityPattern
 from reference_cover import minimum_vertex_cover
 
@@ -175,7 +175,7 @@ class TestAlternatingReach:
             ascending = [sorted(vs) for vs in adjacency]
             assert (size, match_l, match_r) == oracles.match_adjacency(ascending, n_right)
             assert free == sum(1 << v for v, u in enumerate(match_r) if u == -1)
-            reached_l, reached_r = alternating_reach(masks, match_l, match_r, free)
+            reached_l, reached_r = _kernels.alternating_reach(masks, match_l, match_r, free)
             reached_r = {v for v in range(n_right) if reached_r >> v & 1}
             cover_l = set(range(n_left)) - reached_l
             assert len(cover_l) + len(reached_r) == size
@@ -185,7 +185,7 @@ class TestAlternatingReach:
             u = int(rng.choice([u for u, v in enumerate(match_l) if v != -1]))
             free |= 1 << match_l[u]
             match_r[match_l[u]] = match_l[u] = -1
-            reached_l, row = alternating_reach(masks, match_l, match_r, free)
+            reached_l, row = _kernels.alternating_reach(masks, match_l, match_r, free)
             assert reached_l is None
             assert row & free and row.bit_count() == 1 and match_r[row.bit_length() - 1] != -1
             augmented += 1

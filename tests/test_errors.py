@@ -14,9 +14,9 @@ import pytest
 
 import factorid
 from factorid import cli
-from factorid.bipartite import Matching
 from factorid.errors import FactorIdError, InvalidArgumentError, ParseError
 from factorid.identify import (
+    Matching,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s1,
@@ -205,7 +205,7 @@ def test_oracles_take_only_result_types_from_the_routes():
     shared = [
         name for name in _imported_modules(Path(__file__).with_name("oracles.py"))
         if name.startswith("factorid._kernels")
-        or name.startswith(("factorid.bipartite.", "factorid.identify."))
+        or name.startswith("factorid.identify.")
         and name.rsplit(".", 1)[1] not in RESULT_TYPES
     ]
     assert shared == []

@@ -377,7 +377,7 @@ class TestColumnsWithFreeRows:
         def no_search(*args, **kwargs):
             raise AssertionError("augmenting search run")
 
-        monkeypatch.setattr("factorid.identify.alternating_reach", no_search)
+        monkeypatch.setattr("factorid._kernels.alternating_reach", no_search)
         for s, deletions in ((2, "all 12 deletions of 1 rows"), (3, "all 66 deletions of 2 rows")):
             assert counting_rule(p, s) == CountingRuleVerdict(
                 r=2, s=s, holds=True,
@@ -405,7 +405,7 @@ class TestColumnsWithFreeRows:
         def no_search(*args, **kwargs):
             raise AssertionError("augmenting search run")
 
-        monkeypatch.setattr("factorid.identify.alternating_reach", no_search)
+        monkeypatch.setattr("factorid._kernels.alternating_reach", no_search)
         assert counting_rule(p, 2) == CountingRuleVerdict(
             r=2, s=2, holds=True,
             witness_pass=PassWitness(note="all 10 deletions of 1 rows pass the s=1 rule"),

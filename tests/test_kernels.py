@@ -13,7 +13,6 @@ import pytest
 
 import oracles
 from factorid import _kernels
-from factorid.bipartite import alternating_reach
 
 
 def sweep_cases(rng, n, max_rows=None):
@@ -86,7 +85,7 @@ def test_augment_grows_a_maximum_matching():
         assert free == unmatched(match_r)
         match_l += [-1] * k
         for u in range(n_left, n_left + k):
-            reached, row = alternating_reach(masks, match_l, match_r, free, starts=(u,))
+            reached, row = _kernels.alternating_reach(masks, match_l, match_r, free, starts=(u,))
             found = reached is None
             assert found == (match_l[u] != -1)
             if found:
