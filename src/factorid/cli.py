@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Exit codes everywhere: 0 = rule holds / run complete, 1 = rule fails or no
-witness exists, 2 = input or system error. Human-readable output goes to
-stdout, diagnostics to stderr; --json switches stdout to machine form.
+witness exists, 2 = input or system error, a usage error, a closed stdout or
+an interrupt. Human-readable output goes to stdout, diagnostics to stderr;
+--json switches stdout to machine form.
 """
 
+import argparse
 import json
 import os
 import sys
 from collections import Counter
 from itertools import islice
-
-import click
 
 from factorid.errors import FactorIdError, InvalidArgumentError, OutOfRangeError, WorkerError
 from factorid.identify import rcm_decomposition, variance_identified
@@ -26,11 +26,6 @@ def _col_label(j: int, r: int | None = None) -> str:
 
 def _row_label(i: int) -> str:
     return f"v{i + 1}"
-
-
-@click.group()
-def main():
-    """Decide variance identifiability of sparse factor loading patterns."""
 
 
 def _load_pattern(input_path: str, fmt: str) -> SparsityPattern:
@@ -70,41 +65,39 @@ def _verdict_json(p: SparsityPattern, v, s: int) -> dict:
     }
 
 
-@main.command("check")
-@click.option("--input", "input_path", required=True, help="Pattern file to check.")
-@click.option("--s", "s", type=int, default=1, show_default=True,
-              help="Rule strength: any q columns must touch at least 2q+s rows.")
-@click.option("--format", "fmt", type=click.Choice(["dense", "jsonl"]), default="dense",
-              show_default=True, help="Input format.")
-@click.option("--json", "as_json", is_flag=True, help="Emit one JSON object.")
-def cmd_check(input_path, s, fmt, as_json):
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def cmd_check(args) -> int:
     """Check the counting rule for a single pattern."""
+    s = args.s
     try:
-        pattern = _load_pattern(input_path, fmt)
+        pattern = _load_pattern(args.input, args.format)
         verdict = variance_identified(pattern, s)
     except (FactorIdError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    if as_json:
-        click.echo(json.dumps(_verdict_json(pattern, verdict, s)))
+        return _error(e)
+    if args.json:
+        print(json.dumps(_verdict_json(pattern, verdict, s)))
     else:
         eff = verdict.trim
-        click.echo(
+        print(
             f"pattern {pattern.m}x{pattern.r}"
             f" (effective {eff.effective_m}x{eff.effective_r} after trimming)"
         )
         if verdict.degenerate:
-            click.echo("HOLDS: no factors remain after trimming; variance is trivially identified")
+            print("HOLDS: no factors remain after trimming; variance is trivially identified")
         elif verdict.identified:
             detail = verdict.detail
             if detail.mincut_value is not None:
                 threshold = verdict.effective_r * (2 * verdict.effective_r + 1)
-                click.echo(
+                print(
                     f"HOLDS (s={s}): minimum weighted cover = {detail.mincut_value}"
                     f" >= {threshold}"
                 )
             else:
-                click.echo(f"HOLDS (s={s}): {detail.witness_pass.note}")
+                print(f"HOLDS (s={s}): {detail.witness_pass.note}")
         else:
             wf = verdict.detail.witness_fail
             cols = ",".join(_col_label(j) for j in wf.columns)
@@ -112,44 +105,38 @@ def cmd_check(input_path, s, fmt, as_json):
             msg = f"FAILS (s={s}): columns {cols} touch {wf.nonzero_rows} rows, need {need}"
             if wf.deleted_rows:
                 msg += f" after deleting {','.join(_row_label(i) for i in wf.deleted_rows)}"
-            click.echo(msg)
-            click.echo(
+            # flushed, so that the note follows it where both streams go to one file
+            print(msg, flush=True)
+            print(
                 "note: this is a sufficient condition; failing it does not prove"
                 " non-identifiability",
-                err=True,
+                file=sys.stderr,
             )
-    sys.exit(0 if verdict.identified else 1)
+    return 0 if verdict.identified else 1
 
 
-@main.command("witness")
-@click.option("--input", "input_path", required=True, help="Pattern file.")
-@click.option("--delete", "delete_spec", default="", show_default=False,
-              help="Rows to delete first, e.g. 'v1,v6' or '1,6' (1-based).")
-@click.option("--format", "fmt", type=click.Choice(["dense", "jsonl"]), default="dense",
-              show_default=True, help="Input format.")
-def cmd_witness(input_path, delete_spec, fmt):
+def cmd_witness(args) -> int:
     """Print two disjoint row groups with reordered nonzero diagonals."""
     try:
-        pattern = _load_pattern(input_path, fmt)
-        deleted = _parse_row_spec(delete_spec, pattern.m)
+        pattern = _load_pattern(args.input, args.format)
+        deleted = _parse_row_spec(args.delete, pattern.m)
         decomposition = rcm_decomposition(pattern, deleted)
     except (FactorIdError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        return _error(e)
     if decomposition is None:
-        click.echo("no decomposition: the remaining rows admit no two disjoint"
-                   " column-saturating row groups")
-        sys.exit(1)
+        print("no decomposition: the remaining rows admit no two disjoint"
+              " column-saturating row groups")
+        return 1
     if decomposition.deleted_rows:
-        click.echo("deleted rows: " + ", ".join(_row_label(i) for i in decomposition.deleted_rows))
-    click.echo("group A rows: " + ", ".join(_row_label(i) for i in decomposition.rows_a))
-    click.echo("group B rows: " + ", ".join(_row_label(i) for i in decomposition.rows_b))
+        print("deleted rows: " + ", ".join(_row_label(i) for i in decomposition.deleted_rows))
+    print("group A rows: " + ", ".join(_row_label(i) for i in decomposition.rows_a))
+    print("group B rows: " + ", ".join(_row_label(i) for i in decomposition.rows_b))
     pairs = sorted(decomposition.matching.pairs)
-    click.echo(
+    print(
         "matching: "
         + " ".join(f"{_col_label(c, pattern.r)}-{_row_label(i)}" for c, i in pairs)
     )
-    sys.exit(0)
+    return 0
 
 
 def _parse_row_spec(spec: str, m: int) -> frozenset[int]:
@@ -311,29 +298,31 @@ def _worker_count(parallel: int) -> int:
     return max(1, min(parallel, os.cpu_count() or 1))
 
 
-@main.command("filter")
-@click.option("--input", "input_path", required=True, help="JSONL draw stream.")
-@click.option("--output", "output_path", required=True, help="JSONL verdict stream.")
-@click.option("--summary", "summary_path", default=None,
-              help="Write a JSON summary to this path ('-' for stdout).")
-@click.option("--parallel", type=int, default=1, show_default=True,
-              help="Processes deciding draws, this one included (at most one per CPU).")
-def cmd_filter(input_path, output_path, summary_path, parallel):
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
+def cmd_filter(args) -> int:
     """Filter a posterior-draw stream, keeping order; one verdict per line.
 
     Lines end at each newline byte and must be UTF-8 JSON, as JSONL defines.
     Malformed lines produce error records and processing continues; the exit
     code is 2 if any line was malformed, else 0.
     """
-    workers = _worker_count(parallel)
+    workers = _worker_count(args.parallel)
+    # opening the output truncates it: refuse before the input is lost
+    if _same_file(args.input, args.output):
+        return _error(f"--output {args.output} is the input file")
     try:
-        fin = open(input_path, "rb")
+        fin = open(args.input, "rb")
     except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        return _error(e)
     seen, accepted, errors = Counter(), Counter(), 0
     try:
-        with fin, open(output_path, "w", encoding="utf-8") as fout:
+        with fin, open(args.output, "w", encoding="utf-8") as fout:
             lines = (line for line in fin if line.strip())
             for record in _filter_records(lines, workers):
                 fout.write(_COMPACT.encode(dict(zip(_FIELDS, record))) + "\n")
@@ -345,20 +334,108 @@ def cmd_filter(input_path, output_path, summary_path, parallel):
                 if identified:
                     accepted[effective_r] += 1
     except (OSError, WorkerError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
-    if summary_path is not None:
+        return _error(e)
+    if args.summary is not None:
         summary = _summary_json(seen, accepted, errors)
-        if summary_path == "-":
-            click.echo(summary)
+        if args.summary == "-":
+            print(summary)
         else:
             try:
-                with open(summary_path, "w", encoding="utf-8") as f:
+                with open(args.summary, "w", encoding="utf-8") as f:
                     f.write(summary + "\n")
             except OSError as e:
-                click.echo(f"error: {e}", err=True)
-                sys.exit(2)
-    sys.exit(2 if errors else 0)
+                return _error(e)
+    return 2 if errors else 0
+
+
+class _Store(argparse.Action):
+    """argparse's default action, except that `--opt=--` stores "--", as on
+    Python 3.13: earlier versions drop that value and hand over []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            values = parser._get_value(self, "--")
+            parser._check_value(self, values)
+        setattr(namespace, self.dest, values)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="factorid", allow_abbrev=False,
+        description="Decide variance identifiability of sparse factor loading patterns.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, allow_abbrev=False, description=run.__doc__,
+                                  help=run.__doc__.split("\n")[0])
+        sub.register("action", None, _Store)
+        sub.set_defaults(run=run)
+        return sub
+
+    formats = dict(choices=["dense", "jsonl"], default="dense",
+                   help="Input format. (default: %(default)s)")
+    check = command("check", cmd_check)
+    check.add_argument("--input", required=True, help="Pattern file to check.")
+    check.add_argument("--s", type=int, default=1, help=(
+        "Rule strength: any q columns must touch at least 2q+s rows. (default: %(default)s)"))
+    check.add_argument("--format", **formats)
+    check.add_argument("--json", action="store_true", help="Emit one JSON object.")
+    witness = command("witness", cmd_witness)
+    witness.add_argument("--input", required=True, help="Pattern file.")
+    witness.add_argument("--delete", default="",
+                         help="Rows to delete first, e.g. 'v1,v6' or '1,6' (1-based).")
+    witness.add_argument("--format", **formats)
+    filter_ = command("filter", cmd_filter)
+    filter_.add_argument("--input", required=True, help="JSONL draw stream.")
+    filter_.add_argument("--output", required=True, help="JSONL verdict stream.")
+    filter_.add_argument("--summary", help="Write a JSON summary to this path ('-' for stdout).")
+    filter_.add_argument("--parallel", type=int, default=1, help=(
+        "Processes deciding draws, this one included (at most one per CPU). (default: %(default)s)"))
+    return parser
+
+
+# the options that take a value; each takes the word after it, also one that
+# argparse would read as an option, such as '-x' or '--'
+_VALUE_OPTIONS = frozenset(
+    ("--input", "--s", "--format", "--delete", "--output", "--summary", "--parallel"))
+
+
+def _joined(argv) -> list[str]:
+    """argv with each value option and the word after it joined as `--opt=word`."""
+    joined, words = [], iter(argv)
+    for word in words:
+        value = next(words, None) if word in _VALUE_OPTIONS else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
+def main(argv=None, *, standalone_mode=True):
+    """Run one command on argv (default: sys.argv[1:]) and exit with its code.
+
+    A closed stdout and an interrupt each exit 2 with one error line; with
+    standalone_mode=False, BrokenPipeError and KeyboardInterrupt reach the
+    caller instead.
+    """
+    try:
+        try:
+            args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+            code = args.run(args)
+        finally:
+            # a block-buffered stdout fails here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError as e:
+        if not standalone_mode:
+            raise
+        # Python flushes stdout again at exit: send what is left to devnull,
+        # as the SIGPIPE note in the signal module's documentation does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _error(f"cannot write to stdout: {e}")
+    except KeyboardInterrupt:
+        if not standalone_mode:
+            raise
+        code = _error("interrupted")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,7 @@
+import contextlib
+import io
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,69 @@ MINCUT_DEMO_TEXT = """\
 0 1 1
 0 1 0
 """
+
+
+@dataclass
+class Result:
+    """What one run of a command-line entry point wrote and how it ended."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    output_bytes: bytes  # stdout and stderr interleaved, in the order written
+    exception: BaseException | None  # what ended a run that did not exit 0
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode("utf-8", "replace")
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode("utf-8", "replace")
+
+    @property
+    def output(self) -> str:
+        return self.output_bytes.decode("utf-8", "replace")
+
+
+class _Capture(io.TextIOBase):
+    """A text stream that encodes what is written to it into its own buffer
+    and into one that it shares with the other stream."""
+
+    def __init__(self, own: io.BytesIO, shared: io.BytesIO):
+        self.own, self.shared = own, shared
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8", "backslashreplace")
+        self.own.write(data)
+        self.shared.write(data)
+        return len(text)
+
+
+class Runner:
+    """Runs a command-line entry point in this process with stdout and stderr
+    captured. A SystemExit code of None counts as 0 and one that is not an
+    int as 1, as the interpreter counts them, and any other exception ends
+    the run with 1."""
+
+    def invoke(self, main, args) -> Result:
+        out, err, both = io.BytesIO(), io.BytesIO(), io.BytesIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(_Capture(out, both)), \
+                contextlib.redirect_stderr(_Capture(err, both)):
+            try:
+                main(args)
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else int(e.code is not None)
+                exception = e if code else None
+            except Exception as e:
+                code, exception = 1, e
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+@pytest.fixture
+def runner():
+    return Runner()
 
 
 @pytest.fixture

@@ -332,10 +332,7 @@ def draw_stream(tmp_path_factory):
     return path
 
 
-def test_criterion_13_filter_determinism_and_throughput(draw_stream, tmp_path):
-    from click.testing import CliRunner
-
-    runner = CliRunner()
+def test_criterion_13_filter_determinism_and_throughput(draw_stream, tmp_path, runner):
     outputs = []
     elapsed = []
     for tag, extra in (("a", []), ("b", []), ("p", ["--parallel", "4"])):

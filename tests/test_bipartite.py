@@ -220,7 +220,7 @@ class TestSaturation:
             assert saturable == oracles.hall_condition_columns(g.r, g.m, sorted(edge_set(g)))
 
 
-class TestIsRcm:
+class TestReorderedDiagonal:
     """A square pattern's rows can be reordered onto a ones diagonal iff a
     matching saturates its columns; the references agree on that."""
 

@@ -7,15 +7,15 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MINCUT_DEMO_TEXT, COUNTEREXAMPLE_6X3
+from conftest import MINCUT_DEMO_TEXT, COUNTEREXAMPLE_6X3, Runner
 from factorid import FactorIdError, cli
 from factorid.cli import main
 from factorid.errors import WorkerError
@@ -33,11 +33,6 @@ DELETION_DEMO_TEXT = """\
 1 1 0
 1 0 0
 """
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write(tmp_path, name, text):
@@ -139,17 +134,25 @@ class TestCheck:
                 assert result.stdout == ""
                 assert result.stderr == "error: s must be non-negative\n"
 
-    @pytest.mark.parametrize("value", ["abc", "9" * 5000])
+    @pytest.mark.parametrize("value", ["abc", "9" * 5000, "-x", "--"])
     def test_option_click_rejects(self, runner, tmp_path, value):
-        # not an integer, or past int()'s digit limit: click's own usage
+        # not an integer, or past int()'s digit limit: argparse's own usage
         # error, not one `error:` line
         path = write(tmp_path, "pattern.txt", MINCUT_DEMO_TEXT)
         result = runner.invoke(main, ["check", "--input", path, "--s", value])
         assert result.exit_code == 2
         assert no_traceback(result) and "Traceback" not in result.output
         assert result.stdout == ""
-        assert result.stderr.startswith("Usage: ")
-        assert "Error: Invalid value for '--s': " in result.stderr
+        assert result.stderr.startswith("usage: factorid check ")
+        assert "factorid check: error: argument --s: invalid int value: " in result.stderr
+
+    def test_option_prefix_is_a_usage_error(self, runner, tmp_path):
+        path = write(tmp_path, "pattern.txt", MINCUT_DEMO_TEXT)
+        result = runner.invoke(main, ["check", "--inp", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: factorid check ")
+        assert "error: the following arguments are required: --input" in result.stderr
 
     def test_s0(self, runner, tmp_path):
         path = write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT)
@@ -256,6 +259,10 @@ class TestWitness:
             ("v١", "bad row label '١'"),  # int() reads it as 1; not an ASCII label
             (long_label, f"row label v{long_label} out of range for m=8"),
             ("v0", "row label v0 out of range for m=8"),
+            # an option's value is the word after it, whatever it starts with
+            ("-x", "bad row label '-x'"),
+            ("--", "bad row label '--'"),
+            ("--input", "bad row label '--input'"),
         ]:
             result = runner.invoke(main, ["witness", "--input", path, "--delete", spec])
             assert no_traceback(result)
@@ -361,6 +368,17 @@ class TestFilter:
                    "--output", str(tmp_path / "out.jsonl")]
         )
         assert result.exit_code == 2
+
+    def test_output_that_is_the_input_is_refused(self, runner, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(STREAM * 20)
+        (tmp_path / "link.jsonl").symlink_to(inp)
+        for out in (inp, tmp_path / "." / "in.jsonl", tmp_path / "link.jsonl"):
+            result = runner.invoke(main, ["filter", "--input", str(inp), "--output", str(out)])
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == f"error: --output {out} is the input file\n"
+            assert inp.read_text() == STREAM * 20
 
     def test_parallel_matches_serial(self, runner, tmp_path):
         inp = write(tmp_path, "in.jsonl", STREAM * 20)
@@ -484,7 +502,7 @@ from factorid.cli import main
 
 def run(out, *extra):
     try:
-        main(["filter", "--input", sys.argv[1], "--output", out, *extra], standalone_mode=False)
+        main(["filter", "--input", sys.argv[1], "--output", out, *extra])
     except SystemExit as e:
         assert e.code == 0, e.code
     with open(out, "rb") as f:
@@ -509,6 +527,96 @@ def test_serial_filter_leaves_the_process_pool_unloaded(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.splitlines() == ["False False False", "False False True"]
+
+
+def cli_env(unbuffered: bool) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check", "witness", "filter"])
+def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
+    """Output that no reader takes is a system error, whether it fails at
+    the first write or at the flush before exit; the rule holds on the
+    pattern, so check would exit 0."""
+    pattern = write(tmp_path, "pattern.txt", MINCUT_DEMO_TEXT)
+    args = {
+        "check": ["--input", pattern],
+        "witness": ["--input", write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT),
+                    "--delete", "v1,v6"],
+        "filter": ["--input", write(tmp_path, "in.jsonl", STREAM),
+                   "--output", str(tmp_path / "out.jsonl"), "--summary", "-"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "factorid.cli", command, *args], stdout=write_end,
+            stderr=subprocess.PIPE, env=cli_env(unbuffered), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: cannot write to stdout: ")
+    assert out.stderr.count("\n") == 1
+
+
+# `python -m factorid.cli`, with Python's SIGINT handler also where the
+# process starts with SIGINT ignored, and two CPUs so that --parallel 2
+# forks a worker anywhere
+INTERRUPTIBLE_CLI = """
+import os, runpy, signal
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.cpu_count = lambda: 2
+runpy.run_module("factorid.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def processes_naming(marker: str) -> int:
+    """How many processes have `marker` in their command line."""
+    count = 0
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                count += marker.encode() in f.read()
+        except OSError:  # the process has ended
+            pass
+    return count
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="counts processes in /proc")
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_interrupted_filter_exits_2(tmp_path, parallel):
+    """SIGINT to the process group, as Ctrl-C sends it, mid-stream: one
+    error line, exit 2, and no worker left running."""
+    inp = write(tmp_path, "in.jsonl", STREAM * 20_000)
+    out = tmp_path / "out.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTIBLE_CLI, "filter", "--input", inp,
+         "--output", str(out), "--parallel", parallel],
+        env=cli_env(False), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and out.stat().st_size) and proc.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert processes_naming(str(out)) == int(parallel)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 2
+    assert stderr == "error: interrupted\n"
+    assert processes_naming(str(out)) == 0
 
 
 def test_worker_count_clamped(monkeypatch):
@@ -670,7 +778,7 @@ byte_lines = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_arbitrary_bytes_never_crash(lines):
     data = b"\n".join(lines) + b"\n"
-    runner = CliRunner()
+    runner = Runner()
     with tempfile.TemporaryDirectory() as tmp:
         inp = os.path.join(tmp, "in.jsonl")
         out = os.path.join(tmp, "out.jsonl")
@@ -695,7 +803,7 @@ def test_arbitrary_bytes_never_crash(lines):
 @example(10**40, "9" * 5000)
 @settings(max_examples=80, deadline=None)
 def test_arbitrary_arguments_never_crash(s, delete_spec):
-    runner = CliRunner()
+    runner = Runner()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "demo.txt")
         with open(path, "w") as f:

@@ -186,12 +186,12 @@ def test_s1_reference_shares_no_code_with_the_s1_route():
     assert shared == []
 
 
-def test_package_imports_only_stdlib_and_click():
+def test_package_imports_only_stdlib():
     found = [
         f"{path.name} imports {name}"
         for path in sorted(Path(factorid.__file__).parent.glob("*.py"))
         for name in _imported_modules(path)
-        if name.split(".")[0] not in (*sys.stdlib_module_names, "click", "factorid")
+        if name.split(".")[0] not in (*sys.stdlib_module_names, "factorid")
     ]
     assert found == []
 

@@ -1,11 +1,14 @@
 """The package decides alike under every CPython >= 3.10 that pyenv holds.
 
 The CI matrix lists Python 3.10, which a machine with one interpreter never
-runs. This test runs a stdlib-only script, which needs neither click nor
-numpy, under each pyenv interpreter from 3.10 on and compares its output
-with the current interpreter's. pyenv's root is $PYENV_ROOT, or ~/.pyenv.
+runs. These tests run a script that calls the package, and the command line
+itself, under each pyenv interpreter from 3.10 on and compare the output
+with the current interpreter's. Neither needs numpy, and the package needs
+nothing outside the standard library. pyenv's root is $PYENV_ROOT, or
+~/.pyenv.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -68,3 +71,47 @@ def test_pyenv_interpreters_decide_alike():
     assert expected.count("\n") >= 14
     for exe in interpreters:
         assert run_script(exe) == expected, exe
+
+
+PATTERN = "1 0\n1 0\n1 1\n0 1\n0 1\n"
+# three draws, 50 times over, so that --parallel 2 has a worker decide the
+# second 64-line chunk
+DRAWS = "".join(
+    json.dumps({"id": k, "delta": [[1, 0], [0, 1], [1, 1], [1, 1], [1, 1]][k % 3:]}) + "\n"
+    for k in range(150)
+)
+
+
+def run_cli(exe, tmp_path) -> list[tuple]:
+    """Exit code, stdout, stderr and the output file of `python -m
+    factorid.cli` for check --json at s = 0..2, witness after deleting v3 and
+    after deleting '--' (a value that argparse before Python 3.13 drops from
+    `--delete=--`), and filter, serial and --parallel 2."""
+    pattern, draws, out = tmp_path / "pattern.txt", tmp_path / "draws.jsonl", tmp_path / "out"
+    pattern.write_text(PATTERN)
+    draws.write_text(DRAWS)
+    filter_args = ["filter", "--input", str(draws), "--output", str(out), "--summary", "-"]
+    results = []
+    for args in (
+        *(["check", "--input", str(pattern), "--json", "--s", s] for s in "012"),
+        ["witness", "--input", str(pattern), "--delete", "v3"],
+        ["witness", "--input", str(pattern), "--delete", "--"],
+        filter_args,
+        [*filter_args, "--parallel", "2"],
+    ):
+        proc = subprocess.run([str(exe), "-m", "factorid.cli", *args], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        written = out.read_bytes() if args[0] == "filter" else None
+        results.append((proc.returncode, proc.stdout, proc.stderr, written))
+    return results
+
+
+def test_pyenv_interpreters_run_the_cli_alike(tmp_path):
+    interpreters = pyenv_interpreters()
+    if not interpreters:
+        pytest.skip("no pyenv interpreter of Python 3.10 or later")
+    expected = run_cli(sys.executable, tmp_path)
+    assert [code for code, *_ in expected] == [0, 0, 1, 0, 2, 0, 0]
+    assert expected[4][2] == b"error: bad row label '--'\n"
+    for exe in interpreters:
+        assert run_cli(exe, tmp_path) == expected, exe
