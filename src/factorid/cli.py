@@ -2,8 +2,8 @@
 
 Exit codes everywhere: 0 = rule holds / run complete, 1 = rule fails or no
 witness exists, 2 = input or system error, a usage error, a closed stdout or
-an interrupt. Human-readable output goes to stdout, diagnostics to stderr;
---json switches stdout to machine form.
+an interrupt; a closed stderr changes none of them. Human-readable output
+goes to stdout, diagnostics to stderr; --json switches stdout to machine form.
 """
 
 import argparse
@@ -65,8 +65,26 @@ def _verdict_json(p: SparsityPattern, v, s: int) -> dict:
     }
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's file descriptor at devnull. Python flushes the stream
+    again at exit; what is left then goes nowhere instead of failing, as the
+    SIGPIPE note in the signal module's documentation does for stdout."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _stderr(*lines: str) -> None:
+    """Write lines to stderr and flush it. A closed stderr loses them and
+    is sent to devnull, so that the exit code stays the command's."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _stderr(f"error: {message}")
     return 2
 
 
@@ -107,10 +125,9 @@ def cmd_check(args) -> int:
                 msg += f" after deleting {','.join(_row_label(i) for i in wf.deleted_rows)}"
             # flushed, so that the note follows it where both streams go to one file
             print(msg, flush=True)
-            print(
+            _stderr(
                 "note: this is a sufficient condition; failing it does not prove"
-                " non-identifiability",
-                file=sys.stderr,
+                " non-identifiability"
             )
     return 0 if verdict.identified else 1
 
@@ -316,6 +333,13 @@ def cmd_filter(args) -> int:
     # opening the output truncates it: refuse before the input is lost
     if _same_file(args.input, args.output):
         return _error(f"--output {args.output} is the input file")
+    # the summary is written last, over whatever its path holds; the output
+    # may not exist yet, so its path is compared too
+    if args.summary not in (None, "-"):
+        for role, path in (("input", args.input), ("output", args.output)):
+            if _same_file(args.summary, path) or (
+                    os.path.realpath(args.summary) == os.path.realpath(path)):
+                return _error(f"--summary {args.summary} is the {role} file")
     try:
         fin = open(args.input, "rb")
     except OSError as e:
@@ -427,14 +451,16 @@ def main(argv=None, *, standalone_mode=True):
     except BrokenPipeError as e:
         if not standalone_mode:
             raise
-        # Python flushes stdout again at exit: send what is left to devnull,
-        # as the SIGPIPE note in the signal module's documentation does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         code = _error(f"cannot write to stdout: {e}")
     except KeyboardInterrupt:
         if not standalone_mode:
             raise
         code = _error("interrupted")
+    finally:
+        # argparse drops a failed write of its usage error, which stays in
+        # stderr's buffer: flush it here, not at interpreter exit
+        _stderr()
     sys.exit(code)
 
 

@@ -34,8 +34,12 @@ popcounts and a sort.
 s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
 it reports König's (S, N(S)), the columns and rows that alternating paths
 from the free copies reach; `_kernels.alternating_reach` is both this walk
-and the searches. `rcm_decomposition` clears the deleted rows from the
-column masks and reads the base matching of what is left.
+and the searches. With a perfect base matching the free copies are the one
+whose search failed and its twins, which share its rows, so that search's
+reach is the walk; the walk runs on its own only at s=0 and on a short
+base matching. A passing verdict at s >= 1 depends on (r, s, m) alone and
+is built once per shape. `rcm_decomposition` clears the deleted rows from
+the column masks and reads the base matching of what is left.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
@@ -51,7 +55,7 @@ necessary), which is what the `sufficient_only` flag on verdict records says.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import comb
 from operator import index, le, or_
@@ -280,14 +284,16 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     copy to one of them at its first step, so j passes without a search.
     That is one Hopcroft-Karp run and, with a perfect base matching,
     searches only for the columns with fewer than s free rows: at most r*s
-    whatever m. For s >= 1 no matching runs at all when the sorted column
+    whatever m, the one that fails included, since its reach is König's S
+    below. For s >= 1 no matching runs at all when the sorted column
     degrees have d_q >= 2q+s for every q: any q columns include one on
     2q+s rows, so the rule holds. At s=0 nothing grows, so one pass decides
     and the base matching is the pass witness; for s >= 2 the pass note states
     the equivalent deletion form of the paper, C(m, s-1) deletions of s-1
     rows, and writes the count as `C(m, s-1)` where it has more digits than
-    int-to-str allows. On the first pass that fails, König's S from the free
-    copies has |N(S)| < 2|S|+s. For s >= 2, `deleted_rows` are the s-1
+    int-to-str allows; a passing verdict is built once per (r, s, m) and
+    shared. On the first pass that fails, König's S from the free copies has
+    |N(S)| < 2|S|+s. For s >= 2, `deleted_rows` are the s-1
     lowest rows of N(S), padded with the lowest rows outside N(S) when it is
     smaller; deleting them leaves S violating the s=1 rule.
 
@@ -324,27 +330,35 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
             witness_fail=FailWitness(columns=tuple(cols), nonzero_rows=m),
         )
     size, base_l, base_r, base_free = _base_matching(p, cols)
+    perfect = size == 2 * r
+    # the copies' masks; the last s, the added copies, are column j's
+    grown = [*map(p.col_masks.__getitem__, cols)] * 2 + [0] * s
     for j in cols if s else cols[:1]:
-        if s and size == 2 * r and (p.col_masks[j] & base_free).bit_count() >= s:
+        mask = p.col_masks[j]
+        if s and perfect and (mask & base_free).bit_count() >= s:
             # Each search would match its copy to a free row of column j at
             # its first step, and the grown matching would saturate.
             continue
         # Grow the base matching by s copies of column j, one augmenting
         # search each. Once a copy finds no path, neither do its twins.
-        grown = [*map(p.col_masks.__getitem__, cols)] * 2 + [p.col_masks[j]] * s
+        grown[2 * r:] = [mask] * s
         match_l, match_r, free = base_l + [-1] * s, base_r.copy(), base_free
-        matched = size
+        reached = None
         for u in range(2 * r, 2 * r + s):
-            reached, row = _kernels.alternating_reach(grown, match_l, match_r, free, starts=(u,))
+            reached, rows = _kernels.alternating_reach(grown, match_l, match_r, free, starts=(u,))
             if reached is not None:
                 break
-            free ^= row
-            matched += 1
-        if matched == 2 * r + s:
-            continue
-        reached, rows = _kernels.alternating_reach(grown, match_l, match_r, free)
-        if reached is None:
-            raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
+            free ^= rows
+        if perfect:
+            if reached is None:  # the grown matching saturates
+                continue
+            # The free copies are the failed one and its twins, which share
+            # its rows, so its search's reach is the walk from all of them.
+        else:
+            # free base copies start paths too: walk from every free copy
+            reached, rows = _kernels.alternating_reach(grown, match_l, match_r, free)
+            if reached is None:
+                raise MatchingNotMaximumError(f"the matching grown by column {j} is not maximum")
         failing = {cols[u % r] if u < 2 * r else j for u in reached}
         count = rows.bit_count()
         assert count < 2 * len(failing) + s
@@ -372,11 +386,13 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
     return CountingRuleVerdict(r=r, s=0, holds=True, witness_pass=witness)
 
 
+@lru_cache(maxsize=256)
 def _passed(r: int, s: int, m: int) -> CountingRuleVerdict:
     """The passing verdict at s >= 1 on r columns touching m rows. At s=1 a
     pass means a saturated replica matching and an empty S*, so the cover
     weighs r(2r+1) and there is no witness; for s >= 2 the note counts the
-    C(m, s-1) deletions of the paper's form."""
+    C(m, s-1) deletions of the paper's form. It depends on (r, s, m) alone
+    and is frozen, so each shape's verdict is built once and shared."""
     if s == 1:
         return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=r * (2 * r + 1))
     try:

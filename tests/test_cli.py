@@ -380,6 +380,31 @@ class TestFilter:
             assert result.stderr == f"error: --output {out} is the input file\n"
             assert inp.read_text() == STREAM * 20
 
+    def test_summary_that_is_the_input_or_output_is_refused(self, runner, tmp_path):
+        """The summary, written after the run, would replace the input or
+        the output; refused before either is opened."""
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes(STREAM.encode() * 20)
+        (tmp_path / "link.jsonl").symlink_to(inp)
+        out = tmp_path / "out.jsonl"
+        cases = [(inp, "input"), (tmp_path / "." / "in.jsonl", "input"),
+                 (tmp_path / "link.jsonl", "input"), (out, "output"),
+                 (tmp_path / "." / "out.jsonl", "output")]
+        for summary, role in cases:
+            result = runner.invoke(main, ["filter", "--input", str(inp), "--output", str(out),
+                                          "--summary", str(summary)])
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == f"error: --summary {summary} is the {role} file\n"
+            assert inp.read_bytes() == STREAM.encode() * 20
+            assert not out.exists()
+        # an output that already exists is left as it is too
+        out.write_bytes(b"kept\n")
+        result = runner.invoke(main, ["filter", "--input", str(inp), "--output", str(out),
+                                      "--summary", str(out)])
+        assert result.exit_code == 2
+        assert out.read_bytes() == b"kept\n"
+
     def test_parallel_matches_serial(self, runner, tmp_path):
         inp = write(tmp_path, "in.jsonl", STREAM * 20)
         out_serial = str(tmp_path / "serial.jsonl")
@@ -564,6 +589,34 @@ def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
     assert out.returncode == 2
     assert out.stderr.startswith("error: cannot write to stdout: ")
     assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", ["missing_input", "usage_error", "failing_check", "both_closed"])
+def test_closed_stderr_keeps_exit_codes(tmp_path, case, unbuffered):
+    """A stderr that no reader takes loses its lines but changes no exit
+    code: neither at the write, nor at the flush before exit."""
+    missing = str(tmp_path / "missing.txt")
+    args, code = {
+        "missing_input": (["check", "--input", missing], 2),
+        "usage_error": (["check", "--input", missing, "--s", "abc"], 2),
+        "failing_check": (["check", "--input", write(tmp_path, "fail.txt", COUNTEREXAMPLE_TEXT)], 1),
+        "both_closed": (["check", "--input", write(tmp_path, "pass.txt", MINCUT_DEMO_TEXT)], 2),
+    }[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "factorid.cli", *args], stderr=write_end,
+            stdout=write_end if case == "both_closed" else subprocess.PIPE,
+            env=cli_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == code
+    if case == "failing_check":
+        assert out.stdout.startswith(b"pattern 6x3 ")
+        assert b"FAILS (s=1): columns u1,u2,u3" in out.stdout
 
 
 # `python -m factorid.cli`, with Python's SIGINT handler also where the

@@ -21,6 +21,7 @@ from factorid.identify import (
     FailWitness,
     PassWitness,
     _base_matching,
+    _passed,
     _rule_s1,
     counting_rule,
     counting_rule_bruteforce,
@@ -410,6 +411,99 @@ class TestColumnsWithFreeRows:
             r=2, s=2, holds=True,
             witness_pass=PassWitness(note="all 10 deletions of 1 rows pass the s=1 rule"),
         )
+
+
+class TestSettledWork:
+    """Work a check has done is not done again: with a perfect base matching
+    the failed search's reach is König's (S, N(S)), and each shape's passing
+    verdict is built once."""
+
+    @staticmethod
+    def counted_reach(monkeypatch):
+        calls = []
+        reach = _kernels.alternating_reach
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("starts"))
+            return reach(*args, **kwargs)
+
+        monkeypatch.setattr("factorid._kernels.alternating_reach", counted)
+        return calls
+
+    def test_failed_search_is_the_konig_walk(self, monkeypatch):
+        """Columns 0 and 1 share rows 0-4, column 2 has rows 5-9. The base
+        matching is perfect and leaves column 0 one free row: the first
+        added copy takes it, the second finds no path, and its search
+        reached S = {0, 1} on 5 rows, with no third walk."""
+        p = columns_on(10, [range(0, 5), range(0, 5), range(5, 10)])
+        assert _base_matching(p)[0] == 6
+        calls = self.counted_reach(monkeypatch)
+        for s, deleted in ((2, (0,)), (3, (0, 1))):
+            calls.clear()
+            verdict = counting_rule(p, s)
+            assert calls == [(6,), (7,)]
+            assert verdict.witness_fail == FailWitness(
+                columns=(0, 1), nonzero_rows=5, deleted_rows=deleted,
+            )
+            assert verdict == oracles.counting_rule_per_column(p, s)
+
+    def test_short_base_matching_takes_the_full_walk(self, monkeypatch):
+        """Column 0 has one row, so a copy of it is free in the base
+        matching and starts paths that no added copy's search starts: the
+        walk from every free copy runs after the searches."""
+        p = columns_on(10, [range(0, 1), range(1, 10)])
+        assert _base_matching(p)[0] == 3 and p.m >= 2 * p.r + 3
+        calls = self.counted_reach(monkeypatch)
+        for s in (2, 3):
+            calls.clear()
+            verdict = counting_rule(p, s)
+            assert calls == [(4,), None]
+            assert verdict == oracles.counting_rule_per_column(p, s)
+            assert verdict.witness_fail.columns == (0,)
+
+    def test_pass_verdict_is_built_once_per_shape(self):
+        # degrees 6 and 6 settle the first; the second needs its free rows
+        by_degrees = columns_on(10, [range(0, 6), range(4, 10)])
+        by_free_rows = columns_on(10, [range(0, 5), range(5, 10)])
+        assert degree_bound(by_degrees, 2) and not degree_bound(by_free_rows, 2)
+        verdict = counting_rule(by_degrees, 2)
+        assert counting_rule(by_free_rows, 2) is verdict
+        assert verdict == CountingRuleVerdict(
+            r=2, s=2, holds=True,
+            witness_pass=PassWitness(note="all 10 deletions of 1 rows pass the s=1 rule"),
+        )
+        assert _passed.cache_info().maxsize is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.holds = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.witness_pass.note = "changed"
+
+    def test_planted_blocks_at_large_r(self):
+        rng = np.random.default_rng(331)
+        reused = passing = 0
+        for case in range(24):
+            r, s = int(rng.integers(30, 61)), 2 + case % 3
+            m = int(rng.integers(2 * r + s, 3 * r + 1))
+            dense = rng.random((m, r)) < rng.uniform(0.08, 0.2)
+            if case % 4:
+                # q columns on 2q+s-1 rows
+                cols = rng.choice(r, int(rng.integers(1, 4)), replace=False)
+                dense[:, cols] = False
+                rows = rng.choice(m, 2 * len(cols) + s - 1, replace=False)
+                dense[np.ix_(rows, cols)] = rng.random((len(rows), len(cols))) < 0.8
+            p, _ = trim(SparsityPattern.from_rows(dense.astype(int).tolist()))
+            verdict = counting_rule(p, s)
+            expected = oracles.counting_rule_per_column(p, s)
+            assert verdict.holds == expected.holds
+            if verdict.holds:
+                passing += 1
+            else:
+                wf = verdict.witness_fail
+                assert wf == expected.witness_fail
+                assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows
+                assert wf.nonzero_rows < 2 * len(wf.columns) + s
+                reused += _base_matching(p)[0] == 2 * p.r
+        assert reused >= 12 and passing >= 4, (reused, passing)
 
 
 def degree_bound(p, s):
