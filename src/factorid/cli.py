@@ -74,7 +74,10 @@ def _to_devnull(stream) -> None:
 
 def _stderr(*lines: str) -> None:
     """Write lines to stderr and flush it. A closed stderr loses them and
-    is sent to devnull, so that the exit code stays the command's."""
+    is sent to devnull, so that the exit code stays the command's; where
+    file descriptor 2 was closed at start-up, sys.stderr is None."""
+    if sys.stderr is None:
+        return
     try:
         for line in lines:
             print(line, file=sys.stderr)
@@ -318,8 +321,8 @@ def _worker_count(parallel: int) -> int:
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist
-        return False
+    except OSError:  # one of them does not exist yet: compare the paths
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_filter(args) -> int:
@@ -333,12 +336,10 @@ def cmd_filter(args) -> int:
     # opening the output truncates it: refuse before the input is lost
     if _same_file(args.input, args.output):
         return _error(f"--output {args.output} is the input file")
-    # the summary is written last, over whatever its path holds; the output
-    # may not exist yet, so its path is compared too
+    # the summary is written last, over whatever its path holds
     if args.summary not in (None, "-"):
         for role, path in (("input", args.input), ("output", args.output)):
-            if _same_file(args.summary, path) or (
-                    os.path.realpath(args.summary) == os.path.realpath(path)):
+            if _same_file(args.summary, path):
                 return _error(f"--summary {args.summary} is the {role} file")
     try:
         fin = open(args.input, "rb")

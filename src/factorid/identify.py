@@ -392,7 +392,9 @@ def _passed(r: int, s: int, m: int) -> CountingRuleVerdict:
     pass means a saturated replica matching and an empty S*, so the cover
     weighs r(2r+1) and there is no witness; for s >= 2 the note counts the
     C(m, s-1) deletions of the paper's form. It depends on (r, s, m) alone
-    and is frozen, so each shape's verdict is built once and shared."""
+    and is frozen, so each shape's verdict is built once and shared. That
+    pays where shapes repeat in one process, as over the draws of one model
+    in `factorid filter`; a one-shot check builds it as before."""
     if s == 1:
         return CountingRuleVerdict(r=r, s=1, holds=True, mincut_value=r * (2 * r + 1))
     try:

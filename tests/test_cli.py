@@ -592,31 +592,42 @@ def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("case", ["missing_input", "usage_error", "failing_check", "both_closed"])
-def test_closed_stderr_keeps_exit_codes(tmp_path, case, unbuffered):
-    """A stderr that no reader takes loses its lines but changes no exit
-    code: neither at the write, nor at the flush before exit."""
+@pytest.mark.parametrize("stderr", ["reader_gone", "fd_closed"])
+@pytest.mark.parametrize(
+    "case", ["missing_input", "usage_error", "passing_check", "failing_check", "both_closed"])
+def test_closed_stderr_keeps_exit_codes(tmp_path, case, stderr, unbuffered):
+    """A stderr that no reader takes, or that was closed before Python
+    started (so that sys.stderr is None), loses its lines but changes no
+    exit code: neither at the write, nor at the flush before exit."""
     missing = str(tmp_path / "missing.txt")
     args, code = {
         "missing_input": (["check", "--input", missing], 2),
         "usage_error": (["check", "--input", missing, "--s", "abc"], 2),
+        "passing_check": (["check", "--input", write(tmp_path, "pass.txt", MINCUT_DEMO_TEXT)], 0),
         "failing_check": (["check", "--input", write(tmp_path, "fail.txt", COUNTEREXAMPLE_TEXT)], 1),
         "both_closed": (["check", "--input", write(tmp_path, "pass.txt", MINCUT_DEMO_TEXT)], 2),
     }[case]
+    command = [sys.executable, "-m", "factorid.cli", *args]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
+        if stderr == "fd_closed":
+            # the shell closes file descriptor 2 before it starts Python
+            command = ["sh", "-c", 'exec "$0" "$@" 2>&-', *command]
         out = subprocess.run(
-            [sys.executable, "-m", "factorid.cli", *args], stderr=write_end,
+            command, stderr=write_end if stderr == "reader_gone" else None,
             stdout=write_end if case == "both_closed" else subprocess.PIPE,
             env=cli_env(unbuffered), timeout=60,
         )
     finally:
         os.close(write_end)
     assert out.returncode == code
+    if case == "passing_check":
+        assert b"HOLDS (s=1)" in out.stdout
     if case == "failing_check":
         assert out.stdout.startswith(b"pattern 6x3 ")
         assert b"FAILS (s=1): columns u1,u2,u3" in out.stdout
+        assert b"note:" not in out.stdout  # the note is stderr's alone
 
 
 # `python -m factorid.cli`, with Python's SIGINT handler also where the
