@@ -5,13 +5,15 @@ the contract: vertices are processed in ascending index order. Hopcroft-Karp
 finds the base matching that every counting-rule route reads, and
 `alternating_reach` grows it by one augmenting path at a time where s >= 2.
 Both read one row bitmask per left vertex, so a step at a left vertex is a
-few operations on row masks at C speed. Hopcroft-Karp's first phase is a
-greedy pass, each left vertex taking its lowest free right vertex, and each
-later phase's breadth-first layering stops at the first free right vertex it
-meets; its output is the edge-by-edge kernel's on ascending rows (see its
-docstring). The sweep, a plain recursive walk over column subsets that skips
-the extensions of any prefix already touching enough rows, serves the
-brute-force oracle.
+few operations on row masks at C speed; the routes hand both the same list
+of per-copy masks, which Hopcroft-Karp reads through the identity `owner`.
+Hopcroft-Karp's first phase is a greedy pass, each left vertex taking its
+lowest free right vertex, and it returns right after that pass where the
+pass matches every left vertex. Each later phase's breadth-first layering
+stops at the first free right vertex it meets; its output is the
+edge-by-edge kernel's on ascending rows (see its docstring). The sweep, a
+plain recursive walk over column subsets that skips the extensions of any
+prefix already touching enough rows, serves the brute-force oracle.
 """
 
 
@@ -29,8 +31,12 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
     along shortest alternating paths, O(E * sqrt(V)) worst case. The first
     phase, whose shortest augmenting paths are single edges, is the greedy
     pass `_greedy_matching`; the phase loop starts from the matching it
-    leaves. Sets of right vertices are ints, so each step at a vertex is a
-    few mask operations at C speed instead of one Python step per edge.
+    leaves. Where that pass matches every left vertex, the layering would
+    start from no free vertex, so the kernel returns the same tuple at once.
+    The routes pass the list of per-copy masks and the identity owner
+    `range(n_left)`. Sets of right vertices are ints, so each step at a
+    vertex is a few mask operations at C speed instead of one Python step
+    per edge.
 
     The layering runs one layer of left vertices at a time. A vertex whose
     mask meets `free` (the free right vertices) fixes `found`, the shortest
@@ -53,8 +59,10 @@ def hopcroft_karp(n_left, n_right, col_masks, owner):
     match_right for unmatched vertices, and bit v of free set iff right
     vertex v is unmatched.
     """
-    masks = [col_masks[j] for j in owner]
+    masks = [*map(col_masks.__getitem__, owner)]
     size, match_l, match_r, free = _greedy_matching(masks, n_right)
+    if size == n_left:  # no free left vertex for a layering to start from
+        return size, match_l, match_r, free
     while True:
         # BFS: rows_at[d + 1] collects the rows met from layer d, that is the
         # rows whose partners form layer d + 1.

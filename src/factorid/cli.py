@@ -445,10 +445,17 @@ def main(argv=None, *, standalone_mode=True):
     try:
         try:
             args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
-            code = args.run(args)
+            # where file descriptor 1 was closed at start-up, sys.stdout is
+            # None and print() drops its lines; a filter that writes only
+            # files runs, and its --output may take file descriptor 1
+            if sys.stdout is None and (args.run is not cmd_filter or args.summary == "-"):
+                code = _error("cannot write to stdout: it was closed at start-up")
+            else:
+                code = args.run(args)
         finally:
             # a block-buffered stdout fails here, not at interpreter exit
-            sys.stdout.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
     except BrokenPipeError as e:
         if not standalone_mode:
             raise

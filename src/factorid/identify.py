@@ -26,11 +26,15 @@ brute force over all column subsets is the oracle (exponential in r):
 Every route and `rcm_decomposition` read this one base matching, so a
 pattern costs at most one Hopcroft-Karp run plus, for s >= 2, searches only
 for the columns with fewer than s free rows when the base matching is
-perfect (at most r*s), each O(r + m) operations on m-bit row masks. Both
-read the column masks. For s >= 1 a pass needs no matching when the sorted
-column degrees d_1 <= ... <= d_r have d_q >= 2q+s for every q (any q
-columns include one of degree at least d_q), so such a pattern costs r
-popcounts and a sort.
+perfect (at most r*s), each O(r + m) operations on m-bit row masks. A check
+reads its columns' masks once (p's own tuple when it covers every column),
+and the kernel and the searches read one list of per-copy masks built from
+them; a run whose greedy first pass matches every copy costs that pass
+alone. For s >= 1 a pass needs no matching when the sorted column degrees
+d_1 <= ... <= d_r have d_q >= 2q+s for every q (any q columns include one
+of degree at least d_q), so such a pattern costs r popcounts and a sort.
+A failing check costs, beyond its matching and searches, s-1 lowest-bit
+steps for its deleted rows and the build of its verdict.
 s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
 it reports König's (S, N(S)), the columns and rows that alternating paths
 from the free copies reach; `_kernels.alternating_reach` is both this walk
@@ -44,10 +48,10 @@ S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
 with. `variance_identified` runs the rule at any s on the caller's pattern,
-over its nonzero columns: the kernel's `owner` maps each copy to a caller
-column, and a zero row lies in no column mask, so no matching, walk or count
-ever meets a zero row or column, and every index of the verdict is the
-caller's. Every CLI command that decides the rule goes through it.
+over its r nonzero columns: copies k and k + r carry the mask of the k-th
+of them, and a zero row lies in no column mask, so no matching, walk or
+count ever meets a zero row or column, and every index of the verdict is
+the caller's. Every CLI command that decides the rule goes through it.
 
 A passing s=1 verdict guarantees generic variance identification; a failing
 one only means the sufficient condition does not apply (the rule is not
@@ -73,10 +77,8 @@ from factorid.pattern import (
     TrimReport,
     _from_masks,
     _require_pattern,
-    _set_bits,
     _shown,
     _trim_report,
-    nonzero_row_count,
 )
 
 
@@ -155,17 +157,26 @@ class IdentificationVerdict:
 
 
 def _base_matching(
-    p: SparsityPattern, cols: Sequence[int] | None = None
+    p: SparsityPattern, masks: Sequence[int] | None = None
 ) -> tuple[int, list[int], list[int], int]:
-    """The replica matching: Hopcroft-Karp on two copies of the columns cols
-    of p (all of them by default), copies k and k + len(cols) both of column
-    cols[k], into the rows of p.
+    """The replica matching: Hopcroft-Karp on two copies of each column,
+    copies k and k + len(masks) both on the rows of masks[k] (by default
+    p's column masks), into the rows of p.
 
     Returns (size, match_l, match_r, free): match_l/match_r pair copies and
     rows, -1 for free, and bit i of `free` is set iff row i is free.
     """
-    owner = (*range(p.r),) * 2 if cols is None else (*cols, *cols)
-    return _kernels.hopcroft_karp(len(owner), p.m, p.col_masks, owner)
+    masks = p.col_masks if masks is None else masks
+    return _kernels.hopcroft_karp(2 * len(masks), p.m, masks * 2, range(2 * len(masks)))
+
+
+def _lowest_bits(mask: int, k: int) -> tuple[int, ...]:
+    """The k lowest set bits of mask, ascending; all of them if it has fewer."""
+    bits = []
+    while mask and len(bits) < k:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(bits)
 
 
 def _integer(name: str, value) -> int:
@@ -230,17 +241,22 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     return counting_rule(p, 1)
 
 
-def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
-    """`counting_rule_s1` on the ascending nonzero columns cols of p; a zero
-    row is a free row in no column mask, so the closure never reaches it."""
+def _rule_s1(
+    p: SparsityPattern, cols: Sequence[int], masks: Sequence[int] | None = None
+) -> CountingRuleVerdict:
+    """`counting_rule_s1` on the ascending nonzero columns cols of p, whose
+    row masks are masks (read off p by default); a zero row is a free row
+    in no column mask, so the closure never reaches it."""
     r = len(cols)
-    size, match_l, _, reached = _base_matching(p, cols)  # reached starts as the free rows
+    if masks is None:
+        masks = [*map(p.col_masks.__getitem__, cols)]
+    size, match_l, _, reached = _base_matching(p, masks)  # reached starts as the free rows
     excluded = range(r)
     grew = True
     while grew:
         rest = []
         for k in excluded:
-            if not p.col_masks[cols[k]] & reached:
+            if not masks[k] & reached:
                 rest.append(k)
             elif -1 in (match_l[k], match_l[k + r]):
                 raise MatchingNotMaximumError(
@@ -250,10 +266,10 @@ def _rule_s1(p: SparsityPattern, cols: Sequence[int]) -> CountingRuleVerdict:
                 reached |= 1 << match_l[k] | 1 << match_l[k + r]
         grew = len(rest) < len(excluded)
         excluded = rest
-    excluded = tuple(map(cols.__getitem__, excluded))
     if not excluded:
         return _passed(r, 1, p.m)
-    count = nonzero_row_count(p, excluded)
+    count = reduce(or_, map(masks.__getitem__, excluded)).bit_count()
+    excluded = tuple(map(cols.__getitem__, excluded))
     assert count <= 2 * len(excluded)
     return CountingRuleVerdict(
         r=r, s=1, holds=False,
@@ -314,27 +330,32 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
     `deleted_rows` are padded from the rows the columns touch. On a trimmed
     pattern (all its columns, m = p.m) this is `counting_rule` itself.
 
-    For s >= 1 the sorted column degrees d_1 <= ... <= d_r settle a pass
-    first: any q columns include one of degree at least d_q, so if d_q >=
-    2q+s for every q, every q columns touch 2q+s rows. Neither pass verdict
-    reads the matching, so none is run; at s=0 the matching is the witness."""
+    The columns' masks are read once: the degree bound sorts their
+    popcounts, and `grown`, those masks twice and then s slots for the added
+    copies, is the one list that Hopcroft-Karp (through the identity owner)
+    and the searches read. For s >= 1 the sorted column degrees d_1 <= ...
+    <= d_r settle a pass first: any q columns include one of degree at least
+    d_q, so if d_q >= 2q+s for every q, every q columns touch 2q+s rows.
+    Neither pass verdict reads the matching, so none is run; at s=0 the
+    matching is the witness. A failing check takes its s-1 deleted rows by
+    lowest-bit steps, O(s) mask operations whatever m."""
     r = len(cols)
-    if s and all(map(le, range(2 + s, 2 * r + s + 1, 2),
-                     sorted(map(int.bit_count, map(p.col_masks.__getitem__, cols))))):
+    masks = p.col_masks if r == p.r else [*map(p.col_masks.__getitem__, cols)]
+    if s and all(map(le, range(2 + s, 2 * r + s + 1, 2), sorted(map(int.bit_count, masks)))):
         return _passed(r, s, m)
     if s == 1:
-        return _rule_s1(p, cols)
+        return _rule_s1(p, cols, masks)
     if s and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(cols), nonzero_rows=m),
         )
-    size, base_l, base_r, base_free = _base_matching(p, cols)
+    # the copies' masks, read by the kernel and the searches alike: copies
+    # k and k + r of column cols[k], then s slots for the added copies
+    grown = [*masks] * 2 + [0] * s
+    size, base_l, base_r, base_free = _kernels.hopcroft_karp(2 * r, p.m, grown, range(2 * r))
     perfect = size == 2 * r
-    # the copies' masks; the last s, the added copies, are column j's
-    grown = [*map(p.col_masks.__getitem__, cols)] * 2 + [0] * s
-    for j in cols if s else cols[:1]:
-        mask = p.col_masks[j]
+    for j, mask in zip(cols if s else cols[:1], masks):
         if s and perfect and (mask & base_free).bit_count() >= s:
             # Each search would match its copy to a free row of column j at
             # its first step, and the grown matching would saturate.
@@ -367,10 +388,10 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
             # Deleting s-1 rows of N(S) leaves S on at most 2|S| rows, so the
             # remainder fails the s=1 rule; if N(S) is short, pad it with the
             # lowest other rows the columns touch.
-            deleted = _set_bits(rows, p.m)[: s - 1]
+            deleted = _lowest_bits(rows, s - 1)
             if count < s - 1:
-                outside = reduce(or_, p.col_masks) ^ rows
-                deleted = tuple(sorted(deleted + _set_bits(outside, p.m)[: s - 1 - count]))
+                outside = reduce(or_, masks) ^ rows
+                deleted = tuple(sorted(deleted + _lowest_bits(outside, s - 1 - count)))
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(

@@ -630,6 +630,46 @@ def test_closed_stderr_keeps_exit_codes(tmp_path, case, stderr, unbuffered):
         assert b"note:" not in out.stdout  # the note is stderr's alone
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "case", ["check", "witness", "filter_summary", "filter_files", "filter_malformed"])
+def test_closed_stdout_at_start_up(tmp_path, case, unbuffered):
+    """With file descriptor 1 closed before Python started, sys.stdout is
+    None: a command that writes to stdout exits 2 with one error line, and a
+    filter that writes only files keeps its own exit code and writes what a
+    run with stdout open writes, although its --output may take fd 1."""
+    stream = write(tmp_path, "in.jsonl", STREAM + MALFORMED_LINES[0].decode() + "\n"
+                   if case == "filter_malformed" else STREAM)
+
+    def filter_args(name):
+        return ["filter", "--input", stream, "--output", str(tmp_path / f"{name}.jsonl"),
+                "--summary", str(tmp_path / f"{name}.json")]
+
+    args, code = {
+        "check": (["check", "--input", write(tmp_path, "pass.txt", MINCUT_DEMO_TEXT)], 2),
+        "witness": (["witness", "--input", write(tmp_path, "deletion.txt", DELETION_DEMO_TEXT),
+                     "--delete", "v1,v6"], 2),
+        "filter_summary": ([*filter_args("closed")[:-1], "-"], 2),
+        "filter_files": (filter_args("closed"), 0),
+        "filter_malformed": (filter_args("closed"), 2),
+    }[case]
+    command = [sys.executable, "-m", "factorid.cli", *args]
+    # the shell closes file descriptor 1 before it starts Python
+    out = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', *command], stderr=subprocess.PIPE,
+                         env=cli_env(unbuffered), text=True, timeout=60)
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    if not case.startswith("filter_") or case == "filter_summary":
+        assert out.stderr == "error: cannot write to stdout: it was closed at start-up\n"
+        return
+    assert out.stderr == ""
+    subprocess.run([sys.executable, "-m", "factorid.cli", *filter_args("open")],
+                   env=cli_env(unbuffered), capture_output=True, timeout=60)
+    for suffix in (".jsonl", ".json"):
+        written = (tmp_path / f"closed{suffix}").read_bytes()
+        assert written and written == (tmp_path / f"open{suffix}").read_bytes()
+
+
 # `python -m factorid.cli`, with Python's SIGINT handler also where the
 # process starts with SIGINT ignored, and two CPUs so that --parallel 2
 # forks a worker anywhere

@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
+import operator
 import random
 import sys
 
@@ -808,6 +811,45 @@ def test_counting_rule_output_is_pinned():
             digest.update(repr(verdict).encode())
     assert min(failing) >= 100 and min(short[2:]) >= 100 and large == 2
     assert digest.hexdigest() == COUNTING_RULE_DIGEST
+
+
+def test_every_9x3_pattern_up_to_order():
+    """Every 9x3 pattern up to row and column order, trimmed, at s = 0..3,
+    against brute force. `holds` depends on neither order, and every pattern
+    has a column order whose row multiset, read in ascending row type, has
+    non-increasing column masks: those 6,280 multisets meet every orbit.
+    Each failing witness is recounted; at s >= 2, deleting its rows leaves
+    its columns on at most 2|S| rows, and the verdict is the one a fresh
+    matching per column gives, which names the first failing column's S."""
+    checks = 0
+    for rows in itertools.combinations_with_replacement(itertools.product((0, 1), repeat=3), 9):
+        p = SparsityPattern(rows)
+        if any(map(operator.lt, p.col_masks, p.col_masks[1:])):
+            continue
+        p, _ = trim(p)
+        if not p.r:
+            continue
+        touched = functools.reduce(operator.or_, p.col_masks)
+        for s in range(4):
+            checks += 1
+            verdict = counting_rule(p, s)
+            assert verdict.holds == counting_rule_bruteforce(p, s).holds, (rows, s)
+            if s >= 2:
+                assert verdict == oracles.counting_rule_per_column(p, s), (rows, s)
+            if verdict.holds:
+                continue
+            wf = verdict.witness_fail
+            assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows < 2 * len(wf.columns) + s
+            if s < 2 or p.m < 2 * p.r + s:
+                # the m < 2r+s witness is the q = r case itself, with no deletion
+                assert wf.deleted_rows is None
+                continue
+            deleted = sum(1 << i for i in wf.deleted_rows)
+            assert deleted.bit_count() == len(wf.deleted_rows) == s - 1
+            assert deleted & touched == deleted
+            rest = functools.reduce(operator.or_, (p.col_masks[j] for j in wf.columns)) & ~deleted
+            assert rest.bit_count() <= 2 * len(wf.columns)
+    assert checks == 25_116
 
 
 class TestGraphReference:
