@@ -5,8 +5,10 @@ the contract: vertices are processed in ascending index order. Hopcroft-Karp
 finds the base matching that every counting-rule route reads, and
 `alternating_reach` grows it by one augmenting path at a time where s >= 2.
 Both read one row bitmask per left vertex, so a step at a left vertex is a
-few operations on row masks at C speed; the routes hand both the same list
-of per-copy masks, which Hopcroft-Karp reads through the identity `owner`.
+few operations on row masks at C speed. `identify._rule` hands both the
+same list of per-copy masks, and `identify.rcm_decomposition` hands
+Hopcroft-Karp its own; Hopcroft-Karp reads either through the identity
+`owner`.
 Hopcroft-Karp's first phase is a greedy pass, each left vertex taking its
 lowest free right vertex, and it returns right after that pass where the
 pass matches every left vertex. Each later phase's breadth-first layering

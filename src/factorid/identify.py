@@ -23,27 +23,28 @@ brute force over all column subsets is the oracle (exponential in r):
   rows. This replaces the paper's equivalent reduction to s=1 on every
   deletion of s-1 rows.
 
-Every route and `rcm_decomposition` read this one base matching, so a
-pattern costs at most one Hopcroft-Karp run plus, for s >= 2, searches only
-for the columns with fewer than s free rows when the base matching is
-perfect (at most r*s), each O(r + m) operations on m-bit row masks. A check
-reads its columns' masks once (p's own tuple when it covers every column),
-and the kernel and the searches read one list of per-copy masks built from
-them; a run whose greedy first pass matches every copy costs that pass
-alone. For s >= 1 a pass needs no matching when the sorted column degrees
-d_1 <= ... <= d_r have d_q >= 2q+s for every q (any q columns include one
-of degree at least d_q), so such a pattern costs r popcounts and a sort.
-A failing check costs, beyond its matching and searches, s-1 lowest-bit
-steps for its deleted rows and the build of its verdict.
-s=0 and s >= 2 run as one loop in `counting_rule`: where a copy stays free,
-it reports König's (S, N(S)), the columns and rows that alternating paths
-from the free copies reach; `_kernels.alternating_reach` is both this walk
-and the searches. With a perfect base matching the free copies are the one
-whose search failed and its twins, which share its rows, so that search's
-reach is the walk; the walk runs on its own only at s=0 and on a short
-base matching. A passing verdict at s >= 1 depends on (r, s, m) alone and
-is built once per shape. `rcm_decomposition` clears the deleted rows from
-the column masks and reads the base matching of what is left.
+`_rule` decides every check, at every s, with at most one Hopcroft-Karp
+run. It reads the columns' masks once (p's own tuple when it covers every
+column) and builds from them the one list of per-copy masks that the kernel
+and the searches read. For s >= 1 the sorted column degrees d_1 <= ... <=
+d_r settle a pass first when d_q >= 2q+s for every q (any q columns include
+one of degree at least d_q), at the cost of r popcounts and a sort, and at
+s >= 2 the dimension bound m < 2r+s fails a check without a matching.
+Otherwise the kernel runs once; its greedy first pass is the whole run when
+it matches every copy. Then s=1 runs the closure, at most r+1 sweeps over
+the columns not yet reached, and s >= 2 runs searches only for the columns
+with fewer than s free rows when the base matching is perfect (at most
+r*s), each O(r + m) operations on m-bit row masks. Where a copy stays free,
+a check reports König's (S, N(S)), the columns and rows that alternating
+paths from the free copies reach; `_kernels.alternating_reach` is both this
+walk and the searches. With a perfect base matching the free copies are the
+one whose search failed and its twins, which share its rows, so that
+search's reach is the walk; the walk runs on its own only at s=0 and on a
+short base matching. A failing check costs, beyond that, s-1 lowest-bit
+steps for its deleted rows and the build of its verdict; a passing verdict
+at s >= 1 depends on (r, s, m) alone and is built once per shape.
+`rcm_decomposition` clears the deleted rows from the column masks and runs
+the kernel once on what is left.
 S is the smallest column set that maximizes its number of copies minus
 |N(S)| (Dulmage and Mendelsohn), so the witness depends neither on the order
 of the copies nor on which maximum matching the kernel or the searches end
@@ -75,7 +76,6 @@ from factorid.errors import (
 from factorid.pattern import (
     SparsityPattern,
     TrimReport,
-    _from_masks,
     _require_pattern,
     _shown,
     _trim_report,
@@ -156,20 +156,6 @@ class IdentificationVerdict:
     sufficient_only: bool = True
 
 
-def _base_matching(
-    p: SparsityPattern, masks: Sequence[int] | None = None
-) -> tuple[int, list[int], list[int], int]:
-    """The replica matching: Hopcroft-Karp on two copies of each column,
-    copies k and k + len(masks) both on the rows of masks[k] (by default
-    p's column masks), into the rows of p.
-
-    Returns (size, match_l, match_r, free): match_l/match_r pair copies and
-    rows, -1 for free, and bit i of `free` is set iff row i is free.
-    """
-    masks = p.col_masks if masks is None else masks
-    return _kernels.hopcroft_karp(2 * len(masks), p.m, masks * 2, range(2 * len(masks)))
-
-
 def _lowest_bits(mask: int, k: int) -> tuple[int, ...]:
     """The k lowest set bits of mask, ascending; all of them if it has fewer."""
     bits = []
@@ -231,26 +217,26 @@ def counting_rule_s1(p: SparsityPattern) -> CountingRuleVerdict:
     min-cut leaves out of the cover. A passing verdict has no `witness_pass`:
     its certificate is `mincut_value`.
 
-    S* is read off the column masks: paths that reach a row of column j reach
-    both its copies (they share their rows, and a row matched to one copy
-    enters the other by a non-matching edge), and then the rows those copies
-    are matched to. A reached copy that is free would end an augmenting path.
+    S* is read off `_rule`'s base matching, the one Hopcroft-Karp run of the
+    check, by a closure over the column masks: paths that reach a row of
+    column j reach both its copies (they share their rows, and a row matched
+    to one copy enters the other by a non-matching edge), and then the rows
+    those copies are matched to. A reached copy that is free would end an
+    augmenting path.
     Sorted column degrees with d_q >= 2q+1 for every q settle a pass, of
     weight r(2r+1), before any matching, as in `counting_rule`.
     """
     return counting_rule(p, 1)
 
 
-def _rule_s1(
-    p: SparsityPattern, cols: Sequence[int], masks: Sequence[int] | None = None
-) -> CountingRuleVerdict:
-    """`counting_rule_s1` on the ascending nonzero columns cols of p, whose
-    row masks are masks (read off p by default); a zero row is a free row
-    in no column mask, so the closure never reaches it."""
+def _cover(
+    cols: Sequence[int], masks: Sequence[int], size: int, match_l: list[int], reached: int
+) -> CountingRuleVerdict | None:
+    """The s=1 closure on the ascending nonzero columns cols, whose row masks
+    are masks, over the base matching (size, match_l) with free rows
+    `reached`: None when S* is empty, else the failing verdict. A zero row
+    is a free row in no column mask, so the closure never reaches it."""
     r = len(cols)
-    if masks is None:
-        masks = [*map(p.col_masks.__getitem__, cols)]
-    size, match_l, _, reached = _base_matching(p, masks)  # reached starts as the free rows
     excluded = range(r)
     grew = True
     while grew:
@@ -267,7 +253,7 @@ def _rule_s1(
         grew = len(rest) < len(excluded)
         excluded = rest
     if not excluded:
-        return _passed(r, 1, p.m)
+        return None
     count = reduce(or_, map(masks.__getitem__, excluded)).bit_count()
     excluded = tuple(map(cols.__getitem__, excluded))
     assert count <= 2 * len(excluded)
@@ -286,7 +272,8 @@ def counting_rule_s0(p: SparsityPattern) -> CountingRuleVerdict:
 
 def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     """Check the rule at strength s on a trimmed pattern: the replica
-    matching grown once per column, or read off for s=1.
+    matching grown once per column, or read off for s=1 (see
+    `counting_rule_s1`).
 
     For s != 1, column j gets 2+s copies and every other column 2. Hall's
     theorem on these replicas: the rule holds iff, for every j, a matching
@@ -298,20 +285,16 @@ def counting_rule(p: SparsityPattern, s: int) -> CountingRuleVerdict:
     keeps the matching maximum. When the base matching is perfect and at
     least s of column j's rows are free in it, every search would match its
     copy to one of them at its first step, so j passes without a search.
-    That is one Hopcroft-Karp run and, with a perfect base matching,
-    searches only for the columns with fewer than s free rows: at most r*s
-    whatever m, the one that fails included, since its reach is König's S
-    below. For s >= 1 no matching runs at all when the sorted column
-    degrees have d_q >= 2q+s for every q: any q columns include one on
-    2q+s rows, so the rule holds. At s=0 nothing grows, so one pass decides
-    and the base matching is the pass witness; for s >= 2 the pass note states
-    the equivalent deletion form of the paper, C(m, s-1) deletions of s-1
-    rows, and writes the count as `C(m, s-1)` where it has more digits than
-    int-to-str allows; a passing verdict is built once per (r, s, m) and
-    shared. On the first pass that fails, König's S from the free copies has
-    |N(S)| < 2|S|+s. For s >= 2, `deleted_rows` are the s-1
-    lowest rows of N(S), padded with the lowest rows outside N(S) when it is
-    smaller; deleting them leaves S violating the s=1 rule.
+    For s >= 1 the rule holds when the sorted column degrees have d_q >=
+    2q+s for every q: any q columns include one on 2q+s rows. At s=0
+    nothing grows, so one pass decides and the base matching is the pass
+    witness; for s >= 2 the pass note states the equivalent deletion form
+    of the paper, C(m, s-1) deletions of s-1 rows, and writes the count as
+    `C(m, s-1)` where it has more digits than int-to-str allows. On the
+    first pass that fails, König's S from the free copies has |N(S)| <
+    2|S|+s. For s >= 2, `deleted_rows` are the s-1 lowest rows of N(S),
+    padded with the lowest rows outside N(S) when it is smaller; deleting
+    them leaves S violating the s=1 rule.
 
     For s >= 2 and m < 2r+s the full column set is the witness, r columns on
     all m rows, without deleted rows: the rule's q = r case is the dimension
@@ -328,32 +311,23 @@ def _rule(p: SparsityPattern, s: int, cols: Sequence[int], m: int) -> CountingRu
     in p's coordinates; m is the number of rows they touch. A zero row lies
     in no column mask, so no matching, walk or count meets it, and
     `deleted_rows` are padded from the rows the columns touch. On a trimmed
-    pattern (all its columns, m = p.m) this is `counting_rule` itself.
-
-    The columns' masks are read once: the degree bound sorts their
-    popcounts, and `grown`, those masks twice and then s slots for the added
-    copies, is the one list that Hopcroft-Karp (through the identity owner)
-    and the searches read. For s >= 1 the sorted column degrees d_1 <= ...
-    <= d_r settle a pass first: any q columns include one of degree at least
-    d_q, so if d_q >= 2q+s for every q, every q columns touch 2q+s rows.
-    Neither pass verdict reads the matching, so none is run; at s=0 the
-    matching is the witness. A failing check takes its s-1 deleted rows by
-    lowest-bit steps, O(s) mask operations whatever m."""
+    pattern (all its columns, m = p.m) this is `counting_rule` itself. This
+    is the one place that runs the base matching of a check, for every s."""
     r = len(cols)
     masks = p.col_masks if r == p.r else [*map(p.col_masks.__getitem__, cols)]
     if s and all(map(le, range(2 + s, 2 * r + s + 1, 2), sorted(map(int.bit_count, masks)))):
         return _passed(r, s, m)
-    if s == 1:
-        return _rule_s1(p, cols, masks)
-    if s and m < 2 * r + s:
+    if s > 1 and m < 2 * r + s:
         return CountingRuleVerdict(
             r=r, s=s, holds=False,
             witness_fail=FailWitness(columns=tuple(cols), nonzero_rows=m),
         )
     # the copies' masks, read by the kernel and the searches alike: copies
     # k and k + r of column cols[k], then s slots for the added copies
-    grown = [*masks] * 2 + [0] * s
+    grown = [*masks, *masks, *(0,) * s]
     size, base_l, base_r, base_free = _kernels.hopcroft_karp(2 * r, p.m, grown, range(2 * r))
+    if s == 1:
+        return _cover(cols, masks, size, base_l, base_free) or _passed(r, 1, m)
     perfect = size == 2 * r
     for j, mask in zip(cols if s else cols[:1], masks):
         if s and perfect and (mask & base_free).bit_count() >= s:
@@ -457,8 +431,8 @@ def rcm_decomposition(
     # a row in no column mask is never matched, so clearing the deleted rows'
     # bits matches the kept rows as if the pattern were restricted to them
     gone = sum(map((1).__lshift__, deleted))
-    size, match_l, _, _ = _base_matching(
-        _from_masks(p.m, tuple(mask & ~gone for mask in p.col_masks))
+    size, match_l, _, _ = _kernels.hopcroft_karp(
+        2 * r, p.m, [mask & ~gone for mask in p.col_masks] * 2, range(2 * r)
     )
     if size < 2 * r:
         return None

@@ -235,26 +235,6 @@ def trim(p: SparsityPattern) -> tuple[SparsityPattern, TrimReport]:
     return _from_masks(report.effective_m, masks), report
 
 
-def nonzero_row_count(p: SparsityPattern, cols: Iterable[int]) -> int:
-    """Number of rows with at least one 1 within the selected columns.
-    InvalidArgumentError for no column or one that is not an integer,
-    OutOfRangeError for one outside 0..r-1."""
-    _require_pattern(p)
-    masks = p.col_masks
-    union = 0
-    try:
-        cols = tuple(cols)
-        if not cols:
-            raise InvalidArgumentError("cols must be a nonempty set of column indices")
-        for c in cols:
-            if c < 0 or c >= p.r:
-                raise OutOfRangeError(f"column index {_shown(c)} out of range for r={p.r}")
-            union |= masks[c]
-    except TypeError:  # cols not iterable, or an index that is not an integer
-        raise InvalidArgumentError(f"column indices must be integers, got {cols!r}") from None
-    return union.bit_count()
-
-
 def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> SparsityPattern:
     """Parse a pattern from dense text or from a single JSONL record.
 

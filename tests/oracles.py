@@ -25,8 +25,8 @@ is the dense-text parser that splits every line into one token per cell, the
 reference for the whole-buffer checks that replaced it.
 `verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
 and the report's `kept_rows`/`kept_columns`, index by index, the reference
-for the package's mapping that builds the mapped witness directly and
-returns an unmapped verdict as it is.
+for the witnesses that `variance_identified` gives in the caller's
+coordinates. `touched_rows` recounts a witness's rows cell by cell.
 """
 
 import re
@@ -52,6 +52,12 @@ def pattern_from_edges(n_col, n_row, edges):
 def duplicate_columns(p):
     """Double the columns; column j + r mirrors column j."""
     return SparsityPattern(tuple(row + row for row in p.entries))
+
+
+def touched_rows(p, cols):
+    """Number of rows with a 1 in at least one of the columns cols."""
+    cols = tuple(cols)
+    return sum(any(row[j] for j in cols) for row in p.entries)
 
 
 def has_saturating_matching(p, side):

@@ -26,7 +26,6 @@ from factorid.identify import (
 from factorid.pattern import (
     SparsityPattern,
     TrimReport,
-    nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
     trim,
@@ -48,8 +47,6 @@ BAD_CALLS = {
     "rcm_decomposition_float_row": (ValueError, lambda: rcm_decomposition(P, {1.0})),
     "rcm_decomposition_str_row": (ValueError, lambda: rcm_decomposition(P, {"a"})),
     "rcm_decomposition_none_row": (ValueError, lambda: rcm_decomposition(P, [None])),
-    "nonzero_row_count_no_columns": (ValueError, lambda: nonzero_row_count(P, ())),
-    "nonzero_row_count_column_out_of_range": (IndexError, lambda: nonzero_row_count(P, (2,))),
     "pattern_entry_not_0_1": (ValueError, lambda: SparsityPattern(((1, 2),))),
     "parse_pattern_unknown_format": (ValueError, lambda: parse_pattern("1", "csv")),
     "parse_pattern_lone_surrogate": (ParseError, lambda: parse_pattern("1 \ud800\n")),
@@ -74,9 +71,6 @@ BAD_CALLS = {
     "parse_jsonl_record_int": (ValueError, lambda: parse_jsonl_record(5)),
     "parse_jsonl_record_none": (ValueError, lambda: parse_jsonl_record(None)),
     "parse_jsonl_record_float": (ValueError, lambda: parse_jsonl_record(3.0)),
-    "nonzero_row_count_fractional_column": (
-        ValueError, lambda: nonzero_row_count(P, (0.5,)),
-    ),
     "parse_jsonl_record_utf16_bytearray": (
         ParseError,
         lambda: parse_jsonl_record(bytearray('{"id": 1, "delta": [[1]]}'.encode("utf-16"))),
@@ -97,18 +91,14 @@ BAD_CALLS = {
     "pattern_none_row": (ValueError, lambda: SparsityPattern(((1,), None))),
     "pattern_array_cell": (ValueError, lambda: SparsityPattern(((np.array([1, 0]),),))),
     "from_rows_int_row": (ValueError, lambda: SparsityPattern.from_rows([[1], 5])),
-    "nonzero_row_count_none_columns": (ValueError, lambda: nonzero_row_count(P, None)),
-    "nonzero_row_count_int_columns": (ValueError, lambda: nonzero_row_count(P, 5)),
     "variance_identified_list_pattern": (ValueError, lambda: variance_identified([[1]])),
     "counting_rule_list_pattern": (ValueError, lambda: counting_rule([[1]], 1)),
     "counting_rule_s1_none_pattern": (ValueError, lambda: counting_rule_s1(None)),
     "bruteforce_list_pattern": (ValueError, lambda: counting_rule_bruteforce([[1]], 1)),
     "trim_none_pattern": (ValueError, lambda: trim(None)),
     "rcm_decomposition_list_pattern": (ValueError, lambda: rcm_decomposition([[1]])),
-    "nonzero_row_count_none_pattern": (ValueError, lambda: nonzero_row_count(None, [0])),
     # range errors on indices with more digits than int-to-str allows
     "rcm_decomposition_huge_row": (IndexError, lambda: rcm_decomposition(P, [10**5000])),
-    "nonzero_row_count_huge_column": (IndexError, lambda: nonzero_row_count(P, [10**5000])),
     "trim_report_huge_column": (
         IndexError, lambda: TrimReport((10**5000,), (), 3, 2, 3, 1).kept_columns,
     ),

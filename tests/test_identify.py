@@ -23,9 +23,7 @@ from factorid.identify import (
     CountingRuleVerdict,
     FailWitness,
     PassWitness,
-    _base_matching,
     _passed,
-    _rule_s1,
     counting_rule,
     counting_rule_bruteforce,
     counting_rule_s0,
@@ -33,8 +31,14 @@ from factorid.identify import (
     rcm_decomposition,
     variance_identified,
 )
-from factorid.pattern import SparsityPattern, nonzero_row_count, trim
+from factorid.pattern import SparsityPattern, trim
 from reference_cover import minimum_vertex_cover
+
+
+def _base_matching(p):
+    """The replica matching of p's columns, as the counting-rule routes run it."""
+    return _kernels.hopcroft_karp(2 * p.r, p.m, p.col_masks * 2, range(2 * p.r))
+
 
 STACKED_IDENTITIES = [
     [1, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -136,7 +140,7 @@ class TestS1:
             seen += 1
             wf = verdict.witness_fail
             q = len(wf.columns)
-            assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows
+            assert oracles.touched_rows(p, wf.columns) == wf.nonzero_rows
             assert wf.nonzero_rows <= 2 * q  # violates the 2q+1 requirement
 
 
@@ -171,7 +175,7 @@ class TestS0:
         verdict = counting_rule_s0(p)
         assert not verdict.holds
         wf = verdict.witness_fail
-        assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows
+        assert oracles.touched_rows(p, wf.columns) == wf.nonzero_rows
         assert wf.nonzero_rows <= 2 * len(wf.columns) - 1
 
     def test_stacked_identities_hold(self):
@@ -503,7 +507,7 @@ class TestSettledWork:
             else:
                 wf = verdict.witness_fail
                 assert wf == expected.witness_fail
-                assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows
+                assert oracles.touched_rows(p, wf.columns) == wf.nonzero_rows
                 assert wf.nonzero_rows < 2 * len(wf.columns) + s
                 reused += _base_matching(p)[0] == 2 * p.r
         assert reused >= 12 and passing >= 4, (reused, passing)
@@ -544,7 +548,9 @@ class TestDegreeBound:
     force and the matching route give."""
 
     def matching_route(self, p, s):
-        return _rule_s1(p, range(p.r)) if s == 1 else oracles.counting_rule_per_column(p, s)
+        if s == 1:  # the pass that the min-cut reference implies
+            return CountingRuleVerdict(r=p.r, s=1, holds=True, mincut_value=oracles.mincut_s1(p)[0])
+        return oracles.counting_rule_per_column(p, s)
 
     def test_agrees_wherever_it_fires(self):
         rng = random.Random(331)
@@ -726,7 +732,8 @@ class TestBaseMatching:
     def test_one_kernel_run_per_decision(self, monkeypatch, deletion_demo_8x3, mincut_demo_8x3):
         """counting_rule and variance_identified run Hopcroft-Karp once at
         every s, passing or failing, except at s >= 1 where the sorted
-        column degrees d_q >= 2q+s settle a pass and it runs not at all."""
+        column degrees d_q >= 2q+s settle a pass and it runs not at all.
+        rcm_decomposition runs it once where enough rows are kept."""
         calls = []
         kernel = _kernels.hopcroft_karp
 
@@ -741,7 +748,9 @@ class TestBaseMatching:
         outcomes = set()
         runs = set()
         for p in filter(lambda p: p.r, patterns):
+            calls.clear()
             rcm_decomposition(p, {0})
+            assert calls == ([2 * p.r] if p.m - 1 >= 2 * p.r else [])
             degrees = sorted(mask.bit_count() for mask in p.col_masks)
             for s in range(4):
                 if p.m < 2 * p.r + s:
@@ -818,9 +827,10 @@ def test_every_9x3_pattern_up_to_order():
     against brute force. `holds` depends on neither order, and every pattern
     has a column order whose row multiset, read in ascending row type, has
     non-increasing column masks: those 6,280 multisets meet every orbit.
-    Each failing witness is recounted; at s >= 2, deleting its rows leaves
-    its columns on at most 2|S| rows, and the verdict is the one a fresh
-    matching per column gives, which names the first failing column's S."""
+    Each failing witness is recounted; at s=1 the cover weight and S* are
+    the paper's min-cut's; at s >= 2, deleting its rows leaves its columns
+    on at most 2|S| rows, and the verdict is the one a fresh matching per
+    column gives, which names the first failing column's S."""
     checks = 0
     for rows in itertools.combinations_with_replacement(itertools.product((0, 1), repeat=3), 9):
         p = SparsityPattern(rows)
@@ -834,12 +844,14 @@ def test_every_9x3_pattern_up_to_order():
             checks += 1
             verdict = counting_rule(p, s)
             assert verdict.holds == counting_rule_bruteforce(p, s).holds, (rows, s)
+            if s == 1:
+                oracles.assert_s1_matches_mincut(p, verdict)
             if s >= 2:
                 assert verdict == oracles.counting_rule_per_column(p, s), (rows, s)
             if verdict.holds:
                 continue
             wf = verdict.witness_fail
-            assert nonzero_row_count(p, wf.columns) == wf.nonzero_rows < 2 * len(wf.columns) + s
+            assert oracles.touched_rows(p, wf.columns) == wf.nonzero_rows < 2 * len(wf.columns) + s
             if s < 2 or p.m < 2 * p.r + s:
                 # the m < 2r+s witness is the q = r case itself, with no deletion
                 assert wf.deleted_rows is None
@@ -1152,7 +1164,7 @@ class TestVarianceIdentified:
                 wf = verdict.detail.witness_fail
                 q = len(wf.columns)
                 assert q and all(padded.col_masks[j] for j in wf.columns)
-                assert nonzero_row_count(padded, wf.columns) == wf.nonzero_rows < 2 * q + s
+                assert oracles.touched_rows(padded, wf.columns) == wf.nonzero_rows < 2 * q + s
                 if wf.deleted_rows is None:
                     short += s >= 2 and p.m < 2 * p.r + s
                     continue
@@ -1284,7 +1296,7 @@ def test_variance_identified_output_is_pinned():
                 kinds["short"] += 1
                 continue
             kinds["deleted_rows"] += 1
-            touched = nonzero_row_count(p, wf.columns)
+            touched = oracles.touched_rows(p, wf.columns)
             kinds["padded"] += len(set(wf.deleted_rows)) > touched
     # on patterns with zero rows, every kind of witness that names rows
     assert min(kinds.values()) >= 20, kinds
@@ -1299,7 +1311,7 @@ def test_variance_identified_copies_no_row(no_row_copies, monkeypatch):
     def refuse(*args):
         raise AssertionError("a pattern was built")
 
-    monkeypatch.setattr("factorid.identify._from_masks", refuse)
+    monkeypatch.setattr("factorid.pattern._from_masks", refuse)
     digest = hashlib.sha256()
     for p in variance_identified_cases(223, 560):
         for s in range(4):

@@ -17,7 +17,6 @@ from factorid.errors import DimensionError, EmptyInputError, InvalidArgumentErro
 from factorid.pattern import (
     SparsityPattern,
     TrimReport,
-    nonzero_row_count,
     parse_jsonl_record,
     parse_pattern,
     trim,
@@ -593,34 +592,3 @@ class TestTrim:
         assert report.kept_columns == (1, 2)
         assert report.kept_rows[1] == 2
         assert report.kept_columns[0] == 1
-
-
-class TestNonzeroRowCount:
-    def test_demo_single_column(self, mincut_demo_8x3):
-        assert nonzero_row_count(mincut_demo_8x3, {2}) == 4
-
-    def test_demo_all_columns(self, mincut_demo_8x3):
-        assert nonzero_row_count(mincut_demo_8x3, {0, 1, 2}) == 8
-
-    def test_empty_cols_disallowed(self, mincut_demo_8x3):
-        with pytest.raises(ValueError):
-            nonzero_row_count(mincut_demo_8x3, set())
-
-    def test_out_of_range(self, mincut_demo_8x3):
-        with pytest.raises(IndexError):
-            nonzero_row_count(mincut_demo_8x3, {3})
-
-    @given(patterns(), st.data())
-    @settings(max_examples=150)
-    def test_monotone(self, p, data):
-        cols_b = data.draw(
-            st.sets(st.integers(0, p.r - 1), min_size=1, max_size=p.r)
-        )
-        cols_a = data.draw(st.sets(st.sampled_from(sorted(cols_b)), min_size=1))
-        assert nonzero_row_count(p, cols_a) <= nonzero_row_count(p, cols_b)
-
-    @given(patterns())
-    @settings(max_examples=150)
-    def test_all_columns_counts_nonzero_rows(self, p):
-        zero_rows = sum(1 for row in p.entries if not any(row))
-        assert nonzero_row_count(p, set(range(p.r))) == p.m - zero_rows
