@@ -15,8 +15,14 @@ pass matches every left vertex. Each later phase's breadth-first layering
 stops at the first free right vertex it meets; its output is the
 edge-by-edge kernel's on ascending rows (see its docstring). The sweep, a
 plain recursive walk over column subsets that skips the extensions of any
-prefix already touching enough rows, serves the brute-force oracle.
+prefix already touching enough rows, serves the brute-force oracle. It
+skips a whole size q when the q-th smallest column degree, or the
+C(q,2)-th smallest union of two columns, already reaches 2q+s; it sorts
+those pair unions once, at the first size 2 < q < r that the degrees leave
+open.
 """
+
+from itertools import combinations
 
 
 def active_backend() -> str:
@@ -200,11 +206,21 @@ def counting_sweep(r, s, col_masks):
     scanned by ascending size, lexicographically within a size, and the first
     violating subset is returned: (holds, subset or None, its row count).
 
-    Each size q is a depth-first walk over the q-combinations that carries the
-    prefix union down the recursion. Unions only grow as columns are added, so
-    a prefix that already touches 2q+s rows has no violating extension: it is
-    skipped with its whole subtree, which leaves the first violator unchanged.
-    2^r - 1 subsets is the worst case, reached when nothing prunes.
+    A q-subset touches at least the rows of its widest column, and of its
+    widest pair of columns. Its q columns include one of degree at least
+    `ones[q-1]`, the q-th smallest, and its C(q,2) pairs one whose union
+    counts at least `twos[C(q,2)-1]`. So no q-subset violates when either
+    count reaches 2q+s, and the size is skipped. `twos` costs C(r,2) unions,
+    so it is sorted only at the first size that `ones` leaves open with
+    2 < q < r: at q = 2 the walk itself computes those unions, pruning
+    prefixes as it goes, and at q = r it computes one union of r columns.
+
+    Each size left is a depth-first walk over the q-combinations that
+    carries the prefix union down the recursion. Unions only grow as columns
+    are added, so a prefix that already touches 2q+s rows has no violating
+    extension: it is skipped with its whole subtree. Neither skip changes the
+    first violator. 2^r - 1 subsets, plus C(r,2) pair unions, is the worst
+    case, reached when nothing prunes.
     """
 
     def walk(base, start, left, need):
@@ -221,8 +237,18 @@ def counting_sweep(r, s, col_masks):
                     return (j, *found[0]), found[1]
         return None
 
+    ones = sorted(map(int.bit_count, col_masks))
+    twos = None
     for q in range(1, r + 1):
-        found = walk(0, 0, q, 2 * q + s)
+        need = 2 * q + s
+        if ones[q - 1] >= need:
+            continue
+        if 2 < q < r:
+            if twos is None:
+                twos = sorted((a | b).bit_count() for a, b in combinations(col_masks, 2))
+            if twos[q * (q - 1) // 2 - 1] >= need:
+                continue
+        found = walk(0, 0, q, need)
         if found:
             return False, *found
     return True, None, -1

@@ -183,10 +183,12 @@ def counting_rule_bruteforce(
     """Check the rule by enumerating all nonempty column subsets.
 
     The first violating subset (smallest size, lexicographic within a size)
-    is reported. Refuses r > max_columns: 2^r - 1 subsets is the worst case.
-    The sweep skips every subset that extends columns already touching 2q+s
-    rows, and usually visits far fewer. InvalidArgumentError unless s and
-    max_columns are non-negative integers.
+    is reported. Refuses r > max_columns: 2^r - 1 subsets, plus C(r,2) pair
+    unions, is the worst case. The sweep skips a size q whose q-th smallest
+    column degree or C(q,2)-th smallest pair union already reaches 2q+s, and
+    every subset that extends columns already touching 2q+s rows, so it
+    usually visits far fewer. InvalidArgumentError unless s and max_columns
+    are non-negative integers.
     """
     s = _integer("s", s)
     max_columns = _integer("max_columns", max_columns)

@@ -1,3 +1,11 @@
+"""Bipartite matching and König's cover: `_kernels.alternating_reach` from
+a maximum matching, the `Matching` dataclass's validation, and the test
+references that other tests hold the package to, each against a scan or
+backtracking search of its own: the column-duplicated graph, maximum
+matching, saturation and reordered-diagonal references in oracles.py, and
+König's cover in reference_cover.py. The file keeps the name of the
+package module that once held the matching functions."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings

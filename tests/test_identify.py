@@ -827,10 +827,11 @@ def test_every_9x3_pattern_up_to_order():
     against brute force. `holds` depends on neither order, and every pattern
     has a column order whose row multiset, read in ascending row type, has
     non-increasing column masks: those 6,280 multisets meet every orbit.
-    Each failing witness is recounted; at s=1 the cover weight and S* are
-    the paper's min-cut's; at s >= 2, deleting its rows leaves its columns
-    on at most 2|S| rows, and the verdict is the one a fresh matching per
-    column gives, which names the first failing column's S."""
+    Brute force's verdict, first violator and its row count are the naive
+    scan's. Each failing witness is recounted; at s=1 the cover weight and
+    S* are the paper's min-cut's; at s >= 2, deleting its rows leaves its
+    columns on at most 2|S| rows, and the verdict is the one a fresh
+    matching per column gives, which names the first failing column's S."""
     checks = 0
     for rows in itertools.combinations_with_replacement(itertools.product((0, 1), repeat=3), 9):
         p = SparsityPattern(rows)
@@ -843,7 +844,12 @@ def test_every_9x3_pattern_up_to_order():
         for s in range(4):
             checks += 1
             verdict = counting_rule(p, s)
-            assert verdict.holds == counting_rule_bruteforce(p, s).holds, (rows, s)
+            brute = counting_rule_bruteforce(p, s)
+            holds, first, count = oracles.first_violating_subset(p.col_masks, s)
+            assert verdict.holds == brute.holds == holds, (rows, s)
+            if not holds:
+                bf = brute.witness_fail
+                assert (bf.columns, bf.nonzero_rows) == (first, count), (rows, s)
             if s == 1:
                 oracles.assert_s1_matches_mincut(p, verdict)
             if s >= 2:

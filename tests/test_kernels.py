@@ -16,19 +16,30 @@ from factorid import _kernels
 
 
 def sweep_cases(rng, n, max_rows=None):
-    """(r, s, col_masks) for the counting sweep with r <= 12, three families
+    """(r, s, col_masks) for the counting sweep with r <= 12, four families
     in turn: random masks on m <= max_rows rows (default 3r+3); tight
     patterns, half of them every column on its own two rows plus the same s
     extra rows, where nothing prunes (sometimes the last column takes one row
     from each of the two before it and one of its own, so the last 3-subset is
     the first to fail), and half of them m = 2r+s with columns of 2+s or 3+s
-    random rows, where violators sit deep and narrow; and all-ones columns,
-    where pruning fires at depth 1."""
+    random rows, where violators sit deep and narrow; all-ones columns, where
+    pruning fires at depth 1; and sunflowers.
+
+    A sunflower has r >= 4 columns, each on 3 rows of its own plus a core of
+    c rows they all share, with 6+c = 2t+s at a middle size 3 <= t < r, or
+    one row below. Its pairs touch 6+c rows, so the pair bound settles size
+    t, or only t-1, where the degree bound 3+c settles t-2 at most. Half of
+    them also have their last t columns replaced by t copies of one column
+    on 2t+s-1 rows of their own. Those t columns are the first violator;
+    fewer of them pass, and so does every other set of t or fewer columns.
+    Their C(t,2) pairs touch 2t+s-1 rows, no more than any other pair, so
+    reading the pair bound one place too far along, at 6+c = 2t+s, skips
+    size t."""
     for case in range(n):
         r = int(rng.integers(0, 13))
         s = int(rng.integers(0, 5))
         m = int(rng.integers(1, (max_rows or 3 * r + 3) + 1))
-        family = case % 3
+        family = case % 4
         if family == 0:
             density = rng.random()
             masks = [
@@ -47,8 +58,17 @@ def sweep_cases(rng, n, max_rows=None):
             for _ in range(r):
                 rows = rng.choice(m, min(m, 2 + s + int(rng.integers(0, 2))), replace=False)
                 masks.append(sum(1 << int(i) for i in rows))
-        else:
+        elif family == 2:
             masks = [(1 << m) - 1] * r
+        else:
+            r = max(r, 4)
+            t = int(rng.integers(3, r))
+            below = int(rng.integers(0, 2))
+            s = max(s, 6 + below - 2 * t)
+            c = 2 * t + s - 6 - below
+            masks = [(1 << c) - 1 | 0b111 << c + 3 * j for j in range(r)]
+            if rng.random() < 0.5:
+                masks[r - t:] = [((1 << 2 * t + s - 1) - 1) << c + 3 * r] * t
         yield r, s, masks
 
 
@@ -56,8 +76,8 @@ def test_counting_sweep_first_violator():
     """The pruned sweep returns exactly the naive scan's first violator, also
     on up to 129 rows, where masks are wider than 64 bits."""
     cases = [
-        *sweep_cases(np.random.default_rng(83), 600),
-        *sweep_cases(np.random.default_rng(79), 600, max_rows=129),
+        *sweep_cases(np.random.default_rng(83), 800),
+        *sweep_cases(np.random.default_rng(79), 800, max_rows=129),
     ]
     for r, s, masks in cases:
         assert _kernels.counting_sweep(r, s, masks) == oracles.first_violating_subset(masks, s)
