@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress
-from operator import itemgetter, lt, or_
+from operator import itemgetter, or_
 from typing import Iterable, Literal
 
 from factorid.errors import (
@@ -23,7 +23,6 @@ from factorid.errors import (
     EmptyPatternError,
     FactorIdError,
     InvalidArgumentError,
-    OutOfRangeError,
     ParseError,
     UntrimmedPatternError,
 )
@@ -145,31 +144,10 @@ def _shown(i) -> str:
         return f"<an int of {i.bit_length()} bits>"
 
 
-def _kept(removed: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
-    """The indices 0..n-1 not in removed. Raises InvalidArgumentError unless
-    removed holds ints in strictly increasing order, then OutOfRangeError
-    unless its first and last index lie in 0..n-1, and InvalidArgumentError
-    for an n that no mask of n bits holds; the checks run at C speed."""
-    if not set(map(type, removed)) <= {int} or not all(map(lt, removed, removed[1:])):
-        raise InvalidArgumentError(f"{name} must hold strictly increasing ints")
-    if removed and (removed[0] < 0 or removed[-1] >= n):
-        bad = removed[0] if removed[0] < 0 else removed[-1]
-        raise OutOfRangeError(f"{name} holds index {_shown(bad)}, outside 0..{_shown(n - 1)}")
-    try:
-        every = (1 << n) - 1
-    except (OverflowError, ValueError):  # too many bits, or a negative count
-        raise InvalidArgumentError(f"{name}: no bitmask holds {_shown(n)} indices") from None
-    return _set_bits(every ^ sum(map((1).__lshift__, removed)), n)
-
-
 @dataclass(frozen=True)
 class TrimReport:
-    """Record of the zero rows/columns removed by :func:`trim`.
-
-    Index lists are strictly increasing original-coordinate indices, so
-    witnesses computed on the trimmed pattern can be mapped back through
-    `kept_rows` and `kept_columns`, which raise for a list that is not.
-    """
+    """Record of the zero rows/columns removed by :func:`trim`; its index
+    lists are strictly increasing original-coordinate indices."""
 
     removed_zero_columns: tuple[int, ...]
     removed_zero_rows: tuple[int, ...]
@@ -177,16 +155,6 @@ class TrimReport:
     original_r: int
     effective_m: int
     effective_r: int
-
-    @cached_property
-    def kept_rows(self) -> tuple[int, ...]:
-        """Original index of each row of the trimmed pattern."""
-        return _kept(self.removed_zero_rows, self.original_m, "removed_zero_rows")
-
-    @cached_property
-    def kept_columns(self) -> tuple[int, ...]:
-        """Original index of each column of the trimmed pattern."""
-        return _kept(self.removed_zero_columns, self.original_r, "removed_zero_columns")
 
 
 def _trim_report(p: SparsityPattern) -> TrimReport:

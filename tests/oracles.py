@@ -24,9 +24,10 @@ that is its biadjacency matrix: `pattern_from_edges` builds it from
 is the dense-text parser that splits every line into one token per cell, the
 reference for the whole-buffer checks that replaced it.
 `verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
-and the report's `kept_rows`/`kept_columns`, index by index, the reference
-for the witnesses that `variance_identified` gives in the caller's
-coordinates. `touched_rows` recounts a witness's rows cell by cell.
+and its own lists of kept rows and columns, the complements of the report's
+removed ones, index by index: the reference for the witnesses that
+`variance_identified` gives in the caller's coordinates. `touched_rows`
+recounts a witness's rows cell by cell.
 """
 
 import re
@@ -431,13 +432,15 @@ def verdict_in_original_coords(verdict, report):
     """Map a verdict computed on a trimmed pattern back to original indices."""
     if not report.removed_zero_columns and not report.removed_zero_rows:
         return verdict
+    kept_rows = [i for i in range(report.original_m) if i not in report.removed_zero_rows]
+    kept_columns = [j for j in range(report.original_r) if j not in report.removed_zero_columns]
     wf = verdict.witness_fail
     if wf is not None:
         wf = replace(
             wf,
-            columns=tuple(report.kept_columns[j] for j in wf.columns),
+            columns=tuple(kept_columns[j] for j in wf.columns),
             deleted_rows=(
-                tuple(report.kept_rows[i] for i in wf.deleted_rows)
+                tuple(kept_rows[i] for i in wf.deleted_rows)
                 if wf.deleted_rows is not None
                 else None
             ),
@@ -448,10 +451,10 @@ def verdict_in_original_coords(verdict, report):
         r_orig = report.original_r
         pairs = frozenset(
             (
-                report.kept_columns[c]
+                kept_columns[c]
                 if c < r_eff
-                else r_orig + report.kept_columns[c - r_eff],
-                report.kept_rows[i],
+                else r_orig + kept_columns[c - r_eff],
+                kept_rows[i],
             )
             for c, i in wp.matching.pairs
         )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from factorid import Matching
 from factorid.errors import InvalidArgumentError, MatchingNotMaximumError
-from factorid.pattern import SparsityPattern, _set_bits
+from factorid.pattern import SparsityPattern
 
 
 class SentinelCutError(AssertionError):
@@ -70,7 +70,7 @@ def minimum_vertex_cover(p: SparsityPattern, mm: Matching) -> VertexCover:
     reached_c = set(queue)
     reached_r = set()
     for c in queue:  # the loop reaches the columns appended during it
-        for r in _set_bits(p.col_masks[c], p.m):
+        for r in (i for i in range(p.m) if p.col_masks[c] >> i & 1):
             if r in reached_r:
                 continue
             if match_r[r] == -1:

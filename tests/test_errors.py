@@ -25,7 +25,6 @@ from factorid.identify import (
 )
 from factorid.pattern import (
     SparsityPattern,
-    TrimReport,
     parse_jsonl_record,
     parse_pattern,
     trim,
@@ -56,15 +55,6 @@ BAD_CALLS = {
     "matching_reuses_endpoint": (ValueError, lambda: Matching(frozenset({(0, 0), (1, 0)}))),
     "row_spec_bad_label": (ValueError, lambda: cli._parse_row_spec("vx", 3)),
     "row_spec_out_of_range": (IndexError, lambda: cli._parse_row_spec("v4", 3)),
-    "trim_report_negative_row": (IndexError, lambda: TrimReport((), (-1,), 3, 2, 2, 2).kept_rows),
-    "trim_report_row_m": (IndexError, lambda: TrimReport((), (5,), 3, 2, 2, 2).kept_rows),
-    "trim_report_repeated_row": (ValueError, lambda: TrimReport((), (1, 1), 3, 2, 1, 2).kept_rows),
-    "trim_report_decreasing_rows": (
-        ValueError, lambda: TrimReport((), (2, 0), 3, 2, 1, 2).kept_rows,
-    ),
-    "trim_report_fractional_row": (
-        ValueError, lambda: TrimReport((), (1.5,), 3, 2, 2, 2).kept_rows,
-    ),
     "parse_pattern_int": (ValueError, lambda: parse_pattern(5)),
     "parse_pattern_none": (ValueError, lambda: parse_pattern(None)),
     "parse_pattern_float": (ValueError, lambda: parse_pattern(3.0)),
@@ -77,10 +67,6 @@ BAD_CALLS = {
     ),
     "bruteforce_str_max_columns": (
         ValueError, lambda: counting_rule_bruteforce(P, 1, max_columns="a"),
-    ),
-    "trim_report_column_r": (IndexError, lambda: TrimReport((2,), (), 3, 2, 3, 1).kept_columns),
-    "trim_report_repeated_column": (
-        ValueError, lambda: TrimReport((0, 0), (), 3, 2, 3, 1).kept_columns,
     ),
     "matching_pair_of_one": (ValueError, lambda: Matching(frozenset({(0,)}))),
     "matching_str_pair": (ValueError, lambda: Matching(frozenset({"ab"}))),
@@ -99,14 +85,6 @@ BAD_CALLS = {
     "rcm_decomposition_list_pattern": (ValueError, lambda: rcm_decomposition([[1]])),
     # range errors on indices with more digits than int-to-str allows
     "rcm_decomposition_huge_row": (IndexError, lambda: rcm_decomposition(P, [10**5000])),
-    "trim_report_huge_column": (
-        IndexError, lambda: TrimReport((10**5000,), (), 3, 2, 3, 1).kept_columns,
-    ),
-    # a row count with more digits than int-to-str allows or a mask can hold
-    "trim_report_negative_row_huge_m": (
-        IndexError, lambda: TrimReport((), (-1,), 10**5000, 2, 3, 1).kept_rows,
-    ),
-    "trim_report_huge_m": (ValueError, lambda: TrimReport((), (), 10**5000, 2, 3, 1).kept_rows),
 }
 
 
@@ -166,6 +144,19 @@ def test_package_imports_no_test_reference():
         if name.split(".")[0] in REFERENCES
     ]
     assert found == []
+
+
+def test_references_import_no_private_package_name():
+    """A reference that borrowed a package helper would check the package
+    against its own code."""
+    private = [
+        f"{ref}.py imports {name}"
+        for ref in REFERENCES
+        for name in _imported_modules(Path(__file__).with_name(f"{ref}.py"))
+        if name.split(".")[0] == "factorid"
+        and any(part.startswith("_") for part in name.split(".")[1:])
+    ]
+    assert private == []
 
 
 def test_s1_reference_shares_no_code_with_the_s1_route():

@@ -31,7 +31,7 @@ from factorid.identify import (
     rcm_decomposition,
     variance_identified,
 )
-from factorid.pattern import SparsityPattern, trim
+from factorid.pattern import SparsityPattern, _from_masks, trim
 from reference_cover import minimum_vertex_cover
 
 
@@ -511,6 +511,42 @@ class TestSettledWork:
                 assert wf.nonzero_rows < 2 * len(wf.columns) + s
                 reused += _base_matching(p)[0] == 2 * p.r
         assert reused >= 12 and passing >= 4, (reused, passing)
+
+
+def chain(r, width, reverse=False):
+    """Column k on the width rows from (width - 1) * k, so each column shares
+    its first row with the column before it; in descending column order
+    when reverse."""
+    masks = tuple(((1 << width) - 1) << ((width - 1) * k) for k in range(r))
+    return _from_masks((width - 1) * r + 1, masks[::-1] if reverse else masks)
+
+
+class TestCostModelWorstCases:
+    """Families that reach the bounds `identify`'s docstring promises. They
+    assert verdicts and search counts, not times."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    @pytest.mark.parametrize("r", [250, 500, 1000])
+    def test_three_row_chain_at_s1(self, r, reverse):
+        """Column k on rows 2k, 2k+1 and 2k+2, m = 2r+1: the chain passes
+        s=1, and the degree bound leaves it open. In ascending order each
+        closure sweep reaches only the next lower column, so the closure
+        takes r+1 sweeps, O(r^2) mask operations: the quadratic family that
+        ROADMAP item 10 must make linear. Descending, it takes two."""
+        p = chain(r, 3, reverse)
+        verdict = counting_rule(p, 1)
+        assert verdict.holds and verdict.mincut_value == r * (2 * r + 1)
+        if r == 250:
+            assert verdict.mincut_value == oracles.mincut_s1(p)[0]
+
+    @pytest.mark.parametrize("r", [250, 500, 1000])
+    def test_four_row_chain_at_s2(self, monkeypatch, r):
+        """Column k on rows 3k to 3k+3, m = 3r+1. Every column but the last
+        has one free row in the perfect base matching, so each runs both its
+        searches: 2(r-1), within the r*s the module docstring promises."""
+        calls = TestSettledWork.counted_reach(monkeypatch)
+        assert counting_rule(chain(r, 4), 2).holds
+        assert len(calls) == 2 * (r - 1)
 
 
 def degree_bound(p, s):

@@ -238,6 +238,18 @@ def csr_of_masks(masks):
     return indptr, indices
 
 
+def staircase(k):
+    """(n_right, col_masks, owner) of k blocks. Block L = 1..k, from row b,
+    has L left vertices, vertex j on rows b+j and b+j+1, then one on row b
+    alone. The greedy pass leaves that last vertex free in every block, and
+    its augmenting path has length 2L+1, a different length in each block."""
+    masks, b = [], 0
+    for size in range(1, k + 1):
+        masks += [0b11 << (b + j) for j in range(size)] + [1 << b]
+        b += size + 1
+    return b, masks, range(len(masks))
+
+
 # (n_right, col_masks, owner) on which the greedy first phase leaves the
 # matching short, so a later phase must augment
 GREEDY_SHORT = {
@@ -245,6 +257,8 @@ GREEDY_SHORT = {
     "augmenting path of length five": (3, [0b011, 0b110, 0b001], range(3)),
     "phases of length three and five": (5, [0b11, 0b01, 0b01100, 0b11000, 0b00100], range(5)),
     "replica copies sharing two rows": (4, [0b1111, 0b0011], (0, 1, 0, 1)),
+    "staircase of 8 blocks": staircase(8),
+    "staircase of 32 blocks": staircase(32),
 }
 
 

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import pickle
-import random
 import re
 
 import numpy as np
@@ -16,7 +15,6 @@ from conftest import MINCUT_DEMO_8X3, MINCUT_DEMO_TEXT
 from factorid.errors import DimensionError, EmptyInputError, InvalidArgumentError, ParseError
 from factorid.pattern import (
     SparsityPattern,
-    TrimReport,
     parse_jsonl_record,
     parse_pattern,
     trim,
@@ -517,7 +515,8 @@ def test_trim_on_wide_masks():
             mat[zero_rows, :] = False
             keep_rows, keep_cols = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(mat.any(axis=0))
             trimmed, report = trim(SparsityPattern.from_rows(mat))
-            assert report.kept_rows == tuple(keep_rows) and report.kept_columns == tuple(keep_cols)
+            assert report.removed_zero_rows == tuple(np.flatnonzero(~mat.any(axis=1)))
+            assert report.removed_zero_columns == tuple(np.flatnonzero(~mat.any(axis=0)))
             assert trimmed == SparsityPattern.from_rows(mat[keep_rows][:, keep_cols])
 
     mat = rng.random((1000, 50)) < 0.2
@@ -564,31 +563,11 @@ class TestTrim:
         assert again == trimmed
         assert report2.removed_zero_rows == () and report2.removed_zero_columns == ()
         # the report maps every 1 of the trimmed pattern back to its place
+        kept_rows = [i for i in range(p.m) if i not in report.removed_zero_rows]
+        kept_cols = [j for j in range(p.r) if j not in report.removed_zero_columns]
         entries = [[0] * p.r for _ in range(p.m)]
         for i, row in enumerate(trimmed.entries):
             for j, v in enumerate(row):
                 if v:
-                    entries[report.kept_rows[i]][report.kept_columns[j]] = 1
+                    entries[kept_rows[i]][kept_cols[j]] = 1
         assert SparsityPattern.from_rows(entries) == p
-
-    def test_kept_indices_are_the_complement_of_the_removed(self):
-        rng = random.Random(131)
-        for _ in range(500):
-            m, r = rng.randrange(0, 300), rng.randrange(0, 70)
-            gone_rows = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
-            gone_cols = tuple(sorted(rng.sample(range(r), rng.randint(0, r))))
-            report = TrimReport(
-                removed_zero_columns=gone_cols, removed_zero_rows=gone_rows,
-                original_m=m, original_r=r,
-                effective_m=m - len(gone_rows), effective_r=r - len(gone_cols),
-            )
-            assert report.kept_rows == tuple(i for i in range(m) if i not in set(gone_rows))
-            assert report.kept_columns == tuple(j for j in range(r) if j not in set(gone_cols))
-
-    def test_original_coordinates(self):
-        p = SparsityPattern.from_rows([[0, 1, 0], [0, 0, 0], [0, 1, 1]])
-        trimmed, report = trim(p)
-        assert report.kept_rows == (0, 2)
-        assert report.kept_columns == (1, 2)
-        assert report.kept_rows[1] == 2
-        assert report.kept_columns[0] == 1
