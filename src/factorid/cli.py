@@ -161,14 +161,13 @@ def cmd_witness(args) -> int:
 
 def _parse_row_spec(spec: str, m: int) -> frozenset[int]:
     rows = set()
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
+    for label in spec.split(","):
+        label = label.strip()
+        if not label:
             continue
-        if token.startswith(("v", "V")):
-            token = token[1:]
+        token = label[1:] if label.startswith(("v", "V")) else label
         if not (token.isascii() and token.isdigit()):
-            raise InvalidArgumentError(f"bad row label {token!r}")
+            raise InvalidArgumentError(f"bad row label {label!r}")
         digits = token.lstrip("0")
         # a label with more digits than m is out of range; int() refuses huge ones
         i = int(digits) - 1 if 0 < len(digits) <= len(str(m)) else -1

@@ -30,11 +30,6 @@ from factorid.errors import (
 PatternFormat = Literal["dense_text", "jsonl_record"]
 
 _TOKEN = re.compile(rb"\S+")
-# the bytes that separate cells within a dense-text line; \r and \n end lines
-_BLANKS = b" \t\x0b\x0c"
-# on text of digits and whitespace only: every digit to 1, whitespace to 0,
-# so that two adjacent digits, a token longer than one cell, read b"11"
-_RUNS = bytes.maketrans(b"0" + _BLANKS + b"\r\n", b"1" + b"0" * 6)
 # cell bytes 0/1 to ASCII digits, so that int(..., 2) reads a column at once,
 # and back, so that compress() picks the positions of the ones
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -214,9 +209,11 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     '#' is a comment, whatever follows; both are ignored. All other rows
     must have the same number of cells. The form numpy.savetxt(path, mat,
     fmt="%d") writes, every cell one digit and then one space, or '\\n' at
-    the end of its row, is read by three strided checks at C speed; every
-    other valid form parses to the same pattern, only more slowly, and every
-    error is raised by that slower path.
+    the end of its row, is read by three strided checks at C speed. Any
+    other form is read line by line, which parses a valid text to the same
+    pattern, only more slowly, and raises for its first bad line: the first
+    bad token, quoted up to its first 20 bytes and then '...', or a row of
+    another number of cells.
     JSONL record: one object with fields `id` and `delta` (and optionally
     `m`, `r`, which are validated when present).
     InvalidArgumentError unless text is a str or bytes-like.
@@ -243,41 +240,28 @@ def parse_pattern(text: str | bytes, format: PatternFormat = "dense_text") -> Sp
     raise InvalidArgumentError(f"unknown format {format!r}")
 
 
-def _dense_rows(data: bytes) -> list[bytes] | None:
-    """The rows of dense text, blanks deleted, as ASCII '0'/'1' digits; None
-    if some non-comment line holds a byte other than '0', '1' or a blank, a
-    token of more than one digit, or a number of cells other than that of
-    the first row. The checks run over the whole text at C speed; only the
-    comment lines, when there are any, are dropped line by line."""
-    if b"#" in data:
-        data = b"\n".join(ln for ln in data.splitlines() if not ln.lstrip().startswith(b"#"))
-    if data.translate(None, b"01\r\n" + _BLANKS) or b"11" in data.translate(_RUNS):
-        return None
-    rows = list(filter(None, data.translate(None, _BLANKS).splitlines()))
-    return rows if len(set(map(len, rows))) <= 1 else None
-
-
-def _check_dense(data: bytes) -> None:
-    """Raise for the first line of dense text that `_dense_rows` rejects,
-    naming its first bad token or its number of cells."""
-    width = None
+def _dense_rows(data: bytes) -> list[bytes]:
+    """The rows of dense text as ASCII '0'/'1' digits, read line by line.
+    Blank and comment lines are skipped. The first other line with a token
+    other than '0' or '1' raises ParseError at that token, quoted up to its
+    first 20 bytes; one with a number of cells other than the first row's
+    raises DimensionError."""
+    rows = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith(b"#"):
             continue
-        for tok in _TOKEN.finditer(raw):
-            if tok.group() not in (b"0", b"1"):
-                raise ParseError(
-                    f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
-                    line=lineno,
-                    column=tok.start() + 1,
-                )
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise DimensionError(
-                f"row has {len(tokens)} entries, expected {width}", line=lineno
-            )
+        row = b"".join(tokens)
+        if len(row) != len(tokens) or row.translate(None, b"01"):
+            bad = next(t for t in _TOKEN.finditer(raw) if t.group() not in (b"0", b"1"))
+            tok = bad.group()
+            shown = repr(tok[:20].decode("utf-8", "replace")) + "..." * (len(tok) > 20)
+            raise ParseError(f"unexpected token {shown}", line=lineno, column=bad.start() + 1)
+        if rows and len(row) != len(rows[0]):
+            raise DimensionError(f"row has {len(row)} entries, expected {len(rows[0])}",
+                                 line=lineno)
+        rows.append(row)
+    return rows
 
 
 def _parse_dense(data: bytes) -> SparsityPattern:
@@ -292,8 +276,6 @@ def _parse_dense(data: bytes) -> SparsityPattern:
         if data[1::2] == (b" " * (width - 1) + b"\n") * m and not digits.translate(None, b"01"):
             return _from_masks(m, _column_masks(digits, width))
     rows = _dense_rows(data)
-    if rows is None:
-        _check_dense(data)  # raises, naming the first bad token or ragged row
     if not rows:
         raise EmptyInputError("input contains no pattern rows")
     return _from_masks(len(rows), _column_masks(b"".join(rows), len(rows[0])))

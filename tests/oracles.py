@@ -22,7 +22,8 @@ replica matching. This module imports only result dataclasses from
 that is its biadjacency matrix: `pattern_from_edges` builds it from
 (column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
 is the dense-text parser that splits every line into one token per cell, the
-reference for the whole-buffer checks that replaced it.
+reference for the package's strided read of numpy.savetxt text and for its
+line-by-line read of every other form.
 `verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
 and its own lists of kept rows and columns, the complements of the report's
 removed ones, index by index: the reference for the witnesses that
@@ -412,11 +413,10 @@ def parse_dense_per_line(data):
         row = b"".join(tokens)
         if len(row) != len(tokens) or row.translate(None, b"01"):
             tok = next(t for t in re.finditer(rb"\S+", raw) if t.group() not in (b"0", b"1"))
-            raise ParseError(
-                f"unexpected token {tok.group().decode('utf-8', 'replace')!r}",
-                line=lineno,
-                column=tok.start() + 1,
-            )
+            # a long token is quoted by its first 20 bytes and '...'
+            text = tok.group()
+            shown = repr(text[:20].decode("utf-8", "replace")) + ("..." if len(text) > 20 else "")
+            raise ParseError(f"unexpected token {shown}", line=lineno, column=tok.start() + 1)
         if rows and len(row) != len(rows[0]):
             raise DimensionError(f"row has {len(row)} entries, expected {len(rows[0])}", line=lineno)
         rows.append(row)
@@ -460,3 +460,37 @@ def verdict_in_original_coords(verdict, report):
         )
         wp = replace(wp, matching=Matching(pairs))
     return replace(verdict, witness_fail=wf, witness_pass=wp)
+
+
+def trimmed_block(rng, r, m, density):
+    """Column masks of a random m x r 0/1 pattern with no zero row or
+    column: each cell is 1 with probability density, then each zero column,
+    and each row still zero, gets a 1 in a random place."""
+    masks = [sum(1 << i for i in range(m) if rng.random() < density) for _ in range(r)]
+    for j in range(r):
+        if not masks[j]:
+            masks[j] = 1 << rng.randrange(m)
+    for i in range(m):
+        if not any(mask >> i & 1 for mask in masks):
+            masks[rng.randrange(r)] |= 1 << i
+    return masks
+
+
+def shuffled_direct_sum(blocks, rng):
+    """The block-diagonal sum of blocks, each (m, column masks) over its own
+    m rows, with the sum's rows and columns shuffled so that no block is
+    contiguous. Returns the sum's row count, its column masks and, for each
+    block, the sum's index of each of the block's columns."""
+    m_sum = sum(m for m, _ in blocks)
+    r_sum = sum(len(masks) for _, masks in blocks)
+    row_of = rng.sample(range(m_sum), m_sum)
+    col_of = rng.sample(range(r_sum), r_sum)
+    sum_masks = [0] * r_sum
+    columns = []
+    for m, masks in blocks:
+        rows, cols = row_of[:m], col_of[:len(masks)]
+        del row_of[:m], col_of[:len(masks)]
+        for c, mask in zip(cols, masks):
+            sum_masks[c] = sum(1 << rows[i] for i in range(m) if mask >> i & 1)
+        columns.append(cols)
+    return m_sum, sum_masks, columns

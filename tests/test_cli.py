@@ -81,6 +81,17 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--input", path])
         assert result.exit_code == 2
 
+    def test_long_bad_token_gives_one_short_error_line(self, runner, tmp_path):
+        path = tmp_path / "long_token.txt"
+        path.write_bytes(b"1 0\n0 " + b"2" * 1_000_000 + b"\n")
+        result = runner.invoke(main, ["check", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: unexpected token {'2' * 20!r}... at line 2, column 3\n"
+        )
+        assert len(result.stderr_bytes) < 200
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["check", "--input", str(tmp_path / "nope.txt")])
         assert result.exit_code == 2
@@ -257,7 +268,12 @@ class TestWitness:
         long_label = "9" * 5000  # past int()'s digit limit
         for spec, message in [
             ("²", "bad row label '²'"),  # str.isdigit accepts it, int() does not
-            ("v١", "bad row label '١'"),  # int() reads it as 1; not an ASCII label
+            ("v١", "bad row label 'v١'"),  # int() reads it as 1; not an ASCII label
+            # the label is quoted as typed, prefix included, and stripped
+            ("v", "bad row label 'v'"),
+            ("vx", "bad row label 'vx'"),
+            ("v-1", "bad row label 'v-1'"),
+            ("1, V2x ", "bad row label 'V2x'"),
             (long_label, f"row label v{long_label} out of range for m=8"),
             ("v0", "row label v0 out of range for m=8"),
             # an option's value is the word after it, whatever it starts with

@@ -549,6 +549,85 @@ class TestCostModelWorstCases:
         assert len(calls) == 2 * (r - 1)
 
 
+def sparse_sum(seed):
+    """25-40 random trimmed blocks of 4-8 columns on about twice as many
+    rows. With seed % 5 = f + 1, every block holds the rule at s = f (when
+    f >= 0), so sums pass and fail at every s = 0..3."""
+    rng = random.Random(seed)
+    floor = seed % 5 - 1
+    blocks = []
+    for _ in range(rng.randint(25, 40)):
+        r = rng.randint(4, 8)
+        while True:
+            m = 2 * r + max(floor, 0) + rng.randint(-2, 3)
+            masks = oracles.trimmed_block(rng, r, m, rng.uniform(0.2, 0.6))
+            if floor < 0 or oracles.first_violating_subset(masks, floor)[0]:
+                break
+        blocks.append((m, masks))
+    return rng, blocks
+
+
+def dense_sum(seed, s):
+    """Blocks of 4-8 columns, each column on at least 2R+s rows of the
+    R-column sum, and one column on s+1 rows: the sorted degrees meet 2q+s
+    at every q but the first, which misses it by one, so a degree bound one
+    row too low would settle a false pass."""
+    rng = random.Random(seed)
+    sizes = []
+    while sum(sizes) < 99:
+        sizes.append(rng.randint(4, 8))
+    m = 2 * (sum(sizes) + 1) + s + 2
+    full = (1 << m) - 1
+    # column k leaves out row k and maybe row k + r, so no row is zero
+    blocks = [
+        (m, [full & ~(1 << k) & ~(rng.randrange(2) << (k + r)) for k in range(r)])
+        for r in sizes
+    ]
+    blocks.insert(rng.randrange(len(blocks) + 1), (s + 1, [(1 << s + 1) - 1]))
+    return rng, blocks
+
+
+class TestDirectSums:
+    """Known answers at R >= 100 without brute force on the sum. In a
+    block-diagonal sum, N(S) is the disjoint union of the blocks' N(S ∩
+    block), so the sum holds at s iff every block does, and at s=1 the
+    deficiency d and the columns S* the min-cut leaves out of the cover
+    add up over the blocks: the cover weighs R(2R+1) - R*sum(d_i) -
+    sum(|S_i*|). Each block is small enough for brute force and the
+    paper's min-cut."""
+
+    @staticmethod
+    def check(rng, blocks):
+        m, masks, columns = oracles.shuffled_direct_sum(blocks, rng)
+        p = _from_masks(m, tuple(masks))
+        assert p.r >= 100
+        for s in range(4):
+            expected = all(oracles.first_violating_subset(b, s)[0] for _, b in blocks)
+            assert counting_rule(p, s).holds == expected
+        weight, witness = p.r * (2 * p.r + 1), []
+        for (m_i, b), cols in zip(blocks, columns):
+            r_i = len(b)
+            cut, excluded = oracles.mincut_s1(_from_masks(m_i, tuple(b)))
+            d_i, rest = divmod(r_i * (2 * r_i + 1) - len(excluded) - cut, r_i)
+            assert rest == 0
+            weight -= p.r * d_i + len(excluded)
+            witness += [cols[k] for k in excluded]
+        verdict = counting_rule(p, 1)
+        assert verdict.mincut_value == weight
+        assert (verdict.witness_fail.columns if verdict.witness_fail else ()) == tuple(
+            sorted(witness)
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_blocks(self, seed):
+        self.check(*sparse_sum(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("s", range(4))
+    def test_dense_blocks_and_one_tight_column(self, s, seed):
+        self.check(*dense_sum(seed, s))
+
+
 def degree_bound(p, s):
     """Whether the sorted column degrees d_1 <= ... <= d_r of p have d_q >=
     2q+s for every q: any q columns then include one on 2q+s rows."""

@@ -102,6 +102,21 @@ class TestParseDense:
         with pytest.raises(ParseError, match=r"'2' at line 2, column 3$"):
             parse_pattern(b"1 0\n0 2\n")
 
+    @pytest.mark.parametrize("token, shown", [
+        (b"2" * 20, "'22222222222222222222'"),  # 20 bytes: quoted whole
+        (b"2" * 21, "'22222222222222222222'..."),
+        (b"2" * 1_000_000, "'22222222222222222222'..."),
+        # the cut may split a UTF-8 character, which decodes to U+FFFD
+        (b"a" + "é".encode() * 10, "'a" + "é" * 9 + "\ufffd'..."),
+    ], ids=["20_bytes", "21_bytes", "1_MB", "split_character"])
+    def test_bad_token_is_quoted_by_its_first_20_bytes(self, token, shown):
+        data = b"1 0\n0 " + token + b"\n"
+        message = f"unexpected token {shown} at line 2, column 3"
+        with pytest.raises(ParseError) as exc:
+            parse_pattern(data)
+        assert str(exc.value) == message
+        assert outcome(oracles.parse_dense_per_line, data) == (ParseError, message, 2, 3)
+
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_pattern(b"")
