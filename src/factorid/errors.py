@@ -45,7 +45,8 @@ class EmptyInputError(FactorIdError):
 
 
 class MatchingNotMaximumError(FactorIdError):
-    """The supplied matching admits an augmenting path."""
+    """A matching that `identify._cover` or `identify._rule` built is not
+    maximum; no public function takes a matching."""
 
 
 class UntrimmedPatternError(FactorIdError):

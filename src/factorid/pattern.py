@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter, or_
 from typing import Iterable, Literal
 
@@ -281,37 +281,27 @@ def _parse_dense(data: bytes) -> SparsityPattern:
     return _from_masks(len(rows), _column_masks(b"".join(rows), len(rows[0])))
 
 
-def _delta_cells(delta: list) -> bytes | None:
-    """The cells of 'delta', row-major, as bytes 0/1; None if it has no row,
-    a row that is not an array, rows of different lengths or a cell other
-    than the integer 0 or 1. The checks run at C speed; bool, a subclass of
-    int, fails the type test."""
-    if set(map(type, delta)) != {list} or len(set(map(len, delta))) != 1:
-        return None
-    cells = list(chain.from_iterable(delta))
-    if not set(map(type, cells)) <= {int}:
-        return None
-    try:
-        data = bytes(cells)
-    except ValueError:  # an integer outside 0..255
-        return None
-    return None if data.translate(None, b"\x00\x01") else data
+def _quoted(value: object) -> str:
+    """repr(value), cut to its first 20 characters and '...' when longer."""
+    shown = repr(value)
+    return shown[:20] + "..." * (len(shown) > 20)
 
 
-def _check_delta(delta: list) -> None:
-    """Raise for the first row or cell of 'delta' that `_delta_cells` rejects,
-    in row order."""
-    width = None
+def _delta_digits(delta: list) -> bytes:
+    """'delta' row-major as ASCII '0'/'1' digits, read in row order. The first
+    bad row raises: ParseError if it is not an array, else DimensionError if its
+    length is not row 0's, else ParseError at its first cell not the int 0 or 1."""
+    cells = []
     for i, row in enumerate(delta):
         if not isinstance(row, list):
             raise ParseError(f"'delta' row {i} is not an array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DimensionError(f"'delta' row {i} has {len(row)} entries, expected {width}")
+        if len(row) != len(delta[0]):
+            raise DimensionError(f"'delta' row {i} has {len(row)} entries, expected {len(delta[0])}")
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
-                raise ParseError(f"'delta' entries must be 0 or 1, got {v!r}")
+            if type(v) is not int or not 0 <= v <= 1:  # a bool is not an int here
+                raise ParseError(f"'delta' entries must be 0 or 1, got {_quoted(v)}")
+        cells.append(bytes(row))
+    return b"".join(cells).translate(_DIGITS)
 
 
 def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
@@ -323,8 +313,10 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     id of at most 18 digits and rows of equal length, `{"id": 7, "delta":
     [[1, 0], [0, 1]]}` with optional JSON whitespace around it, is read by one
     regex match at C speed. Every other line, str lines included, goes
-    through json.loads. Both paths give the same result; a line that fails
-    raises from the json.loads path, so errors are those of that path.
+    through json.loads; one row-order pass over its 'delta' names the first
+    bad row or cell. Both paths give the same result, and a line that fails
+    raises from the json.loads path, quoting a value by at most its first 20
+    characters and '...'.
     """
     if isinstance(line, (bytes, bytearray)):
         fast = _DUMPS_RECORD.fullmatch(line)
@@ -358,19 +350,16 @@ def parse_jsonl_record(line: str | bytes) -> tuple[object, SparsityPattern]:
     delta = obj.get("delta")
     if not isinstance(delta, list):
         raise ParseError("'delta' must be an array of arrays of 0/1")
-    cells = _delta_cells(delta)
-    if cells is None:
-        _check_delta(delta)  # raises, naming the first bad row or cell
-    if not cells:
+    digits = _delta_digits(delta)
+    if not digits:
         raise EmptyInputError("'delta' contains no cells")
-    pattern = _from_masks(len(delta), _column_masks(cells.translate(_DIGITS), len(delta[0])))
+    pattern = _from_masks(len(delta), _column_masks(digits, len(delta[0])))
     for key, size, unit in (("m", pattern.m, "rows"), ("r", pattern.r, "columns")):
         if key not in obj:
             continue
         declared = obj[key]
-        # bool is an int subclass and 3.0 == 3, so compare types before values
-        if isinstance(declared, bool) or not isinstance(declared, int):
-            raise ParseError(f"declared {key} must be an integer, got {declared!r}")
+        if type(declared) is not int:  # not a bool, nor a float such as 3.0 == 3
+            raise ParseError(f"declared {key} must be an integer, got {_quoted(declared)}")
         if declared != size:
             raise DimensionError(f"declared {key}={declared} does not match {size} {unit}")
     return rec_id, pattern

@@ -21,9 +21,9 @@ replica matching. This module imports only result dataclasses from
 `factorid.identify`. A graph is given as the pattern
 that is its biadjacency matrix: `pattern_from_edges` builds it from
 (column, row) edges and `pattern_edges` lists them back. `parse_dense_per_line`
-is the dense-text parser that splits every line into one token per cell, the
-reference for the package's strided read of numpy.savetxt text and for its
-line-by-line read of every other form.
+reads dense text byte by byte, by README's grammar and with none of the
+package's splitting or translating, as the reference for its strided read of
+numpy.savetxt text and for its line-by-line read of every other form.
 `verdict_in_original_coords` maps a verdict back through `dataclasses.replace`
 and its own lists of kept rows and columns, the complements of the report's
 removed ones, index by index: the reference for the witnesses that
@@ -31,7 +31,6 @@ removed ones, index by index: the reference for the witnesses that
 recounts a witness's rows cell by cell.
 """
 
-import re
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
@@ -42,6 +41,7 @@ from factorid.pattern import SparsityPattern
 from reference_cover import build_identification_network, max_flow_min_cut, mwvc_from_cut
 
 _INF = 1 << 60
+_SEPARATORS = b" \t\v\f"  # dense text's cell separators
 
 
 def pattern_from_edges(n_col, n_row, edges):
@@ -403,28 +403,43 @@ def counting_rule_per_column(p, s):
 
 
 def parse_dense_per_line(data):
-    """(m, col_masks) of dense text, read line by line and token by token,
-    raising the error `parse_pattern` raises for the first bad line."""
+    """(m, col_masks) of dense text, read byte by byte by README's grammar,
+    raising the error `parse_pattern` raises for the first bad line. A line
+    ends at \\n, \\r or \\r\\n. Its tokens are the runs of bytes between the
+    separators space, \\t, \\v and \\f. A line with no token, or whose first
+    token starts with '#', is skipped; every token of any other line must be
+    '0' or '1'."""
+    lines = [[]]  # each line's tokens, as (column, bytearray) pairs
+    column = 0
+    prev = None
+    for byte in data:
+        if byte in b"\r\n":
+            if not (byte == ord("\n") and prev == ord("\r")):  # \r\n ends one line
+                lines.append([])
+                column = 0
+        else:
+            column += 1
+            if byte not in _SEPARATORS:
+                if column > 1 and prev not in _SEPARATORS:  # the token goes on
+                    lines[-1][-1][1].append(byte)
+                else:
+                    lines[-1].append((column, bytearray([byte])))
+        prev = byte
     rows = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith(b"#"):
+    for lineno, tokens in enumerate(lines, start=1):
+        if not tokens or tokens[0][1].startswith(b"#"):
             continue
-        row = b"".join(tokens)
-        if len(row) != len(tokens) or row.translate(None, b"01"):
-            tok = next(t for t in re.finditer(rb"\S+", raw) if t.group() not in (b"0", b"1"))
-            # a long token is quoted by its first 20 bytes and '...'
-            text = tok.group()
-            shown = repr(text[:20].decode("utf-8", "replace")) + ("..." if len(text) > 20 else "")
-            raise ParseError(f"unexpected token {shown}", line=lineno, column=tok.start() + 1)
-        if rows and len(row) != len(rows[0]):
-            raise DimensionError(f"row has {len(row)} entries, expected {len(rows[0])}", line=lineno)
-        rows.append(row)
+        for column, token in tokens:
+            if token not in (b"0", b"1"):
+                # a long token is quoted by its first 20 bytes and '...'
+                shown = repr(token[:20].decode("utf-8", "replace")) + ("..." if len(token) > 20 else "")
+                raise ParseError(f"unexpected token {shown}", line=lineno, column=column)
+        if rows and len(tokens) != len(rows[0]):
+            raise DimensionError(f"row has {len(tokens)} entries, expected {len(rows[0])}", line=lineno)
+        rows.append([token == b"1" for _, token in tokens])
     if not rows:
         raise EmptyInputError("input contains no pattern rows")
-    masks = tuple(
-        sum(1 << i for i, row in enumerate(rows) if row[j] == ord("1")) for j in range(len(rows[0]))
-    )
+    masks = tuple(sum(1 << i for i, row in enumerate(rows) if row[j]) for j in range(len(rows[0])))
     return len(rows), masks
 
 
@@ -494,3 +509,43 @@ def shuffled_direct_sum(blocks, rng):
             sum_masks[c] = sum(1 << rows[i] for i in range(m) if mask >> i & 1)
         columns.append(cols)
     return m_sum, sum_masks, columns
+
+
+def loaded_columns(rng, m, degrees):
+    """Column masks of an m-row pattern whose column j loads on degrees[j]
+    random rows."""
+    return [sum(1 << i for i in rng.sample(range(m), d)) for d in degrees]
+
+
+def permuted(m, masks, row_of, col_of):
+    """The column masks of an m-row pattern with row i moved to row_of[i]
+    and column j to col_of[j]."""
+    moved = [0] * len(masks)
+    for j, mask in enumerate(masks):
+        moved[col_of[j]] = sum(1 << row_of[i] for i in range(m) if mask >> i & 1)
+    return moved
+
+
+def with_one_added(rng, m, masks):
+    """masks with a 1 added to a random nonzero column, on one of the m rows
+    that it misses (unchanged if it loads on all of them)."""
+    j = rng.choice([j for j, mask in enumerate(masks) if mask])
+    missed = [i for i in range(m) if not masks[j] >> i & 1]
+    grown = list(masks)
+    if missed:
+        grown[j] |= 1 << rng.choice(missed)
+    return grown
+
+
+def with_row_added(rng, m, masks):
+    """masks with a row m added, whose 1s lie in one to six random nonzero
+    columns."""
+    nonzero = [j for j, mask in enumerate(masks) if mask]
+    chosen = set(rng.sample(nonzero, rng.randint(1, min(6, len(nonzero)))))
+    return [mask | 1 << m if j in chosen else mask for j, mask in enumerate(masks)]
+
+
+def without_column(rng, masks):
+    """masks with a random column taken out."""
+    j = rng.randrange(len(masks))
+    return masks[:j] + masks[j + 1:]

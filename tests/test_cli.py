@@ -362,6 +362,19 @@ class TestFilter:
         error = [json.loads(l) for l in Path(out).read_text().splitlines()][1]["error"]
         assert error == "invalid JSON: Expecting property name enclosed in double quotes at column 2"
 
+    def test_long_bad_cell_gives_one_short_error_record(self, runner, tmp_path):
+        lines = STREAM.splitlines()
+        lines.insert(1, '{"id": "long", "delta": [[1, 0], [0, "' + "x" * 1_000_000 + '"]]}')
+        inp = write(tmp_path, "in.jsonl", "\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["filter", "--input", inp, "--output", str(out)])
+        assert result.exit_code == 2
+        record = out.read_bytes().splitlines()[1]
+        assert json.loads(record)["error"] == (
+            "'delta' entries must be 0 or 1, got '" + "x" * 19 + "..."
+        )
+        assert len(record) < 200
+
     def test_float_and_bool_dims_are_error_records(self, runner, tmp_path):
         lines = STREAM.splitlines()
         lines.insert(1, '{"id": "float_m", "delta": [[1],[1],[1]], "m": 3.0}')

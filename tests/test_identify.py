@@ -628,6 +628,75 @@ class TestDirectSums:
         self.check(*dense_sum(seed, s))
 
 
+def big_pattern(family, seed):
+    """(m, column masks, rng) of at least 100 columns: a "random" pattern
+    whose r = 100..200 columns each load on 5..10 of 2r..2r+25 rows, or a
+    "sum", a shuffled direct sum of `sparse_sum`'s blocks."""
+    if family == "sum":
+        rng, blocks = sparse_sum(seed)
+        m, masks, _ = oracles.shuffled_direct_sum(blocks, rng)
+        return m, masks, rng
+    rng = random.Random(seed)
+    r = rng.randint(100, 200)
+    m = 2 * r + rng.randint(0, 25)
+    return m, oracles.loaded_columns(rng, m, [rng.randint(5, 10) for _ in range(r)]), rng
+
+
+def variance_verdict(m, masks, s):
+    """`variance_identified` at s on the m-row pattern of these column masks."""
+    return variance_identified(_from_masks(m, tuple(masks)), s)
+
+
+class TestPermutations:
+    """Known answers at R >= 100: moving rows and columns changes no N(S)
+    but its labels, so `holds` is kept at every s and the cover weight at
+    s=1, and the s=1 witness S* maps through the column order. At s != 1
+    the witness depends on which column fails first, so only `holds` is
+    compared."""
+
+    @pytest.mark.parametrize("family", ["random", "sum"])
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    def test_shuffled_rows_and_columns(self, family, seed):
+        m, masks, rng = big_pattern(family, seed)
+        row_of, col_of = rng.sample(range(m), m), rng.sample(range(len(masks)), len(masks))
+        moved = oracles.permuted(m, masks, row_of, col_of)
+        verdicts = [(variance_verdict(m, masks, s), variance_verdict(m, moved, s)) for s in range(4)]
+        assert [v.identified for v, _ in verdicts] == [w.identified for _, w in verdicts]
+        v, w = verdicts[1][0].detail, verdicts[1][1].detail
+        assert v.mincut_value == w.mincut_value
+        assert (v.witness_fail is None) == (w.witness_fail is None)
+        if v.witness_fail:
+            assert w.witness_fail.columns == tuple(sorted(col_of[j] for j in v.witness_fail.columns))
+            assert w.witness_fail.nonzero_rows == v.witness_fail.nonzero_rows
+
+
+class TestMonotonicity:
+    """Known answers at R >= 100, through `variance_identified`, which takes
+    the zero rows and columns these edits can leave. N(S) only grows when a
+    1 is added to a column that has one, or a row whose 1s lie only in such
+    columns, and deleting a column only drops subsets, so none of these
+    turns a pass into a fail; and 2q+s rows are at least 2q+s-1, so a pass
+    at s is one at s-1. A 1 placed in a zero column adds that column to the
+    rule, so it can fail."""
+
+    @pytest.mark.parametrize("family", ["random", "sum"])
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    def test_edits_keep_a_pass(self, family, seed):
+        m, masks, rng = big_pattern(family, seed)
+        passes = [s for s in range(4) if variance_verdict(m, masks, s).identified]
+        assert passes == list(range(len(passes)))
+        edited = {
+            "one added": (m, oracles.with_one_added(rng, m, masks)),
+            "row added": (m + 1, oracles.with_row_added(rng, m, masks)),
+            "column deleted": (m, oracles.without_column(rng, masks)),
+        }
+        for edit, (m_edit, masks_edit) in edited.items():
+            for s in passes:
+                assert variance_verdict(m_edit, masks_edit, s).identified, (edit, s)
+
+
 def degree_bound(p, s):
     """Whether the sorted column degrees d_1 <= ... <= d_r of p have d_q >=
     2q+s for every q: any q columns then include one on 2q+s rows."""

@@ -288,6 +288,12 @@ class TestParseJsonl:
     @pytest.mark.parametrize("cell, shown", [
         ("true", "True"), ("2", "2"), ("1.0", "1.0"), ('"1"', "'1'"),
         ("null", "None"), ("300", "300"),
+        # a repr of 20 characters is quoted whole, a longer one by its first 20
+        pytest.param('"' + "x" * 18 + '"', repr("x" * 18), id="repr_20_characters"),
+        pytest.param('"' + "x" * 19 + '"', repr("x" * 19)[:20] + "...", id="repr_21_characters"),
+        pytest.param('"' + "x" * 1_000_000 + '"', "'" + "x" * 19 + "...", id="1_MB_string"),
+        pytest.param("[0, 1]", "[0, 1]", id="array"),
+        pytest.param('{"a": 1}', "{'a': 1}", id="object"),
     ])
     def test_bad_cell_message(self, cell, shown):
         message = f"'delta' entries must be 0 or 1, got {shown}"
@@ -302,6 +308,31 @@ class TestParseJsonl:
             parse_jsonl_record('{"id": 1, "delta": [[1,0],[1]]}')
         with pytest.raises(ParseError, match="^'delta' row 1 is not an array$"):
             parse_jsonl_record('{"id": 1, "delta": [[1,0],1,[2]]}')
+
+    @pytest.mark.parametrize("delta, error, message", [
+        ("[[1, 0], 5, [0, 2]]", ParseError, "'delta' row 1 is not an array"),
+        ("[[1, 0], [1], [0, 2]]", DimensionError, "'delta' row 1 has 1 entries, expected 2"),
+        # within a row, its length is checked before its cells
+        ("[[1, 0], [2]]", DimensionError, "'delta' row 1 has 1 entries, expected 2"),
+        ("[[1, 0], [0, 1, 2]]", DimensionError, "'delta' row 1 has 3 entries, expected 2"),
+        ("[[1, 0], [2, 0], 5]", ParseError, "'delta' entries must be 0 or 1, got 2"),
+        ("[[], [1]]", DimensionError, "'delta' row 1 has 1 entries, expected 0"),
+        ("[]", EmptyInputError, "'delta' contains no cells"),
+        ("[[], []]", EmptyInputError, "'delta' contains no cells"),
+    ], ids=["row_before_cell", "length_before_cell", "length_before_own_cell",
+            "long_row_before_own_cell", "cell_before_row", "empty_row_0", "no_rows", "empty_rows"])
+    def test_first_bad_row_or_cell_is_named(self, delta, error, message):
+        """Rows are read in order, and the first bad one raises: one that is
+        not an array, then a length other than row 0's, then a bad cell."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_jsonl_record(f'{{"id": 1, "delta": {delta}}}')
+
+    @pytest.mark.parametrize("key", ["m", "r"])
+    def test_long_declared_dimension_is_quoted_by_its_first_20_characters(self, key):
+        line = f'{{"id": 1, "delta": [[1]], "{key}": [{", ".join(["1"] * 300_001)}]}}'
+        message = f"declared {key} must be an integer, got [1, 1, 1, 1, 1, 1, 1..."
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_jsonl_record(line)
 
     def test_empty_delta(self):
         with pytest.raises(EmptyInputError):
